@@ -145,14 +145,13 @@ int main(int argc, char** argv) {
       "/mapcache_sweep_reuse.bin";
 
   // --- no-reuse baseline: the pre-reuse code path ---------------------------
-  // Dedup and pruning off, no store.  (The in-memory MapCache stays on: it
-  // predates the reuse layer, so the baseline keeps it.)
+  // Dedup off (no point_key), pruning off, no store.  (The in-memory
+  // MapCache stays on: it predates the reuse layer, so the baseline keeps
+  // it.)
   const dse::SweepResult baseline = h.time("baseline_sweep", [&] {
-    dse::set_sweep_dedup_enabled(false);
     mapper::set_spatial_prune_enabled(false);
     cache.clear();
-    dse::SweepResult r = run_sweep(grid, metrics, evaluate, options);
-    dse::set_sweep_dedup_enabled(true);
+    dse::SweepResult r = run_sweep(grid, metrics, evaluate, {});
     mapper::set_spatial_prune_enabled(true);
     return r;
   });

@@ -1,25 +1,16 @@
 #include "uld3d/dse/checkpoint.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
-#include <mutex>
 #include <sstream>
-#include <unordered_map>
 
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/checkpoint.hpp"
 #include "uld3d/util/export.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/jsonv.hpp"
-#include "uld3d/util/metrics.hpp"
-#include "uld3d/util/parallel.hpp"
 #include "uld3d/util/provenance.hpp"
-#include "uld3d/util/telemetry.hpp"
-#include "uld3d/util/trace.hpp"
 
 namespace uld3d::dse {
 
@@ -237,10 +228,6 @@ SweepRow row_from_json(const JsonValue& doc, std::size_t metric_count,
                        std::numeric_limits<double>::quiet_NaN());
   }
   return row;
-}
-
-bool file_exists(const std::string& path) {
-  return std::ifstream(path).good();
 }
 
 }  // namespace
@@ -477,210 +464,6 @@ void validate_checkpoint(const SweepCheckpoint& checkpoint,
             .with("expected_shard", std::to_string(shard.index) + "/" +
                                         std::to_string(shard.count)));
   }
-}
-
-SweepInterrupted::SweepInterrupted(std::size_t completed, std::size_t total)
-    : Error("sweep interrupted after " + std::to_string(completed) + " of " +
-            std::to_string(total) +
-            " points; state checkpointed, re-run with resume to continue"),
-      completed_(completed),
-      total_(total) {}
-
-SweepResult run_sweep_resumable(
-    const Grid& grid, const std::vector<std::string>& metric_names,
-    const std::function<std::vector<double>(const std::vector<double>&)>&
-        evaluate,
-    const ResumableOptions& options) {
-  expects(!metric_names.empty(), "sweep needs at least one metric");
-  expects(options.checkpoint_interval >= 1,
-          "checkpoint interval must be at least 1");
-  const std::size_t grid_size = grid.size();
-  const std::vector<std::size_t> domain =
-      shard_domain(grid_size, options.shard);
-  const std::string fingerprint =
-      sweep_fingerprint(grid, metric_names, options.config_hash);
-  std::vector<std::string> param_names;
-  param_names.reserve(grid.axis_count());
-  for (const Axis& axis : grid.axes()) param_names.push_back(axis.name);
-
-  MetricsRegistry& registry = MetricsRegistry::instance();
-  registry.counter("dse.sweep.runs").add();
-  registry.gauge("dse.sweep.grid_size").set(static_cast<double>(grid_size));
-  Counter& m_resumed = registry.counter("dse.sweep.resumed_points");
-  Counter& m_flushes = registry.counter("dse.sweep.checkpoint_flushes");
-  TraceSpan sweep_span("dse.sweep.resumable", "dse");
-  StageTimer sweep_stage("dse.sweep.resumable");
-
-  // Row slots indexed by grid index; `done[g]` is the in-memory bitmap.
-  // A worker fills rows[g] completely, then release-stores done[g]; the
-  // flusher acquire-loads done[g] before reading rows[g], so a snapshot
-  // taken mid-sweep only ever contains fully-written rows.
-  std::vector<SweepRow> rows(grid_size);
-  std::vector<std::atomic<bool>> done(grid_size);
-
-  const bool checkpointing = !options.checkpoint_path.empty();
-  std::size_t resumed = 0;
-  if (checkpointing && file_exists(options.checkpoint_path)) {
-    if (!options.resume) {
-      throw StatusError(
-          Failure(ErrorCode::kInvalidConfig,
-                  "checkpoint file already exists; enable resume to continue "
-                  "it or remove the file to start over")
-              .with("checkpoint", options.checkpoint_path));
-    }
-    SweepCheckpoint ckpt = load_checkpoint(options.checkpoint_path);
-    validate_checkpoint(ckpt, grid_size, fingerprint, options.shard);
-    for (SweepRow& row : ckpt.rows) {
-      const std::size_t g = row.grid_index;
-      rows[g] = std::move(row);
-      done[g].store(true, std::memory_order_relaxed);
-    }
-    resumed = ckpt.rows.size();
-    m_resumed.add(resumed);
-  }
-
-  std::vector<std::size_t> todo;
-  todo.reserve(domain.size() - resumed);
-  for (const std::size_t g : domain) {
-    if (!done[g].load(std::memory_order_relaxed)) todo.push_back(g);
-  }
-
-  // Fault plans trip on arrival order (see run_sweep); pin to one thread.
-  const int jobs = FaultInjector::instance().armed()
-                       ? 1
-                       : parallel::resolve_jobs(options.jobs);
-  registry.gauge("dse.sweep.jobs").set(static_cast<double>(jobs));
-
-  if (EventSink::enabled()) {
-    EventSink& sink = EventSink::instance();
-    sink.emit_sweep_start(fingerprint, grid_size, param_names, metric_names,
-                          domain.size(), jobs);
-    if (options.shard.sharded()) {
-      sink.emit_shard_info(options.shard.index, options.shard.count,
-                           domain.size(),
-                           sentinel_indices(grid_size, options.shard));
-    }
-  }
-  std::optional<ProgressReporter> progress;
-  if (progress_enabled()) progress.emplace("sweep", domain.size(), resumed);
-
-  std::mutex flush_mutex;
-  std::atomic<std::size_t> completed{resumed};
-  const auto flush = [&] {  // caller holds flush_mutex
-    if (!checkpointing) return;
-    SweepCheckpoint snapshot;
-    snapshot.fingerprint = fingerprint;
-    snapshot.run_id = current_run_context().run_id;
-    snapshot.grid_size = grid_size;
-    snapshot.shard = options.shard;
-    snapshot.param_names = param_names;
-    snapshot.metric_names = metric_names;
-    snapshot.completed.assign(grid_size, false);
-    for (const std::size_t g : domain) {
-      if (!done[g].load(std::memory_order_acquire)) continue;
-      snapshot.completed[g] = true;
-      snapshot.rows.push_back(rows[g]);
-    }
-    // Durability order: the checkpoint_flush event syncs the sink BEFORE the
-    // checkpoint lands on disk, so every row in the saved checkpoint has its
-    // point_done event durable — resume never leaves a row without an event.
-    EventSink::instance().emit_checkpoint_flush(
-        snapshot.rows.size(), domain.size(), options.checkpoint_path);
-    save_checkpoint(snapshot, options.checkpoint_path);
-    m_flushes.add();
-  };
-
-  // Sweep-point deduplication over the points still TO DO this run (resumed
-  // rows are already final, and a representative must be freshly evaluated
-  // so its aliases copy a row that exists).  `work` holds one grid index per
-  // work item — all of `todo` without dedup, each key class's lowest-index
-  // remaining point with it.  Aliases are filled in the SAME work item as
-  // their representative: rows are fully written before their done[] bit is
-  // release-stored, so checkpoint snapshots stay consistent and an
-  // interrupt loses at most the in-flight batch, which deterministically
-  // re-evaluates on resume.
-  const bool dedup = options.point_key != nullptr && sweep_dedup_enabled();
-  std::vector<std::size_t> work = todo;
-  std::unordered_map<std::size_t, std::vector<std::size_t>> aliases_by_rep;
-  if (dedup && !todo.empty()) {
-    std::unordered_map<std::string, std::size_t> first_by_key;
-    first_by_key.reserve(todo.size());
-    work.clear();
-    for (const std::size_t g : todo) {  // ascending, so reps stay ascending
-      const auto [it, inserted] =
-          first_by_key.try_emplace(options.point_key(grid.point(g)), g);
-      if (inserted) {
-        work.push_back(g);
-      } else {
-        aliases_by_rep[it->second].push_back(g);
-      }
-    }
-    registry.counter("dse.sweep.dedup_unique")
-        .add(static_cast<std::uint64_t>(work.size()));
-    registry.counter("dse.sweep.dedup_aliased")
-        .add(static_cast<std::uint64_t>(todo.size() - work.size()));
-  }
-
-  const auto finish_point = [&](std::size_t g) {
-    if (progress.has_value()) {
-      rows[g].ok() ? progress->add_ok() : progress->add_failed();
-    }
-    done[g].store(true, std::memory_order_release);
-    const std::size_t now =
-        completed.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (checkpointing && (now - resumed) % options.checkpoint_interval == 0) {
-      const std::lock_guard<std::mutex> lock(flush_mutex);
-      flush();
-    }
-  };
-
-  const auto body = [&](std::size_t k) {
-    if (interrupt_requested()) {
-      throw SweepInterrupted(completed.load(std::memory_order_relaxed),
-                             domain.size());
-    }
-    const std::size_t g = work[k];
-    rows[g] =
-        evaluate_sweep_point(grid, g, metric_names, evaluate, options.policy);
-    finish_point(g);
-    const auto aliases = aliases_by_rep.find(g);  // read-only map: safe
-    if (aliases != aliases_by_rep.end()) {
-      for (const std::size_t a : aliases->second) {
-        rows[a] = alias_sweep_point(grid, a, rows[g]);
-        finish_point(a);
-      }
-    }
-  };
-
-  parallel::ForOptions for_opts{.jobs = jobs};
-  if (progress.has_value()) {
-    for_opts.on_chunk_done = [&](std::size_t n) {
-      progress->on_chunk_done(n);
-    };
-  }
-  try {
-    parallel::parallel_for_indexed(work.size(), body, for_opts);
-  } catch (...) {
-    // Keep whatever finished: an interrupt, a kFailFast failure, or a
-    // library bug all leave a resumable checkpoint behind.  A flush
-    // failure must not mask the original exception.
-    const std::lock_guard<std::mutex> lock(flush_mutex);
-    try {
-      flush();
-    } catch (...) {
-    }
-    throw;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(flush_mutex);
-    flush();  // final, complete state (merge inputs must be complete)
-  }
-
-  std::vector<SweepRow> out;
-  out.reserve(domain.size());
-  for (const std::size_t g : domain) out.push_back(std::move(rows[g]));
-  return SweepResult(std::move(param_names),
-                     std::vector<std::string>(metric_names), std::move(out));
 }
 
 SweepResult merge_shards(const Grid& grid,

@@ -1,9 +1,9 @@
 // Checkpoint/restart + deterministic sharding for design-space sweeps —
-// the machinery that turns `run_sweep`'s one-process, one-pass batch loop
-// into restartable, distributable units of work (ROADMAP item 2: overnight
-// 10^5–10^6-point sweeps across many machines).
+// the state that lets `run_sweep` (SweepOptions::checkpoint_path, resume,
+// shard) turn one batch loop into restartable, distributable units of
+// work (overnight 10^5–10^6-point sweeps across many machines).
 //
-// Three pieces:
+// Two pieces:
 //
 //  * `SweepCheckpoint` — the versioned on-disk sweep state: a
 //    completed-point bitmap over the flattened grid index space, the
@@ -15,17 +15,12 @@
 //    never corrupts state; `load_checkpoint` re-validates the bitmap
 //    against the row list so a torn or hand-edited file is refused, and
 //    `validate_checkpoint` refuses a checkpoint whose fingerprint does not
-//    match the grid it is being resumed against.
-//
-//  * `run_sweep_resumable` — a resume-aware, shard-aware run_sweep.
-//    Completed points are loaded from the checkpoint and NOT re-evaluated;
-//    the rest are evaluated through the same `evaluate_sweep_point` kernel
-//    as run_sweep, so the final rows are bit-identical to an uninterrupted
-//    full run at any jobs count.  The runner flushes a checkpoint every
-//    `checkpoint_interval` completed points, on any exception, and on the
-//    interrupt flag (SIGINT/SIGTERM via util/checkpoint.hpp), in which
-//    case it throws `SweepInterrupted` — the CLI maps that to the distinct
-//    "interrupted, resumable" exit code.
+//    match the grid it is being resumed against.  `run_sweep` loads it
+//    on resume (completed points are NOT re-evaluated) and flushes it
+//    every `checkpoint_interval` completed points, on any exception, and
+//    on the interrupt flag (SIGINT/SIGTERM via util/checkpoint.hpp), in
+//    which case it throws `SweepInterrupted` — the CLI maps that to the
+//    distinct "interrupted, resumable" exit code.
 //
 //  * sharding + `merge_shards` — `ShardSpec{i, N}` deterministically
 //    partitions the grid index space (shard i owns indices g with
@@ -48,17 +43,6 @@ namespace uld3d::dse {
 
 /// Bumped when the on-disk layout changes; older files are refused.
 inline constexpr int kCheckpointSchemaVersion = 1;
-
-/// One deterministic slice of the grid index space: shard `index` of
-/// `count` owns indices g with g % count == index (strided, so expensive
-/// regions of the grid spread evenly across machines).  {0, 1} = the whole
-/// grid (unsharded).
-struct ShardSpec {
-  std::size_t index = 0;
-  std::size_t count = 1;
-
-  [[nodiscard]] bool sharded() const { return count > 1; }
-};
 
 /// Parse "i/N" (e.g. "0/4"); throws StatusError(kInvalidArgument) unless
 /// 0 <= i < N and N >= 1.
@@ -129,58 +113,6 @@ void validate_checkpoint(const SweepCheckpoint& checkpoint,
                          std::size_t grid_size,
                          const std::string& fingerprint,
                          const ShardSpec& shard);
-
-/// Thrown when the interrupt flag stops a resumable sweep.  The partial
-/// state has already been flushed to the checkpoint path; re-running with
-/// resume enabled continues where this run stopped.
-class SweepInterrupted : public Error {
- public:
-  SweepInterrupted(std::size_t completed, std::size_t total);
-
-  [[nodiscard]] std::size_t completed() const { return completed_; }
-  [[nodiscard]] std::size_t total() const { return total_; }
-
- private:
-  std::size_t completed_ = 0;
-  std::size_t total_ = 0;
-};
-
-struct ResumableOptions {
-  ErrorPolicy policy = ErrorPolicy::kSkipAndRecord;
-  int jobs = 0;               ///< as SweepOptions::jobs
-  ShardSpec shard;            ///< slice of the grid this process owns
-  std::string checkpoint_path;  ///< "" = no checkpointing (sharding only)
-  /// Load an existing checkpoint_path instead of starting fresh.  When
-  /// false and the file exists, the runner refuses to overwrite it
-  /// (StatusError(kInvalidConfig)) — silently clobbering completed work is
-  /// never the right default.
-  bool resume = false;
-  /// Flush the checkpoint after this many newly completed points (and
-  /// always at the end, and on interrupt/exception).
-  std::size_t checkpoint_interval = 64;
-  /// Caller config fingerprint folded into sweep_fingerprint().
-  std::string config_hash;
-  /// Canonical evaluation key for sweep-point deduplication — same contract
-  /// as SweepOptions::point_key.  Grouping happens over the points still
-  /// TO DO this run (resumed rows are already final); each class's
-  /// lowest-index remaining point is evaluated and its aliases are filled
-  /// in the same work item, so a checkpoint snapshot only ever contains
-  /// fully-written rows and rows stay bit-identical to a dedup-off run
-  /// across any interrupt/resume schedule.
-  std::function<std::string(const std::vector<double>&)> point_key;
-};
-
-/// Resume-aware, shard-aware run_sweep.  The returned result holds the
-/// shard's domain rows ascending by grid_index (the full grid for an
-/// unsharded run) and is bit-identical — rows, failure_summary(), table
-/// output — to the corresponding slice of a plain run_sweep at any jobs
-/// count, whether or not the run was interrupted and resumed in between.
-/// Throws SweepInterrupted when stopped by the interrupt flag.
-[[nodiscard]] SweepResult run_sweep_resumable(
-    const Grid& grid, const std::vector<std::string>& metric_names,
-    const std::function<std::vector<double>(const std::vector<double>&)>&
-        evaluate,
-    const ResumableOptions& options);
 
 /// Stitch complete shard checkpoints back into the full-grid result.
 /// Every file must validate against `fingerprint` and `grid_size`, the

@@ -9,6 +9,10 @@
 // whole sweep; `pareto_front`/`best` ignore failed rows and
 // `failure_summary()` reports them.  ErrorPolicy::kFailFast rethrows at the
 // first bad point (the pre-diagnostics behaviour).
+//
+// `run_sweep` is the one sweep runner: checkpoint/resume and sharding
+// (uld3d/dse/checkpoint.hpp holds the file format and merge) are options
+// of the same code path, not a second loop.
 #pragma once
 
 #include <functional>
@@ -53,6 +57,17 @@ enum class ErrorPolicy {
   kSkipAndRecord,  ///< record a failed row and continue (default)
 };
 
+/// One deterministic slice of the grid index space: shard `index` of
+/// `count` owns indices g with g % count == index (strided, so expensive
+/// regions of the grid spread evenly across machines).  {0, 1} = the whole
+/// grid (unsharded).
+struct ShardSpec {
+  std::size_t index = 0;
+  std::size_t count = 1;
+
+  [[nodiscard]] bool sharded() const { return count > 1; }
+};
+
 struct SweepOptions {
   ErrorPolicy policy = ErrorPolicy::kSkipAndRecord;
   /// Worker threads evaluating points (0 = the global parallel::jobs()).
@@ -61,29 +76,51 @@ struct SweepOptions {
   /// speculatively evaluated before cancellation).  An armed FaultInjector
   /// pins the sweep to jobs=1 so trip arrival order stays deterministic.
   int jobs = 0;
-  /// Caller config fingerprint folded into the sweep_start telemetry
-  /// event's fingerprint (same role as ResumableOptions::config_hash on the
-  /// checkpoint path, so both runners label the same study identically).
+  /// Caller config fingerprint folded into sweep_fingerprint(): labels the
+  /// sweep_start telemetry event and the checkpoint, so a checkpoint from a
+  /// different study config is refused on resume/merge.
   std::string config_hash = {};
   /// Canonical EVALUATION key of one grid point — sweep-point deduplication.
   /// Points with equal keys are certified by the caller to evaluate
   /// identically (e.g. an axis like a thermal budget that the evaluator
   /// never reads), so the runner evaluates only the lowest-grid-index
-  /// representative of each key class and fans its metrics/failure out to
-  /// the aliases (each keeps its own params and grid_index).  The key must
-  /// cover EVERY input the evaluator reads; rows are then bit-identical to
-  /// a dedup-off run.  nullptr (the default) disables deduplication, as
-  /// does ULD3D_NO_SWEEP_DEDUP / set_sweep_dedup_enabled(false).  Counters:
-  /// "dse.sweep.dedup_unique" / "dse.sweep.dedup_aliased".
-  std::function<std::string(const std::vector<double>&)> point_key;
+  /// representative of each key class still to do this run, and fills its
+  /// aliases (own params and grid_index, the representative's
+  /// metrics/failure) in the same work item.  The key must cover EVERY
+  /// input the evaluator reads; rows are then bit-identical to a run
+  /// without a key, across any interrupt/resume schedule.  nullptr (the
+  /// default) evaluates every point.  Counters: "dse.sweep.dedup_unique" /
+  /// "dse.sweep.dedup_aliased".
+  std::function<std::string(const std::vector<double>&)> point_key = {};
+  /// Slice of the grid this process evaluates (plus shared sentinel
+  /// points, see checkpoint.hpp); sharding is on when shard.count > 1.
+  ShardSpec shard = {};
+  /// Checkpoint file; "" (the default) never flushes.
+  std::string checkpoint_path = {};
+  /// Load an existing checkpoint_path instead of starting fresh.  When
+  /// false and the file exists, the runner refuses to overwrite it
+  /// (StatusError(kInvalidConfig)) — silently clobbering completed work is
+  /// never the right default.
+  bool resume = false;
+  /// Flush the checkpoint after this many newly completed points (and
+  /// always at the end, and on interrupt/exception).
+  std::size_t checkpoint_interval = 64;
 };
 
-/// Sweep-point-dedup lever: on by default, `ULD3D_NO_SWEEP_DEDUP` (set
-/// non-empty) disables it at startup, the setter at runtime (differential
-/// tests, A/B timing).  Off simply means every point is evaluated, even
-/// when a point_key is supplied — output is byte-identical either way.
-[[nodiscard]] bool sweep_dedup_enabled();
-void set_sweep_dedup_enabled(bool enabled);
+/// Thrown when the interrupt flag (util/checkpoint.hpp) stops a sweep.  A
+/// checkpointed sweep has already flushed its partial state; re-running
+/// with resume enabled continues where this run stopped.
+class SweepInterrupted : public Error {
+ public:
+  SweepInterrupted(std::size_t completed, std::size_t total);
+
+  [[nodiscard]] std::size_t completed() const { return completed_; }
+  [[nodiscard]] std::size_t total() const { return total_; }
+
+ private:
+  std::size_t completed_ = 0;
+  std::size_t total_ = 0;
+};
 
 /// One evaluated design point.  Failed rows keep their params, carry NaN
 /// metrics, and record why they failed.
@@ -154,39 +191,23 @@ class SweepResult {
   std::vector<std::size_t> failed_rows_;  ///< indices of failed rows, ascending
 };
 
-/// Evaluate `metrics(point)` at every grid point.  The callback returns one
-/// value per metric name (checked; a mismatch is an evaluator bug and
-/// always throws regardless of policy).  An empty grid yields an empty
-/// SweepResult with the metric names intact.  Per-point behaviour on
-/// failure follows `options.policy`.
+/// Evaluate `metrics(point)` at every grid point of the shard's domain.
+/// The callback returns one value per metric name (checked; a mismatch is
+/// an evaluator bug and always throws regardless of policy).  An empty
+/// grid yields an empty SweepResult with the metric names intact.
+/// Per-point behaviour on failure follows `options.policy`.
+///
+/// The result holds the domain's rows ascending by grid_index (the full
+/// grid when unsharded) and is bit-identical — rows, failure_summary(),
+/// table output — to the matching slice of an uncheckpointed, unsharded
+/// run at any jobs count, whether or not the run was interrupted and
+/// resumed in between.  With a checkpoint_path, completed points are
+/// loaded from the file and not re-evaluated.  Throws SweepInterrupted
+/// when stopped by the interrupt flag.
 [[nodiscard]] SweepResult run_sweep(
     const Grid& grid, const std::vector<std::string>& metric_names,
     const std::function<std::vector<double>(const std::vector<double>&)>&
         evaluate,
     const SweepOptions& options = {});
-
-/// Evaluate ONE grid point into a SweepRow following `policy`.  This is the
-/// single evaluation kernel shared by run_sweep and the checkpoint-aware
-/// runner (uld3d/dse/checkpoint.hpp): identical failure classification,
-/// metric-count checking, and NaN handling on both paths, so a resumed or
-/// sharded sweep's rows are bit-identical to an uninterrupted full run's.
-/// Throws under ErrorPolicy::kFailFast exactly like the sweep loop.
-[[nodiscard]] SweepRow evaluate_sweep_point(
-    const Grid& grid, std::size_t grid_index,
-    const std::vector<std::string>& metric_names,
-    const std::function<std::vector<double>(const std::vector<double>&)>&
-        evaluate,
-    ErrorPolicy policy);
-
-/// Build the row for an ALIASED grid point from its already-evaluated
-/// representative (sweep-point deduplication fan-out): the alias keeps its
-/// own params and grid_index but copies the representative's metrics and
-/// failure verbatim.  Performs the same counter/event bookkeeping as
-/// evaluate_sweep_point (points/ok/failed/skipped, point_done event) so a
-/// run report has the same shape with dedup on or off.  Shared by
-/// run_sweep and the checkpoint-aware runner.
-[[nodiscard]] SweepRow alias_sweep_point(const Grid& grid,
-                                         std::size_t grid_index,
-                                         const SweepRow& representative);
 
 }  // namespace uld3d::dse

@@ -4,13 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
+#include <fstream>
 #include <limits>
-#include <numeric>
+#include <mutex>
 #include <sstream>
 
-#include "uld3d/dse/checkpoint.hpp"  // sweep_fingerprint
+#include "uld3d/dse/checkpoint.hpp"
 #include "uld3d/util/check.hpp"
+#include "uld3d/util/checkpoint.hpp"
 #include "uld3d/util/fault.hpp"
 #include "uld3d/util/flightrec.hpp"
 #include "uld3d/util/metrics.hpp"
@@ -19,26 +20,6 @@
 #include "uld3d/util/trace.hpp"
 
 namespace uld3d::dse {
-
-namespace {
-
-std::atomic<bool>& dedup_flag() {
-  static std::atomic<bool> enabled{[] {
-    const char* env = std::getenv("ULD3D_NO_SWEEP_DEDUP");
-    return env == nullptr || *env == '\0';
-  }()};
-  return enabled;
-}
-
-}  // namespace
-
-bool sweep_dedup_enabled() {
-  return dedup_flag().load(std::memory_order_relaxed);
-}
-
-void set_sweep_dedup_enabled(bool enabled) {
-  dedup_flag().store(enabled, std::memory_order_relaxed);
-}
 
 Grid& Grid::axis(std::string name, std::vector<double> values) {
   expects(!values.empty(), "axis needs at least one value: " + name);
@@ -210,7 +191,73 @@ std::string SweepResult::failure_summary() const {
   return os.str();
 }
 
+SweepInterrupted::SweepInterrupted(std::size_t completed, std::size_t total)
+    : Error("sweep interrupted after " + std::to_string(completed) + " of " +
+            std::to_string(total) +
+            " points; state checkpointed, re-run with resume to continue"),
+      completed_(completed),
+      total_(total) {}
+
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Per-point registry handles.  They are stable for the process lifetime,
+/// so look them up once; Counter::add is one branch when metrics are off.
+struct PointMetrics {
+  Counter& points;
+  Counter& ok;
+  Counter& failed;
+  Counter& skipped;
+  Histogram& point_us;
+};
+
+PointMetrics& point_metrics() {
+  MetricsRegistry& r = MetricsRegistry::instance();
+  static PointMetrics m{r.counter("dse.sweep.points"),
+                        r.counter("dse.sweep.ok"),
+                        r.counter("dse.sweep.failed"),
+                        r.counter("dse.sweep.skipped"),
+                        r.histogram("dse.sweep.point_us")};
+  return m;
+}
+
+/// Start of the point_done event's duration.  The clock is read only when
+/// the sink is live, so the disabled cost is the telemetry_enabled() branch.
+std::optional<Clock::time_point> event_start() {
+  if (!EventSink::enabled()) return std::nullopt;
+  return Clock::now();
+}
+
+/// Bookkeeping shared by evaluated and aliased points — outcome counters
+/// and the point_done event — so a run report has the same shape whether
+/// or not a point was deduplicated.
+void record_point(const SweepRow& row,
+                  const std::optional<Clock::time_point>& started) {
+  PointMetrics& m = point_metrics();
+  if (row.ok()) {
+    m.ok.add();
+  } else {
+    // Counted as both: a failed point, and one the policy skipped-and-
+    // recorded (compare against fault.injected_trips to split a run
+    // report into injected vs organic failures).
+    m.failed.add();
+    m.skipped.add();
+  }
+  if (!started.has_value()) return;
+  const double dur_us =
+      std::chrono::duration<double, std::micro>(Clock::now() - *started)
+          .count();
+  EventFailure failure;
+  if (!row.ok()) {
+    failure.code = error_code_name(row.failure->code);
+    failure.message = row.failure->message;
+    failure.context = row.failure->context;
+  }
+  EventSink::instance().emit_point_done(row.grid_index, row.params,
+                                        row.metrics,
+                                        row.ok() ? nullptr : &failure, dur_us);
+}
 
 /// Classify an evaluation failure into a structured Failure.
 Failure classify(const std::exception& error) {
@@ -223,29 +270,17 @@ Failure classify(const std::exception& error) {
   return Failure(ErrorCode::kInternal, error.what());
 }
 
-}  // namespace
-
+/// Evaluate ONE grid point into a SweepRow following `policy`: failure
+/// classification, metric-count checking, and NaN handling.  Throws under
+/// ErrorPolicy::kFailFast.
 SweepRow evaluate_sweep_point(
     const Grid& grid, std::size_t grid_index,
     const std::vector<std::string>& metric_names,
     const std::function<std::vector<double>(const std::vector<double>&)>&
         evaluate,
     ErrorPolicy policy) {
-  // Registry handles are stable for the process lifetime, so hoist the
-  // lookups once; Counter::add is one branch when metrics are disabled.
-  MetricsRegistry& registry = MetricsRegistry::instance();
-  static Counter& m_points = registry.counter("dse.sweep.points");
-  static Counter& m_ok = registry.counter("dse.sweep.ok");
-  static Counter& m_failed = registry.counter("dse.sweep.failed");
-  static Counter& m_skipped = registry.counter("dse.sweep.skipped");
-  static Histogram& m_point_us = registry.histogram("dse.sweep.point_us");
-
-  // Event timing reads the clock only when the sink is live — the disabled
-  // cost of this whole block is the telemetry_enabled() branch.
-  const bool events = EventSink::enabled();
-  const auto event_start = events ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-
+  PointMetrics& m = point_metrics();
+  const auto started = event_start();
   SweepRow row;
   row.grid_index = grid_index;
   row.params = grid.point(grid_index);
@@ -256,8 +291,8 @@ SweepRow evaluate_sweep_point(
     // in flight on each worker (also the ULD3D_CRASH_AT injection point
     // the fatal-path tests target).
     flightrec::event("dse.point", grid_index);
-    ScopedTimer point_timer(m_point_us);
-    m_points.add();
+    ScopedTimer point_timer(m.point_us);
+    m.points.add();
     fault_site("dse.sweep.point");
     metrics = evaluate(row.params);
   } catch (const InvariantError&) {
@@ -271,12 +306,12 @@ SweepRow evaluate_sweep_point(
     // point — it aborts the sweep under every policy.
     expects(metrics->size() == metric_names.size(),
             "evaluator returned wrong metric count");
-    for (std::size_t m = 0; m < metrics->size(); ++m) {
-      if (std::isfinite((*metrics)[m])) continue;
+    for (std::size_t i = 0; i < metrics->size(); ++i) {
+      if (std::isfinite((*metrics)[i])) continue;
       Failure failure =
           Failure(ErrorCode::kNumericalError, "metric is not finite")
-              .with("metric", metric_names[m])
-              .with("value", std::isnan((*metrics)[m]) ? "nan" : "inf");
+              .with("metric", metric_names[i])
+              .with("value", std::isnan((*metrics)[i]) ? "nan" : "inf");
       if (policy == ErrorPolicy::kFailFast) {
         throw StatusError(std::move(failure));
       }
@@ -288,44 +323,17 @@ SweepRow evaluate_sweep_point(
   if (!row.ok()) {
     row.metrics.assign(metric_names.size(),
                        std::numeric_limits<double>::quiet_NaN());
-    // Counted as both: a failed point, and one the policy skipped-and-
-    // recorded (compare against fault.injected_trips to split a run
-    // report into injected vs organic failures).
-    m_failed.add();
-    m_skipped.add();
-  } else {
-    m_ok.add();
   }
-  if (events) {
-    const double dur_us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - event_start)
-                              .count();
-    EventFailure failure;
-    if (!row.ok()) {
-      failure.code = error_code_name(row.failure->code);
-      failure.message = row.failure->message;
-      failure.context = row.failure->context;
-    }
-    EventSink::instance().emit_point_done(grid_index, row.params, row.metrics,
-                                          row.ok() ? nullptr : &failure,
-                                          dur_us);
-  }
+  record_point(row, started);
   return row;
 }
 
+/// Row for an ALIASED grid point (sweep-point dedup fan-out): its own
+/// params and grid_index, the representative's metrics and failure.
 SweepRow alias_sweep_point(const Grid& grid, std::size_t grid_index,
                            const SweepRow& representative) {
-  MetricsRegistry& registry = MetricsRegistry::instance();
-  static Counter& m_points = registry.counter("dse.sweep.points");
-  static Counter& m_ok = registry.counter("dse.sweep.ok");
-  static Counter& m_failed = registry.counter("dse.sweep.failed");
-  static Counter& m_skipped = registry.counter("dse.sweep.skipped");
-  static Histogram& m_point_us = registry.histogram("dse.sweep.point_us");
-
-  const bool events = EventSink::enabled();
-  const auto event_start = events ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-
+  PointMetrics& m = point_metrics();
+  const auto started = event_start();
   SweepRow row;
   row.grid_index = grid_index;
   row.params = grid.point(grid_index);
@@ -333,33 +341,16 @@ SweepRow alias_sweep_point(const Grid& grid, std::size_t grid_index,
     // Same breadcrumb and counters as a real evaluation; the recorded
     // duration is just the fan-out copy, which is what the point cost.
     flightrec::event("dse.point", grid_index);
-    ScopedTimer point_timer(m_point_us);
-    m_points.add();
+    ScopedTimer point_timer(m.point_us);
+    m.points.add();
     row.metrics = representative.metrics;
     row.failure = representative.failure;
   }
-  if (row.ok()) {
-    m_ok.add();
-  } else {
-    m_failed.add();
-    m_skipped.add();
-  }
-  if (events) {
-    const double dur_us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - event_start)
-                              .count();
-    EventFailure failure;
-    if (!row.ok()) {
-      failure.code = error_code_name(row.failure->code);
-      failure.message = row.failure->message;
-      failure.context = row.failure->context;
-    }
-    EventSink::instance().emit_point_done(grid_index, row.params, row.metrics,
-                                          row.ok() ? nullptr : &failure,
-                                          dur_us);
-  }
+  record_point(row, started);
   return row;
 }
+
+}  // namespace
 
 SweepResult run_sweep(
     const Grid& grid, const std::vector<std::string>& metric_names,
@@ -367,22 +358,65 @@ SweepResult run_sweep(
         evaluate,
     const SweepOptions& options) {
   expects(!metric_names.empty(), "sweep needs at least one metric");
+  expects(options.checkpoint_interval >= 1,
+          "checkpoint interval must be at least 1");
   const std::size_t grid_size = grid.size();
+  const std::vector<std::size_t> domain =
+      shard_domain(grid_size, options.shard);
+  const bool checkpointing = !options.checkpoint_path.empty();
   std::vector<std::string> param_names;
   param_names.reserve(grid.axis_count());
   for (const auto& axis : grid.axes()) param_names.push_back(axis.name);
 
   MetricsRegistry& registry = MetricsRegistry::instance();
-  Counter& m_runs = registry.counter("dse.sweep.runs");
+  registry.counter("dse.sweep.runs").add();
   registry.gauge("dse.sweep.grid_size").set(static_cast<double>(grid_size));
-  m_runs.add();
   TraceSpan sweep_span("dse.sweep", "dse");
   // Stage-level resource attribution for the whole sweep: wall + thread CPU
   // + alloc/RSS, feeding the stage event and the stage.dse.sweep.* metrics.
   StageTimer sweep_stage("dse.sweep");
   const bool timed = metrics_enabled();
-  const auto sweep_start = timed ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
+  const auto sweep_start = timed ? Clock::now() : Clock::time_point{};
+
+  // The fingerprint hashes every axis value — only pay for it when the
+  // checkpoint or the sweep_start event will actually record it.
+  const std::string fingerprint =
+      checkpointing || EventSink::enabled()
+          ? sweep_fingerprint(grid, metric_names, options.config_hash)
+          : std::string();
+
+  // Row slots indexed by grid index, so the result is bit-identical to the
+  // serial loop at any jobs count; `done[g]` is the in-memory bitmap.  A
+  // worker fills rows[g] completely, then release-stores done[g]; the
+  // flusher acquire-loads done[g] before reading rows[g], so a snapshot
+  // taken mid-sweep only ever contains fully-written rows.
+  std::vector<SweepRow> rows(grid_size);
+  std::vector<std::atomic<bool>> done(grid_size);
+  std::size_t resumed = 0;
+  if (checkpointing && std::ifstream(options.checkpoint_path).good()) {
+    if (!options.resume) {
+      throw StatusError(
+          Failure(ErrorCode::kInvalidConfig,
+                  "checkpoint file already exists; enable resume to continue "
+                  "it or remove the file to start over")
+              .with("checkpoint", options.checkpoint_path));
+    }
+    SweepCheckpoint ckpt = load_checkpoint(options.checkpoint_path);
+    validate_checkpoint(ckpt, grid_size, fingerprint, options.shard);
+    for (SweepRow& row : ckpt.rows) {
+      const std::size_t g = row.grid_index;
+      rows[g] = std::move(row);
+      done[g].store(true, std::memory_order_relaxed);
+    }
+    resumed = ckpt.rows.size();
+    registry.counter("dse.sweep.resumed_points").add(resumed);
+  }
+
+  std::vector<std::size_t> todo;
+  todo.reserve(domain.size() - resumed);
+  for (const std::size_t g : domain) {
+    if (!done[g].load(std::memory_order_relaxed)) todo.push_back(g);
+  }
 
   // Fault plans trip on ARRIVAL order at each site, which only the serial
   // loop reproduces — an armed injector pins the sweep to one thread.
@@ -391,84 +425,142 @@ SweepResult run_sweep(
                        : parallel::resolve_jobs(options.jobs);
   registry.gauge("dse.sweep.jobs").set(static_cast<double>(jobs));
 
-  // The fingerprint hashes every axis value — only pay for it when the
-  // sweep_start event will actually be written.
   if (EventSink::enabled()) {
-    EventSink::instance().emit_sweep_start(
-        sweep_fingerprint(grid, metric_names, options.config_hash), grid_size,
-        param_names, metric_names, grid_size, jobs);
+    EventSink& sink = EventSink::instance();
+    sink.emit_sweep_start(fingerprint, grid_size, param_names, metric_names,
+                          domain.size(), jobs);
+    if (options.shard.sharded()) {
+      sink.emit_shard_info(options.shard.index, options.shard.count,
+                           domain.size(),
+                           sentinel_indices(grid_size, options.shard));
+    }
   }
   std::optional<ProgressReporter> progress;
-  if (progress_enabled()) progress.emplace("sweep", grid_size);
+  if (progress_enabled()) progress.emplace("sweep", domain.size(), resumed);
 
-  // Pre-sized row slots indexed by grid index: assembly order (and thus
-  // the result) is bit-identical to the serial loop at any jobs count.
-  std::vector<SweepRow> rows(grid_size);
-  const auto evaluate_point = [&](std::size_t i) {
-    rows[i] =
-        evaluate_sweep_point(grid, i, metric_names, evaluate, options.policy);
-    if (progress.has_value()) {
-      rows[i].ok() ? progress->add_ok() : progress->add_failed();
+  std::mutex flush_mutex;
+  std::atomic<std::size_t> completed{resumed};
+  const auto flush = [&] {  // caller holds flush_mutex
+    if (!checkpointing) return;
+    SweepCheckpoint snapshot;
+    snapshot.fingerprint = fingerprint;
+    snapshot.run_id = current_run_context().run_id;
+    snapshot.grid_size = grid_size;
+    snapshot.shard = options.shard;
+    snapshot.param_names = param_names;
+    snapshot.metric_names = metric_names;
+    snapshot.completed.assign(grid_size, false);
+    for (const std::size_t g : domain) {
+      if (!done[g].load(std::memory_order_acquire)) continue;
+      snapshot.completed[g] = true;
+      snapshot.rows.push_back(rows[g]);
     }
+    // Durability order: the checkpoint_flush event syncs the sink BEFORE the
+    // checkpoint lands on disk, so every row in the saved checkpoint has its
+    // point_done event durable — resume never leaves a row without an event.
+    EventSink::instance().emit_checkpoint_flush(
+        snapshot.rows.size(), domain.size(), options.checkpoint_path);
+    save_checkpoint(snapshot, options.checkpoint_path);
+    registry.counter("dse.sweep.checkpoint_flushes").add();
   };
-  parallel::ForOptions for_opts{.jobs = jobs};
-  if (progress.has_value()) {
-    for_opts.on_chunk_done = [&](std::size_t n) {
-      progress->on_chunk_done(n);
-    };
-  }
-  // Sweep-point deduplication: group grid indices by the caller's canonical
-  // evaluation key, evaluate only the lowest-index representative of each
-  // class, and fan its outcome out to the aliases.  Rows are bit-identical
-  // to the dense loop (aliases copy the representative's metrics/failure
-  // and keep their own params/grid_index); kFailFast is preserved because
-  // the first failing point's representative has the minimal index of its
-  // class and fails iff the point does, so parallel_for rethrows the same
-  // exception the dense loop would.
-  const bool dedup = options.point_key != nullptr && sweep_dedup_enabled();
-  if (dedup && grid_size > 0) {
-    std::vector<std::size_t> rep_of(grid_size);
-    std::vector<std::size_t> reps;  // ascending by construction
-    {
-      std::unordered_map<std::string, std::size_t> first_by_key;
-      first_by_key.reserve(grid_size);
-      for (std::size_t i = 0; i < grid_size; ++i) {
-        const auto [it, inserted] =
-            first_by_key.try_emplace(options.point_key(grid.point(i)), i);
-        rep_of[i] = it->second;
-        if (inserted) reps.push_back(i);
+
+  // Sweep-point deduplication over the points still TO DO this run (resumed
+  // rows are already final, and a representative must be freshly evaluated
+  // so its aliases copy a row that exists).  `work` holds one grid index per
+  // work item — all of `todo` without a key, each key class's lowest-index
+  // remaining point with one.  Aliases are filled in the SAME work item as
+  // their representative: rows are fully written before their done[] bit is
+  // release-stored, so checkpoint snapshots stay consistent and an
+  // interrupt loses at most the in-flight batch, which deterministically
+  // re-evaluates on resume.  kFailFast is preserved: the first failing
+  // point is its class's representative (lowest index, fails iff the point
+  // does), so parallel_for rethrows the exception the dense loop would.
+  std::vector<std::size_t> work = todo;
+  std::unordered_map<std::size_t, std::vector<std::size_t>> aliases_by_rep;
+  if (options.point_key != nullptr && !todo.empty()) {
+    std::unordered_map<std::string, std::size_t> first_by_key;
+    first_by_key.reserve(todo.size());
+    work.clear();
+    for (const std::size_t g : todo) {  // ascending, so reps stay ascending
+      const auto [it, inserted] =
+          first_by_key.try_emplace(options.point_key(grid.point(g)), g);
+      if (inserted) {
+        work.push_back(g);
+      } else {
+        aliases_by_rep[it->second].push_back(g);
       }
     }
     registry.counter("dse.sweep.dedup_unique")
-        .add(static_cast<std::uint64_t>(reps.size()));
+        .add(static_cast<std::uint64_t>(work.size()));
     registry.counter("dse.sweep.dedup_aliased")
-        .add(static_cast<std::uint64_t>(grid_size - reps.size()));
-    parallel::parallel_for_indexed(
-        reps.size(), [&](std::size_t j) { evaluate_point(reps[j]); },
-        for_opts);
-    for (std::size_t i = 0; i < grid_size; ++i) {
-      if (rep_of[i] == i) continue;
-      rows[i] = alias_sweep_point(grid, i, rows[rep_of[i]]);
-      if (progress.has_value()) {
-        rows[i].ok() ? progress->add_ok() : progress->add_failed();
-        progress->on_chunk_done(1);
+        .add(static_cast<std::uint64_t>(todo.size() - work.size()));
+  }
+
+  // Progress counts finished POINTS (a work item also finishes its
+  // representative's aliases), so a complete sweep always ends at 100%.
+  const auto finish_point = [&](std::size_t g) {
+    if (progress.has_value()) {
+      rows[g].ok() ? progress->add_ok() : progress->add_failed();
+      progress->on_chunk_done(1);
+    }
+    done[g].store(true, std::memory_order_release);
+    const std::size_t now =
+        completed.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (checkpointing && (now - resumed) % options.checkpoint_interval == 0) {
+      const std::lock_guard<std::mutex> lock(flush_mutex);
+      flush();
+    }
+  };
+
+  const auto body = [&](std::size_t k) {
+    if (interrupt_requested()) {
+      throw SweepInterrupted(completed.load(std::memory_order_relaxed),
+                             domain.size());
+    }
+    const std::size_t g = work[k];
+    rows[g] =
+        evaluate_sweep_point(grid, g, metric_names, evaluate, options.policy);
+    finish_point(g);
+    const auto aliases = aliases_by_rep.find(g);  // read-only map: safe
+    if (aliases != aliases_by_rep.end()) {
+      for (const std::size_t a : aliases->second) {
+        rows[a] = alias_sweep_point(grid, a, rows[g]);
+        finish_point(a);
       }
     }
-  } else {
-    parallel::parallel_for_indexed(grid_size, evaluate_point, for_opts);
+  };
+
+  try {
+    parallel::parallel_for_indexed(work.size(), body, {.jobs = jobs});
+  } catch (...) {
+    // Keep whatever finished: an interrupt, a kFailFast failure, or a
+    // library bug all leave a resumable checkpoint behind.  A flush
+    // failure must not mask the original exception.
+    const std::lock_guard<std::mutex> lock(flush_mutex);
+    try {
+      flush();
+    } catch (...) {
+    }
+    throw;
+  }
+  {
+    const std::lock_guard<std::mutex> lock(flush_mutex);
+    flush();  // final, complete state (merge inputs must be complete)
   }
   if (timed) {
     const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sweep_start)
-            .count();
-    if (seconds > 0.0 && grid_size > 0) {
+        std::chrono::duration<double>(Clock::now() - sweep_start).count();
+    if (seconds > 0.0 && !todo.empty()) {
       registry.gauge("dse.sweep.points_per_sec")
-          .set(static_cast<double>(grid_size) / seconds);
+          .set(static_cast<double>(todo.size()) / seconds);
     }
   }
+
+  std::vector<SweepRow> out;
+  out.reserve(domain.size());
+  for (const std::size_t g : domain) out.push_back(std::move(rows[g]));
   return SweepResult(std::move(param_names),
-                     std::vector<std::string>(metric_names), std::move(rows));
+                     std::vector<std::string>(metric_names), std::move(out));
 }
 
 }  // namespace uld3d::dse

@@ -14,9 +14,9 @@
 //
 //  * the interrupt flag — an async-signal-safe latch set by SIGINT/SIGTERM
 //    once `install_interrupt_handlers()` has been called.  Long runners
-//    (dse::run_sweep_resumable) poll `interrupt_requested()` between design
-//    points, flush a final checkpoint, and unwind with a distinct
-//    "interrupted, resumable" status instead of dying mid-state.
+//    (dse::run_sweep) poll `interrupt_requested()` between design points,
+//    flush a final checkpoint, and unwind with a distinct "interrupted,
+//    resumable" status instead of dying mid-state.
 #pragma once
 
 #include <string>

@@ -133,13 +133,6 @@ struct ForOptions {
   /// Indices claimed per chunk.  Larger grains amortize the claim + body
   /// dispatch for very cheap bodies; 1 (default) maximizes balance.
   std::size_t grain = 1;
-  /// Called with the number of indices a participant just finished (once
-  /// per chunk; per index on the serial path).  Runs on the participant's
-  /// thread, concurrently with other chunks — it must be thread-safe and
-  /// must NOT touch result slots; exceptions it throws are swallowed so a
-  /// misbehaving observer can never change the region's outcome.  Drives
-  /// the live progress display (util/telemetry).
-  std::function<void(std::size_t)> on_chunk_done = {};
 };
 
 /// Run `body(i)` for every i in [0, n).  See the file comment for the

@@ -26,9 +26,10 @@
 //  * `ProgressReporter` — live sweep progress for humans: EWMA points/sec,
 //    ok/failed counts, ETA, and pool queue depth on stderr.  TTY-aware
 //    (single-line \r redraw on a terminal, plain throttled lines when
-//    piped).  Driven from `ForOptions::on_chunk_done` so it never touches
-//    result slots — jobs=N determinism is untouched.  It also mirrors
-//    throttled `progress` events into the EventSink.
+//    piped).  The sweep feeds it once per finished point, after the row is
+//    written, so it never touches result slots — jobs=N determinism is
+//    untouched.  It also mirrors throttled `progress` events into the
+//    EventSink.
 //
 // Event schema (DESIGN.md §14): every line is one JSON object
 //   {"schema": 1, "ev": "<type>", "run": "<run_id>", "shard": "i/N",
@@ -296,9 +297,9 @@ class StageTimer {
 void set_progress_enabled(bool enabled);
 [[nodiscard]] bool progress_enabled();
 
-/// Live progress for one fixed-size batch of work (a sweep).  `on_chunk`
-/// is cheap enough to call from every parallel_for chunk: an atomic add
-/// plus a time check; the redraw itself is throttled and mutex-guarded.
+/// Live progress for one fixed-size batch of work (a sweep).
+/// `on_chunk_done` is cheap enough to call per finished point: an atomic
+/// add plus a time check; the redraw itself is throttled and mutex-guarded.
 class ProgressReporter {
  public:
   /// `label` prefixes every line (e.g. "sweep"); `total` is the number of

@@ -177,16 +177,12 @@ namespace {
 /// remains once the caller has returned.
 struct Region {
   Region(std::size_t n_, std::size_t grain_,
-         const std::function<void(std::size_t)>* body_,
-         const std::function<void(std::size_t)>* hook_)
-      : n(n_), grain(grain_), body(body_), hook(hook_) {}
+         const std::function<void(std::size_t)>* body_)
+      : n(n_), grain(grain_), body(body_) {}
 
   const std::size_t n;
   const std::size_t grain;
   const std::function<void(std::size_t)>* body;
-  /// Progress observer (ForOptions::on_chunk_done), or nullptr.  Same
-  /// lifetime argument as `body`: only reachable after claiming an index.
-  const std::function<void(std::size_t)>* hook;
 
   std::atomic<std::size_t> next{0};
   /// Indices above this are skipped — set to the lowest failing index so a
@@ -224,14 +220,6 @@ struct Region {
           }
         }
       }
-      if (hook != nullptr) {
-        // An observer exception must not masquerade as a body failure (it
-        // would corrupt the lowest-failing-index contract) — swallow it.
-        try {
-          (*hook)(end - start);
-        } catch (...) {
-        }
-      }
     }
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -263,22 +251,13 @@ void parallel_for_indexed(std::size_t n,
   const std::size_t chunks = (n + grain - 1) / grain;
   if (effective_jobs <= 1 || chunks <= 1) {
     // jobs=1 IS the serial loop: same order, exceptions propagate as-is.
-    for (std::size_t i = 0; i < n; ++i) {
-      body(i);
-      if (opts.on_chunk_done) {
-        try {
-          opts.on_chunk_done(1);
-        } catch (...) {
-        }
-      }
-    }
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
   const std::size_t helpers = std::min<std::size_t>(
       static_cast<std::size_t>(effective_jobs) - 1, chunks - 1);
-  auto region = std::make_shared<Region>(
-      n, grain, &body, opts.on_chunk_done ? &opts.on_chunk_done : nullptr);
+  auto region = std::make_shared<Region>(n, grain, &body);
   ThreadPool& pool = ThreadPool::instance();
   pool.ensure_workers(static_cast<int>(helpers));
   for (std::size_t h = 0; h < helpers; ++h) {

@@ -9,8 +9,8 @@
 #  3. --shard 0/4..3/4 + merge is byte-identical to the unsharded sweep at
 #     --jobs 1 and --jobs 8.
 #  4. Refusals: resuming against a different config exits 3; a bad --shard
-#     spec and a bare merge exit 2; an existing checkpoint without
-#     --resume exits 3.
+#     spec, a bare merge, and --resume / --checkpoint-interval without
+#     --checkpoint exit 2; an existing checkpoint without --resume exits 3.
 #
 # Usage: cli_checkpoint_resume.sh /path/to/uld3d_cli
 set -u
@@ -142,6 +142,12 @@ head -c 60 "$tmpdir/term.json" > "$tmpdir/trunc.json"
 [ $? -eq 2 ] || fail "bare merge should exit 2"
 "$cli" sweep --checkpoint-interval 0 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "--checkpoint-interval 0 should exit 2"
+# --resume / --checkpoint-interval act only on a checkpoint; without one
+# they are usage errors, not a silently fresh full sweep.
+"$cli" sweep --resume > /dev/null 2>&1
+[ $? -eq 2 ] || fail "--resume without --checkpoint should exit 2"
+"$cli" sweep --checkpoint-interval 5 > /dev/null 2>&1
+[ $? -eq 2 ] || fail "--checkpoint-interval without --checkpoint should exit 2"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures checkpoint/resume check(s) failed" >&2

@@ -8,8 +8,6 @@
 #  3. A corrupted cache file is refused with exit 3 (config error) before
 #     any work runs; ULD3D_NO_MAPCACHE_FILE bypasses the file layer and the
 #     same run exits 0.
-#  4. ULD3D_NO_SWEEP_DEDUP leaves the sweep output byte-identical (dedup is
-#     a pure evaluation-count optimization).
 #
 # Usage: cli_mapcache.sh /path/to/uld3d_cli
 set -u
@@ -89,23 +87,6 @@ head -c 40 "$store" > "$tmpdir/trunc.bin"
 "$cli" sweep --mapper --keep-going --mapcache-file "$tmpdir/trunc.bin" \
   > /dev/null 2>&1
 [ $? -eq 3 ] || fail "truncated cache file should exit 3"
-
-# --- 4. dedup lever never changes output ------------------------------------
-env ULD3D_NO_SWEEP_DEDUP=1 "$cli" sweep --mapper --keep-going --jobs 4 \
-  --mapcache-file "$store" > "$tmpdir/nodedup.out" 2> /dev/null \
-  || fail "sweep under ULD3D_NO_SWEEP_DEDUP exited non-zero"
-cmp -s "$tmpdir/cold.out" "$tmpdir/nodedup.out" \
-  || fail "ULD3D_NO_SWEEP_DEDUP changed the sweep output"
-
-# The analytic (default) sweep also accepts the flags and stays stable.
-"$cli" sweep --keep-going --metrics "$tmpdir/analytic.json" \
-  > "$tmpdir/analytic1.out" 2> /dev/null || fail "analytic sweep failed"
-env ULD3D_NO_SWEEP_DEDUP=1 "$cli" sweep --keep-going \
-  > "$tmpdir/analytic2.out" 2> /dev/null || fail "analytic sweep (no dedup) failed"
-cmp -s "$tmpdir/analytic1.out" "$tmpdir/analytic2.out" \
-  || fail "ULD3D_NO_SWEEP_DEDUP changed the analytic sweep output"
-metric_nonzero "$tmpdir/analytic.json" dse.sweep.dedup_unique \
-  || fail "analytic sweep exports no dedup_unique counter"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures mapcache check(s) failed" >&2

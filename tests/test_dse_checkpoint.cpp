@@ -293,19 +293,23 @@ TEST(CheckpointRefusalTest, FutureSchemaVersionIsRefused) {
 }
 
 TEST(ResumableSweepTest, MatchesPlainSweepWithoutInterruption) {
+  // Checkpoint on vs off through the one runner, at jobs 1 and 8.
   const Grid grid = small_grid();
-  const SweepResult plain = run_sweep(grid, metrics2(), eval_point,
-                                      {ErrorPolicy::kSkipAndRecord, 1});
   const std::string path = temp_path("ckpt_plain_equiv.json");
-  std::remove(path.c_str());
-  ResumableOptions options;
-  options.jobs = 1;
-  options.checkpoint_path = path;
-  const SweepResult resumable =
-      run_sweep_resumable(grid, metrics2(), eval_point, options);
-  expect_rows_identical(resumable.rows(), plain.rows());
-  EXPECT_EQ(resumable.failure_summary(), plain.failure_summary());
-  EXPECT_EQ(resumable.to_table().to_csv(), plain.to_table().to_csv());
+  for (const int jobs : {1, 8}) {
+    const SweepResult plain = run_sweep(grid, metrics2(), eval_point,
+                                        {ErrorPolicy::kSkipAndRecord, jobs});
+    std::remove(path.c_str());
+    SweepOptions options;
+    options.jobs = jobs;
+    options.checkpoint_path = path;
+    const SweepResult checkpointed =
+        run_sweep(grid, metrics2(), eval_point, options);
+    expect_rows_identical(checkpointed.rows(), plain.rows());
+    EXPECT_EQ(checkpointed.failure_summary(), plain.failure_summary());
+    EXPECT_EQ(checkpointed.to_table().to_csv(), plain.to_table().to_csv());
+    EXPECT_EQ(load_checkpoint(path).completed_count(), grid.size());
+  }
   std::remove(path.c_str());
 }
 
@@ -324,12 +328,11 @@ TEST(ResumableSweepTest, InterruptThenResumeIsByteIdentical) {
     if (++evaluated == 5) set_interrupt_requested(true);
     return eval_point(p);
   };
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
   options.checkpoint_interval = 2;
-  EXPECT_THROW((void)run_sweep_resumable(grid, metrics2(), interrupting_eval,
-                                         options),
+  EXPECT_THROW((void)run_sweep(grid, metrics2(), interrupting_eval, options),
                SweepInterrupted);
   set_interrupt_requested(false);
 
@@ -348,7 +351,7 @@ TEST(ResumableSweepTest, InterruptThenResumeIsByteIdentical) {
     return eval_point(p);
   };
   const SweepResult resumed =
-      run_sweep_resumable(grid, metrics2(), counting_eval, options);
+      run_sweep(grid, metrics2(), counting_eval, options);
   EXPECT_EQ(resumed_evals, static_cast<int>(grid.size()) - 5);
   expect_rows_identical(resumed.rows(), plain.rows());
   EXPECT_EQ(resumed.failure_summary(), plain.failure_summary());
@@ -377,11 +380,10 @@ TEST(ResumableSweepTest, RecordedFailuresSurviveTheResumeBoundary) {
     if (++evaluated == first_failing + 1) set_interrupt_requested(true);
     return eval_point(p);
   };
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
-  EXPECT_THROW((void)run_sweep_resumable(grid, metrics2(), interrupting_eval,
-                                         options),
+  EXPECT_THROW((void)run_sweep(grid, metrics2(), interrupting_eval, options),
                SweepInterrupted);
   set_interrupt_requested(false);
 
@@ -393,7 +395,7 @@ TEST(ResumableSweepTest, RecordedFailuresSurviveTheResumeBoundary) {
     return std::vector<double>{-1.0, -1.0};
   };
   const SweepResult resumed =
-      run_sweep_resumable(grid, metrics2(), must_not_reevaluate, options);
+      run_sweep(grid, metrics2(), must_not_reevaluate, options);
   // The recorded failure at point 8 came back from the file...
   ASSERT_EQ(resumed.failed_count(), 1u);
   EXPECT_FALSE(resumed.rows()[first_failing].ok());
@@ -416,12 +418,12 @@ TEST(ResumableSweepTest, RecordedFailuresSurviveTheResumeBoundary) {
 TEST(ResumableSweepTest, RefusesToOverwriteWithoutResume) {
   const Grid grid = small_grid();
   const std::string path = temp_path("ckpt_no_clobber.json");
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
-  (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+  (void)run_sweep(grid, metrics2(), eval_point, options);
   try {
-    (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+    (void)run_sweep(grid, metrics2(), eval_point, options);
     FAIL() << "expected StatusError";
   } catch (const StatusError& error) {
     EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
@@ -433,14 +435,14 @@ TEST(ResumableSweepTest, ResumingACompleteSweepReEvaluatesNothing) {
   const Grid grid = small_grid();
   const std::string path = temp_path("ckpt_complete.json");
   std::remove(path.c_str());
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
   const SweepResult first =
-      run_sweep_resumable(grid, metrics2(), eval_point, options);
+      run_sweep(grid, metrics2(), eval_point, options);
   options.resume = true;
   bool evaluated = false;
-  const SweepResult second = run_sweep_resumable(
+  const SweepResult second = run_sweep(
       grid, metrics2(),
       [&](const std::vector<double>& p) {
         evaluated = true;
@@ -464,12 +466,12 @@ TEST(ShardMergeTest, ShardsMergeToTheUnshardedResultAtAnyJobs) {
           "ckpt_shard_" + std::to_string(jobs) + "_" + std::to_string(s) +
           ".json");
       std::remove(path.c_str());
-      ResumableOptions options;
+      SweepOptions options;
       options.jobs = jobs;
       options.shard = ShardSpec{s, count};
       options.checkpoint_path = path;
       options.config_hash = "cfg";
-      (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+      (void)run_sweep(grid, metrics2(), eval_point, options);
       paths.push_back(path);
     }
     // Merge accepts the files in any order.
@@ -491,11 +493,11 @@ TEST(ShardMergeTest, TamperedSentinelIsDetected) {
     const std::string path =
         temp_path("ckpt_sentinel_" + std::to_string(s) + ".json");
     std::remove(path.c_str());
-    ResumableOptions options;
+    SweepOptions options;
     options.jobs = 1;
     options.shard = ShardSpec{s, count};
     options.checkpoint_path = path;
-    (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+    (void)run_sweep(grid, metrics2(), eval_point, options);
     paths.push_back(path);
   }
   // Flip one bit of a sentinel metric in shard 1 — as if that machine ran a
@@ -529,11 +531,11 @@ TEST(ShardMergeTest, MissingAndIncompleteShardsAreRefused) {
     const std::string path =
         temp_path("ckpt_missing_" + std::to_string(s) + ".json");
     std::remove(path.c_str());
-    ResumableOptions options;
+    SweepOptions options;
     options.jobs = 1;
     options.shard = ShardSpec{s, 4};  // produced as 4-way shards...
     options.checkpoint_path = path;
-    (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+    (void)run_sweep(grid, metrics2(), eval_point, options);
     paths.push_back(path);
   }
   // ...but only 2 files offered: the shard set {0..3} is incomplete.

@@ -3,8 +3,8 @@
 // The load-bearing guarantee is BYTE-identity: with a point_key that covers
 // every input the evaluator reads, a dedup-on sweep's rows — metrics,
 // params, grid_index, failures — are bit-identical to a dedup-off sweep's
-// at any jobs count, on both the plain and the checkpoint/resume runner,
-// across any interrupt schedule.  Dedup may only change HOW OFTEN the
+// at any jobs count, with or without a checkpoint, across any interrupt
+// schedule.  Dedup may only change HOW OFTEN the
 // evaluator runs (dse.sweep.dedup_unique evaluations instead of grid-size),
 // never what any row holds.
 #include <gtest/gtest.h>
@@ -13,10 +13,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
-
-#include <random>
 
 #include "uld3d/dse/checkpoint.hpp"
 #include "uld3d/dse/sweep.hpp"
@@ -25,7 +26,9 @@
 #include "uld3d/mapper/spatial_search.hpp"
 #include "uld3d/mapper/table2.hpp"
 #include "uld3d/util/checkpoint.hpp"
+#include "uld3d/util/jsonv.hpp"
 #include "uld3d/util/status.hpp"
+#include "uld3d/util/telemetry.hpp"
 
 namespace uld3d::dse {
 namespace {
@@ -103,13 +106,10 @@ void expect_rows_identical(const std::vector<SweepRow>& a,
   }
 }
 
-/// Restores the global dedup lever (tests flip it for A/B runs).
+/// Resets the global interrupt latch the resume tests trip.
 class SweepDedupTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_sweep_dedup_enabled(true);
-    set_interrupt_requested(false);
-  }
+  void TearDown() override { set_interrupt_requested(false); }
 };
 
 TEST_F(SweepDedupTest, RowsBitIdenticalDedupOnVsOffAcrossJobsCounts) {
@@ -118,21 +118,17 @@ TEST_F(SweepDedupTest, RowsBitIdenticalDedupOnVsOffAcrossJobsCounts) {
     std::atomic<int> calls_on{0};
     std::atomic<int> calls_off{0};
 
-    SweepOptions on;
-    on.jobs = jobs;
-    on.point_key = key_xy;
-    set_sweep_dedup_enabled(true);
-    const SweepResult with_dedup = run_sweep(
-        grid, metrics2(),
-        [&](const std::vector<double>& p) { return eval_xy(p, calls_on); },
-        on);
-
-    set_sweep_dedup_enabled(false);  // same options object: the LEVER wins
+    SweepOptions options;
+    options.jobs = jobs;
     const SweepResult without_dedup = run_sweep(
         grid, metrics2(),
         [&](const std::vector<double>& p) { return eval_xy(p, calls_off); },
-        on);
-    set_sweep_dedup_enabled(true);
+        options);
+    options.point_key = key_xy;
+    const SweepResult with_dedup = run_sweep(
+        grid, metrics2(),
+        [&](const std::vector<double>& p) { return eval_xy(p, calls_on); },
+        options);
 
     expect_rows_identical(with_dedup.rows(), without_dedup.rows());
     EXPECT_EQ(with_dedup.failure_summary(), without_dedup.failure_summary());
@@ -166,32 +162,34 @@ TEST_F(SweepDedupTest, AliasedFailedRowsCarryTheRepresentativesFailure) {
 
 TEST_F(SweepDedupTest, FailFastThrowsTheSameFirstFailureDedupOnOrOff) {
   const Grid grid = blind_axis_grid();
+  const std::string path = temp_path("dedup_fail_fast.json");
   std::atomic<int> calls{0};
   const auto evaluate = [&](const std::vector<double>& p) {
     return eval_xy(p, calls);
   };
-  const auto first_failure = [&](bool dedup) {
-    set_sweep_dedup_enabled(dedup);
+  const auto first_failure = [&](bool dedup, bool checkpoint) {
+    std::remove(path.c_str());
     SweepOptions options;
     options.policy = ErrorPolicy::kFailFast;
     options.jobs = 1;
-    options.point_key = key_xy;
+    if (dedup) options.point_key = key_xy;
+    if (checkpoint) options.checkpoint_path = path;
     try {
       (void)run_sweep(grid, metrics2(), evaluate, options);
     } catch (const StatusError& error) {
-      set_sweep_dedup_enabled(true);
       return std::string(error.what());
     }
-    set_sweep_dedup_enabled(true);
     return std::string("(no failure)");
   };
-  const std::string with_dedup = first_failure(true);
-  const std::string without_dedup = first_failure(false);
-  EXPECT_NE(with_dedup, "(no failure)");
-  EXPECT_EQ(with_dedup, without_dedup);
+  const std::string reference = first_failure(false, false);
+  EXPECT_NE(reference, "(no failure)");
+  EXPECT_EQ(first_failure(true, false), reference);
+  EXPECT_EQ(first_failure(false, true), reference);
+  EXPECT_EQ(first_failure(true, true), reference);
+  std::remove(path.c_str());
 }
 
-TEST_F(SweepDedupTest, NullPointKeyAndDisabledLeverEvaluateEveryPoint) {
+TEST_F(SweepDedupTest, NullPointKeyEvaluatesEveryPoint) {
   const Grid grid = blind_axis_grid();
   std::atomic<int> calls{0};
   const auto evaluate = [&](const std::vector<double>& p) {
@@ -199,36 +197,35 @@ TEST_F(SweepDedupTest, NullPointKeyAndDisabledLeverEvaluateEveryPoint) {
   };
   (void)run_sweep(grid, metrics2(), evaluate, {});  // no point_key
   EXPECT_EQ(calls.load(), 24);
-
-  calls.store(0);
-  SweepOptions keyed;
-  keyed.point_key = key_xy;
-  set_sweep_dedup_enabled(false);
-  (void)run_sweep(grid, metrics2(), evaluate, keyed);
-  EXPECT_EQ(calls.load(), 24);
 }
 
 TEST_F(SweepDedupTest, ResumableDedupMatchesPlainSweepAcrossJobsCounts) {
   const Grid grid = blind_axis_grid();
+  const std::string path = temp_path("dedup_checkpointed.json");
   std::atomic<int> calls{0};
   const auto evaluate = [&](const std::vector<double>& p) {
     return eval_xy(p, calls);
   };
-  set_sweep_dedup_enabled(false);
   const SweepResult reference = run_sweep(grid, metrics2(), evaluate, {});
-  set_sweep_dedup_enabled(true);
 
   for (const int jobs : {1, 8}) {
+    std::remove(path.c_str());
     calls.store(0);
-    ResumableOptions options;
+    SweepOptions options;
     options.jobs = jobs;
-    options.point_key = key_xy;  // no checkpoint_path: dedup + sharding core
-    const SweepResult resumable =
-        run_sweep_resumable(grid, metrics2(), evaluate, options);
-    expect_rows_identical(resumable.rows(), reference.rows());
-    EXPECT_EQ(resumable.failure_summary(), reference.failure_summary());
+    options.point_key = key_xy;
+    options.checkpoint_path = path;
+    options.checkpoint_interval = 3;
+    const SweepResult checkpointed =
+        run_sweep(grid, metrics2(), evaluate, options);
+    expect_rows_identical(checkpointed.rows(), reference.rows());
+    EXPECT_EQ(checkpointed.failure_summary(), reference.failure_summary());
+    EXPECT_EQ(checkpointed.to_table(4).to_string(),
+              reference.to_table(4).to_string());
     EXPECT_EQ(calls.load(), 12) << "jobs " << jobs;
+    EXPECT_EQ(load_checkpoint(path).completed_count(), grid.size());
   }
+  std::remove(path.c_str());
 }
 
 TEST_F(SweepDedupTest, InterruptAndResumeWithDedupStaysBitIdentical) {
@@ -237,11 +234,9 @@ TEST_F(SweepDedupTest, InterruptAndResumeWithDedupStaysBitIdentical) {
   std::remove(path.c_str());
 
   std::atomic<int> calls{0};
-  set_sweep_dedup_enabled(false);
   const SweepResult reference = run_sweep(
       grid, metrics2(),
       [&](const std::vector<double>& p) { return eval_xy(p, calls); }, {});
-  set_sweep_dedup_enabled(true);
 
   // First run: trip the interrupt latch after 4 evaluations.  jobs=1 so the
   // trip point is deterministic.
@@ -251,21 +246,20 @@ TEST_F(SweepDedupTest, InterruptAndResumeWithDedupStaysBitIdentical) {
     if (++evaluated == 4) set_interrupt_requested(true);
     return eval_xy(p, calls);
   };
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
   options.checkpoint_interval = 2;
   options.point_key = key_xy;
-  EXPECT_THROW(
-      (void)run_sweep_resumable(grid, metrics2(), interrupting_eval, options),
-      SweepInterrupted);
+  EXPECT_THROW((void)run_sweep(grid, metrics2(), interrupting_eval, options),
+               SweepInterrupted);
   set_interrupt_requested(false);
 
   // Resume: only the remaining key classes evaluate; aliased rows were
   // either checkpointed with their representative or are refilled now.
   calls.store(0);
   options.resume = true;
-  const SweepResult resumed = run_sweep_resumable(
+  const SweepResult resumed = run_sweep(
       grid, metrics2(),
       [&](const std::vector<double>& p) { return eval_xy(p, calls); },
       options);
@@ -282,9 +276,7 @@ TEST_F(SweepDedupTest, ShardedDedupMergesIntoTheReferenceResult) {
   const auto evaluate = [&](const std::vector<double>& p) {
     return eval_xy(p, calls);
   };
-  set_sweep_dedup_enabled(false);
   const SweepResult reference = run_sweep(grid, metrics2(), evaluate, {});
-  set_sweep_dedup_enabled(true);
 
   const std::size_t shard_count = 3;
   std::vector<std::string> paths;
@@ -292,17 +284,58 @@ TEST_F(SweepDedupTest, ShardedDedupMergesIntoTheReferenceResult) {
     const std::string path =
         temp_path("dedup_shard_" + std::to_string(s) + ".json");
     std::remove(path.c_str());
-    ResumableOptions options;
+    SweepOptions options;
     options.jobs = 1;
     options.shard = ShardSpec{s, shard_count};
     options.checkpoint_path = path;
     options.point_key = key_xy;  // dedup within each shard's domain
-    (void)run_sweep_resumable(grid, metrics2(), evaluate, options);
+    (void)run_sweep(grid, metrics2(), evaluate, options);
     paths.push_back(path);
   }
   const SweepResult merged = merge_shards(grid, metrics2(), "", paths);
   expect_rows_identical(merged.rows(), reference.rows());
   for (const std::string& path : paths) std::remove(path.c_str());
+}
+
+// Progress counts finished POINTS: a representative's work item also
+// finishes its aliases, so a keyed checkpointed sweep over an
+// evaluator-blind axis must still end at done == total, not at the number
+// of representatives.
+TEST_F(SweepDedupTest, ProgressReachesTotalOnACheckpointedDedupSweep) {
+  const Grid grid = blind_axis_grid();
+  const std::string path = temp_path("dedup_progress.json");
+  const std::string events = temp_path("dedup_progress.ndjson");
+  std::remove(path.c_str());
+  std::remove(events.c_str());
+  ASSERT_TRUE(EventSink::instance().open(events));
+  set_progress_enabled(true);
+  std::atomic<int> calls{0};
+  SweepOptions options;
+  options.jobs = 1;
+  options.point_key = key_xy;
+  options.checkpoint_path = path;
+  (void)run_sweep(
+      grid, metrics2(),
+      [&](const std::vector<double>& p) { return eval_xy(p, calls); },
+      options);
+  set_progress_enabled(false);
+  EventSink::instance().close();
+
+  std::optional<JsonValue> last_progress;
+  std::ifstream in(events);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty()) continue;
+    JsonValue event = json_parse(line);
+    if (event.at("ev").as_string() == "progress") last_progress = event;
+  }
+  ASSERT_TRUE(last_progress.has_value());
+  EXPECT_EQ(last_progress->at("total").as_number(), 24.0);
+  EXPECT_EQ(last_progress->at("done").as_number(), 24.0);
+  EXPECT_EQ(last_progress->at("ok").as_number(), 20.0);
+  EXPECT_EQ(last_progress->at("failed").as_number(), 4.0);
+  EXPECT_EQ(calls.load(), 12);
+  std::remove(path.c_str());
+  std::remove(events.c_str());
 }
 
 // The full reuse stack, crossed: sweep rows through a REAL mapper search
@@ -342,8 +375,7 @@ TEST_F(SweepDedupTest, RandomizedMapperSweepIdenticalAcrossReuseConfigs) {
     return std::vector<double>{r.cost.latency_cycles * r.cost.energy_pj,
                                r.improvement()};
   };
-  SweepOptions options;
-  options.point_key = [](const std::vector<double>& p) {
+  const auto point_key = [](const std::vector<double>& p) {
     char buffer[80];
     std::snprintf(buffer, sizeof buffer, "%.17g,%.17g", p[0], p[1]);
     return std::string(buffer);
@@ -352,21 +384,20 @@ TEST_F(SweepDedupTest, RandomizedMapperSweepIdenticalAcrossReuseConfigs) {
   // Reference: dedup off, cold in-memory cache, serial, no store.
   const std::string store = temp_path("dedup_reuse_cross.bin");
   std::remove(store.c_str());
-  set_sweep_dedup_enabled(false);
   cache.clear();
-  const SweepResult reference =
-      run_sweep(grid, metrics2(), evaluate, options);
+  const SweepResult reference = run_sweep(grid, metrics2(), evaluate, {});
   ASSERT_GT(mapper::save_map_cache_file(store), 0u);
 
   for (const bool dedup : {false, true}) {
     for (const bool warm : {false, true}) {
       for (const int jobs : {1, 8}) {
-        set_sweep_dedup_enabled(dedup);
         cache.clear();
         if (warm) {
           ASSERT_GT(mapper::load_map_cache_file(store), 0u);
         }
+        SweepOptions options;
         options.jobs = jobs;
+        if (dedup) options.point_key = point_key;
         const SweepResult got =
             run_sweep(grid, metrics2(), evaluate, options);
         SCOPED_TRACE("dedup=" + std::to_string(dedup) +

@@ -161,6 +161,7 @@ CliArgs parse_args(int argc, char** argv) {
   if (argc < 2) throw UsageError(kUsage);
   CliArgs args;
   args.command = argv[1];
+  bool interval_given = false;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--network" && i + 1 < argc) {
@@ -218,6 +219,7 @@ CliArgs parse_args(int argc, char** argv) {
             argv[i] + "\n" + kUsage);
       }
       args.checkpoint_interval = static_cast<std::size_t>(n);
+      interval_given = true;
     } else if (flag == "--shard" && i + 1 < argc) {
       try {
         args.shard = dse::parse_shard_spec(argv[++i]);
@@ -229,6 +231,13 @@ CliArgs parse_args(int argc, char** argv) {
     } else {
       throw UsageError("unknown argument: " + flag + "\n" + kUsage);
     }
+  }
+  // Both only act on a checkpoint: silently ignoring them would turn
+  // `sweep --resume` into a fresh full sweep.
+  if ((args.resume || interval_given) && args.checkpoint_path.empty()) {
+    throw UsageError(
+        "--resume and --checkpoint-interval require --checkpoint FILE\n" +
+        std::string(kUsage));
   }
   return args;
 }
@@ -550,50 +559,22 @@ int run_sweep(const CliArgs& args) {
     };
   }
 
-  // Canonical evaluation key for sweep-point dedup: both evaluators read
-  // every axis, so the key is the exact rendering of all params — the CLI
-  // grid has no evaluator-blind axis, but the wiring keeps the dedup path
-  // exercised end to end (dse.sweep.dedup_* counters in --metrics).
-  const auto point_key = [](const std::vector<double>& p) {
-    std::string key;
-    char buffer[32];
-    for (const double v : p) {
-      std::snprintf(buffer, sizeof buffer, "%.17g,", v);
-      key += buffer;
-    }
-    return key;
-  };
-
-  const dse::ErrorPolicy policy = args.keep_going
-                                      ? dse::ErrorPolicy::kSkipAndRecord
-                                      : dse::ErrorPolicy::kFailFast;
-  if (args.checkpoint_path.empty() && !args.shard.sharded()) {
-    // Plain one-shot sweep: the pre-checkpoint path, byte-identical output.
-    // The config hash feeds the sweep_start event fingerprint, which then
-    // matches the checkpoint path's for the same study (uld3d-report
-    // --canon relies on that to compare the two).
-    dse::SweepOptions sweep_options;
-    sweep_options.policy = policy;
-    sweep_options.config_hash = sweep_config_hash(args);
-    sweep_options.point_key = point_key;
-    const dse::SweepResult result =
-        dse::run_sweep(grid, sweep_metric_names(), evaluate, sweep_options);
-    return print_sweep_result(result, args, net.name());
-  }
-
-  dse::ResumableOptions options;
-  options.policy = policy;
+  dse::SweepOptions options;
+  options.policy = args.keep_going ? dse::ErrorPolicy::kSkipAndRecord
+                                   : dse::ErrorPolicy::kFailFast;
+  options.config_hash = sweep_config_hash(args);
   options.shard = args.shard;
   options.checkpoint_path = args.checkpoint_path;
   options.resume = args.resume;
   options.checkpoint_interval = args.checkpoint_interval;
-  options.config_hash = sweep_config_hash(args);
-  options.point_key = point_key;
-  install_interrupt_handlers();
+  // Only a checkpointed or sharded sweep has state worth unwinding for; a
+  // plain sweep keeps the default signal disposition and dies on Ctrl-C.
+  if (!args.checkpoint_path.empty() || args.shard.sharded()) {
+    install_interrupt_handlers();
+  }
   try {
     const dse::SweepResult result =
-        dse::run_sweep_resumable(grid, sweep_metric_names(), evaluate,
-                                 options);
+        dse::run_sweep(grid, sweep_metric_names(), evaluate, options);
     return print_sweep_result(result, args, net.name());
   } catch (const dse::SweepInterrupted& interrupted) {
     std::cerr << "interrupted: " << interrupted.what() << "\n";
