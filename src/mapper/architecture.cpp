@@ -54,13 +54,21 @@ double Architecture::cs_area_um2(const tech::StdCellLibrary& lib) const {
 }
 
 void Architecture::validate() const {
-  expects(spatial.k >= 1 && spatial.c >= 1 && spatial.ox >= 1 && spatial.oy >= 1,
-          "spatial unrolling factors must be >= 1: " + name);
-  expects(rram_capacity_bits > 0.0, "RRAM capacity must be positive: " + name);
-  expects(rram_bandwidth_bits_per_cycle > 0.0,
-          "RRAM bandwidth must be positive: " + name);
-  expects(weight_bits > 0 && activation_bits > 0 && psum_bits > 0,
-          "precisions must be positive: " + name);
+  // Runs on every temporal mapping: the messages name the architecture, so
+  // they are only built on failure.
+  if (!(spatial.k >= 1 && spatial.c >= 1 && spatial.ox >= 1 &&
+        spatial.oy >= 1)) {
+    expects(false, "spatial unrolling factors must be >= 1: " + name);
+  }
+  if (!(rram_capacity_bits > 0.0)) {
+    expects(false, "RRAM capacity must be positive: " + name);
+  }
+  if (!(rram_bandwidth_bits_per_cycle > 0.0)) {
+    expects(false, "RRAM bandwidth must be positive: " + name);
+  }
+  if (!(weight_bits > 0 && activation_bits > 0 && psum_bits > 0)) {
+    expects(false, "precisions must be positive: " + name);
+  }
 }
 
 }  // namespace uld3d::mapper

@@ -41,17 +41,17 @@ bool Layer::is_eltwise() const {
 }
 
 const ConvSpec& Layer::conv() const {
-  expects(is_conv(), "layer is not a convolution: " + name());
+  if (!is_conv()) expects(false, "layer is not a convolution: " + name());
   return std::get<ConvSpec>(spec_);
 }
 
 const PoolSpec& Layer::pool() const {
-  expects(is_pool(), "layer is not a pool: " + name());
+  if (!is_pool()) expects(false, "layer is not a pool: " + name());
   return std::get<PoolSpec>(spec_);
 }
 
 const EltwiseAddSpec& Layer::eltwise() const {
-  expects(is_eltwise(), "layer is not an eltwise add: " + name());
+  if (!is_eltwise()) expects(false, "layer is not an eltwise add: " + name());
   return std::get<EltwiseAddSpec>(spec_);
 }
 

@@ -59,6 +59,13 @@ void Floorplan::refresh_index(const TierGrid& grid) const {
   grid.index.refresh(grid.occupied.data(), nx_, ny_);
 }
 
+const OccupancyIndex& Floorplan::occupancy_index(tech::TierKind tier) const {
+  const TierGrid* grid = grid_for(tier);
+  expects(grid != nullptr, "tier has no placement grid");
+  refresh_index(*grid);
+  return grid->index;
+}
+
 void Floorplan::mark(TierGrid& grid, const Rect& rect) {
   const BinSpan s = bin_span(rect);
   for (std::int64_t y = s.y0; y < s.y1; ++y) {
@@ -83,27 +90,6 @@ bool Floorplan::clear_in(const TierGrid& grid, const Rect& rect) const {
     }
   }
   return true;
-}
-
-std::int64_t Floorplan::rightmost_occupied_col(tech::TierKind tier,
-                                               const Rect& rect) const {
-  const TierGrid* grid = grid_for(tier);
-  expects(grid != nullptr, "tier has no placement grid");
-  const BinSpan s = bin_span(rect);
-  if (placer_index_enabled()) {
-    refresh_index(*grid);
-    return grid->index.rightmost_occupied(s.x0, s.y0, s.x1, s.y1);
-  }
-  std::int64_t rightmost = -1;
-  for (std::int64_t y = s.y0; y < s.y1; ++y) {
-    for (std::int64_t x = s.x1 - 1; x > rightmost; --x) {
-      if (grid->occupied[static_cast<std::size_t>(y * nx_ + x)] != 0) {
-        if (x >= s.x0) rightmost = x;
-        break;
-      }
-    }
-  }
-  return rightmost;
 }
 
 bool Floorplan::place_macro(const Macro& macro, double x, double y) {

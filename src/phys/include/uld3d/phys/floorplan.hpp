@@ -78,12 +78,12 @@ class Floorplan {
   /// The grid-bin window `rect` covers (clamped to the grid).
   [[nodiscard]] BinSpan bin_span(const Rect& rect) const;
 
-  /// Rightmost occupied column of `tier` inside `rect`'s bin window, or -1
-  /// when the window is clear.  Skip hint for left-to-right candidate
-  /// scans: any window starting at or before the returned column over the
-  /// same rows is still blocked by that bin.
-  [[nodiscard]] std::int64_t rightmost_occupied_col(tech::TierKind tier,
-                                                    const Rect& rect) const;
+  /// The tier's occupancy index, refreshed against the grid's current
+  /// content.  It stays valid until the next mark on that tier, so a scan
+  /// that marks nothing takes it once instead of re-resolving the tier and
+  /// the index's freshness for every query.
+  [[nodiscard]] const OccupancyIndex& occupancy_index(
+      tech::TierKind tier) const;
 
  private:
   struct TierGrid {

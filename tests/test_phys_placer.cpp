@@ -153,6 +153,18 @@ TEST(Placer, RejectsOutOfRangeAffinityIndex) {
   EXPECT_TRUE(ok.success);
 }
 
+TEST(Placer, RejectsNonPositiveAreaAfterAnUnplaceableBlock) {
+  // The constructive pass stops at the first block that fits nowhere, so
+  // the area precondition must not depend on the pass reaching a block:
+  // the zero-area block sorts after the one that cannot fit.
+  Floorplan fp = make_fp(2000.0);
+  Rng rng(1);
+  const Placer placer;
+  EXPECT_THROW(placer.place(fp, {block("too_big", 9.0e6), block("empty", 0.0)},
+                            rng),
+               PreconditionError);
+}
+
 TEST(Placer, BlockDimensionsFollowAspect) {
   SoftBlock b = block("a", 4.0e6);
   b.aspect = 4.0;
