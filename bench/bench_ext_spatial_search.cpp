@@ -76,9 +76,11 @@ int main(int argc, char** argv) {
   h.value("max_mapping_gain", max_mapping_gain, "ratio");
 
   // --- mapping-cache hit rate (fidelity): one cold searched-network pass,
-  //     serial so the hit/miss sequence is exactly reproducible.  Hits come
-  //     from the search re-pricing the fixed dataflow and the identity
-  //     unrolling it already evaluated. ---
+  //     serial so the hit/miss sequence is exactly reproducible.  Only the
+  //     fixed dataflow goes through the cache (candidate unrollings are
+  //     priced uncached): evaluate_network misses once per conv layer, then
+  //     the search's fixed baseline hits each of those entries, so the rate
+  //     is 0.5 by construction. ---
   mapper::MapCache& cache = mapper::MapCache::instance();
   cache.set_enabled(true);
   cache.clear();
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
           "fraction");
   parallel::set_jobs(0);
 
-  // --- parallel sweep speedup (timing): a 32x16 grid of distinct conv
+  // --- parallel sweep time ratio (timing): a 32x16 grid of distinct conv
   //     pricings through dse::run_sweep at 1 vs 4 jobs.  The cache is off —
   //     cross-run hits would fake the 4-job time — and the shapes are all
   //     distinct anyway.  On a single-core host both land near 1x, so the
@@ -131,9 +133,7 @@ int main(int argc, char** argv) {
   const double t1 = h.stats("sweep512_jobs1").median_s;
   const double t4 = h.stats("sweep512_jobs4").median_s;
   if (t1 > 0.0 && t4 > 0.0) {
-    h.timing_value("parallel_sweep_speedup_jobs4", t1 / t4, "ratio");
-    // Lower-is-better mirror of the speedup, matching the one-sided
-    // "current must not exceed baseline" direction of the timing gate.
+    // jobs=4 / jobs=1 time: lower-is-better, as the timing gate assumes.
     h.timing_value("parallel_sweep_time_ratio_jobs4", t4 / t1, "ratio");
   }
   return h.finish();

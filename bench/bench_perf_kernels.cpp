@@ -328,10 +328,6 @@ int main(int argc, char** argv) {
                                       static_cast<std::int64_t>(kCandidates));
     h.timing_value("candidate_eval_scalar_ns_per_candidate", scalar_ns, "ns");
     h.timing_value("candidate_eval_batch_ns_per_candidate", batch_ns, "ns");
-    if (batch_ns > 0.0) {
-      h.timing_value("candidate_eval_batch_speedup", scalar_ns / batch_ns,
-                     "ratio");
-    }
   }
   // A deterministic model output pins fidelity alongside the timings: the
   // synthetic-workload EDP benefit the analytical kernel computes.

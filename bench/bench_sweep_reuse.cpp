@@ -8,14 +8,20 @@
 //              evaluator-blind "budget" axis, pruning skips dominated
 //              candidates, and the run persists its map cache on exit).
 //   re-run     full reuse stack against the store the first run wrote:
-//              every pricing is answered from the file.
+//              every fixed-dataflow pricing is answered from the file.
+//
+// Only the fixed dataflow goes through the MapCache: the search prices its
+// candidate unrollings uncached (a probe costs about as much as the pricing,
+// DESIGN.md §10), so the store holds one entry per (layer shape, design
+// point) and the budget aliases of the no-reuse run re-price every candidate.
 //
 // The reuse layer is a pure optimization, so all three configurations must
 // produce BIT-identical rows — that identity, the re-run's miss count (0)
 // and file-hit fraction (1), and the fidelity checksum are the hard gates.
-// Timing values (advisory, host-dependent): the three medians, the
-// headline reuse speedup (no-reuse vs warm re-run), and the warm-vs-first
-// ratio isolating the persistent store's own contribution.
+// Timing values (advisory, host-dependent, lower is better as the timing
+// gate assumes): the three medians, warm re-run / no-reuse, first run /
+// no-reuse, and warm / first run, which isolates the persistent store's own
+// contribution.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -104,7 +110,8 @@ int main(int argc, char** argv) {
             {2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0});
 
   // Mapper-heavy pricing: a full spatial search (hundreds of temporal-mapper
-  // pricings, every one a MapCache entry) over two contrasting layer shapes.
+  // pricings; only the fixed-dataflow baseline is a MapCache entry) over two
+  // contrasting layer shapes.
   const nn::ConvSpec conv1 = conv(96, 3, 55, 11, "conv1");
   const nn::ConvSpec conv_mid = conv(256, 96, 27, 5, "conv_mid");
   const auto evaluate = [&](const std::vector<double>& p) {
@@ -165,7 +172,7 @@ int main(int argc, char** argv) {
     return r;
   });
 
-  // --- re-run: empty in-memory cache, every pricing answered from the file -
+  // --- re-run: empty in-memory cache, every cached pricing from the file ---
   const dse::SweepResult warm = h.time("warm_sweep", [&] {
     cache.clear();
     (void)mapper::load_map_cache_file(store);
@@ -211,13 +218,13 @@ int main(int argc, char** argv) {
   h.value("metric_checksum", metric_checksum(cold.rows()), "sum");
   h.value("ok_points", static_cast<double>(cold.ok_count()), "count");
 
-  // Advisory timing: the acceptance target is a >= 5x warm re-run on a
-  // fig7-scale grid; warm_vs_cold isolates the persistent store alone.
+  // Advisory timing, as time ratios so that lower is better (the timing
+  // gate fails a value only when it rises); warm_vs_cold isolates the
+  // persistent store alone.
   if (t_base > 0.0 && t_cold > 0.0 && t_warm > 0.0) {
-    h.timing_value("reuse_speedup_warm", t_base / t_warm, "ratio");
-    h.timing_value("reuse_speedup_first_run", t_base / t_cold, "ratio");
-    h.timing_value("warm_vs_cold_speedup", t_cold / t_warm, "ratio");
     h.timing_value("warm_time_ratio", t_warm / t_base, "ratio");
+    h.timing_value("first_run_time_ratio", t_cold / t_base, "ratio");
+    h.timing_value("warm_vs_cold_time_ratio", t_warm / t_cold, "ratio");
   }
   return h.finish();
 }

@@ -16,7 +16,7 @@ namespace uld3d::mapper {
 namespace {
 
 // The seed per-candidate pricing (`price_candidate`) moved verbatim to
-// batch_eval.cpp as `price_candidate_scalar`; evaluate_conv below prices all
+// batch_eval.cpp as `price_candidate_scalar`; price_conv below prices all
 // candidates of a layer through the SoA batch passes instead and falls back
 // to the scalar loop when batch evaluation is disabled.
 
@@ -53,20 +53,9 @@ LayerCost price_vector_layer(const nn::Layer& layer, const Architecture& arch,
 
 }  // namespace
 
-LayerCost evaluate_conv(const nn::ConvSpec& conv, const Architecture& arch,
-                        const SystemCosts& sys, std::int64_t n_cs) {
+LayerCost price_conv(const nn::ConvSpec& conv, const Architecture& arch,
+                     const SystemCosts& sys, std::int64_t n_cs) {
   expects(n_cs >= 1, "need at least one CS");
-  MapCache& cache = MapCache::instance();
-  MapCache::Key cache_key;
-  if (cache.enabled()) {
-    cache_key = MapCache::key(conv, arch, sys, n_cs);
-    if (std::optional<LayerCost> hit = cache.lookup(cache_key)) {
-      // The key excludes layer names; restore the caller's so cache-on and
-      // cache-off outputs are byte-identical.
-      hit->layer = conv.name;
-      return std::move(*hit);
-    }
-  }
   // Per-thread scratch: the candidate vector and the SoA batch ratchet
   // capacity and are fully rewritten each call, so steady-state evaluation
   // performs no heap allocations (satellite of the batch-kernel PR; visible
@@ -100,8 +89,26 @@ LayerCost evaluate_conv(const nn::ConvSpec& conv, const Architecture& arch,
           .add();
     }
   }
-  if (cache.enabled()) cache.insert(cache_key, best);
   return best;
+}
+
+LayerCost evaluate_conv(const nn::ConvSpec& conv, const Architecture& arch,
+                        const SystemCosts& sys, std::int64_t n_cs) {
+  // Checked before the probe, so an invalid call neither counts a miss nor
+  // is answered from a stored entry.
+  expects(n_cs >= 1, "need at least one CS");
+  MapCache& cache = MapCache::instance();
+  if (!cache.enabled()) return price_conv(conv, arch, sys, n_cs);
+  const MapCache::Key cache_key = MapCache::key(conv, arch, sys, n_cs);
+  if (std::optional<LayerCost> hit = cache.lookup(cache_key)) {
+    // The key excludes layer names; restore the caller's so cache-on and
+    // cache-off outputs are byte-identical.
+    hit->layer = conv.name;
+    return std::move(*hit);
+  }
+  LayerCost cost = price_conv(conv, arch, sys, n_cs);
+  cache.insert(cache_key, cost);
+  return cost;
 }
 
 NetworkCost evaluate_network(const nn::Network& net, const Architecture& arch,

@@ -34,7 +34,7 @@ namespace uld3d::mapper {
 /// The seed per-candidate pricing (exact original arithmetic).  Exposed as
 /// the reference implementation for the differential tests and the scalar
 /// baseline of bench_perf_kernels' batch-vs-scalar throughput pin, and as
-/// the fallback `evaluate_conv` takes when batch evaluation is disabled.
+/// the fallback `price_conv` takes when batch evaluation is disabled.
 [[nodiscard]] LayerCost price_candidate_scalar(const nn::ConvSpec& conv,
                                                const TemporalMapping& m,
                                                const Architecture& arch,
@@ -43,7 +43,7 @@ namespace uld3d::mapper {
 
 /// Batch evaluation on/off.  Reads `ULD3D_NO_SIMD` once at startup (set
 /// non-empty to disable, mirroring ULD3D_NO_MAPCACHE); the setter is the
-/// runtime override for tests and A/B baselines.  When off, evaluate_conv
+/// runtime override for tests and A/B baselines.  When off, price_conv
 /// runs the seed scalar loop and counts
 /// "mapper.batch.scalar_fallback_calls".
 [[nodiscard]] bool batch_eval_enabled();
@@ -51,7 +51,7 @@ void set_batch_eval_enabled(bool enabled);
 
 /// SoA scratch for one batch evaluation.  Reused across calls (the arrays
 /// ratchet capacity and are fully overwritten), so steady-state evaluation
-/// allocates nothing; evaluate_conv keeps one per thread.
+/// allocates nothing; price_conv keeps one per thread.
 struct CandidateBatch {
   // Inputs, one slot per candidate (AoS -> SoA fill pass).
   util::AlignedVector<double> compute_cycles;

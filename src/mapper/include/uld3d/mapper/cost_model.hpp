@@ -54,7 +54,16 @@ struct NetworkCost {
 
 /// Price one conv mapping candidate on `n_cs` parallel CSs (K-partitioned,
 /// weights/outputs split, inputs replicated — the same semantics as the
-/// systolic simulator) and return the cheapest-EDP candidate.
+/// systolic simulator) and return the cheapest-EDP candidate.  Uncached:
+/// the spatial search prices its candidate unrollings here, because a
+/// MapCache probe costs as much as this call (DESIGN.md §10).
+[[nodiscard]] LayerCost price_conv(const nn::ConvSpec& conv,
+                                   const Architecture& arch,
+                                   const SystemCosts& sys, std::int64_t n_cs);
+
+/// `price_conv` memoized through the MapCache (bit-identical either way):
+/// the fixed-dataflow pricing that evaluate_network and the spatial
+/// search's baseline repeat per layer shape.
 [[nodiscard]] LayerCost evaluate_conv(const nn::ConvSpec& conv,
                                       const Architecture& arch,
                                       const SystemCosts& sys,

@@ -1,21 +1,28 @@
-// Sharded memoization cache for temporal-mapping layer costs.
+// Sharded memoization cache for fixed-dataflow layer costs.
 //
-// Networks repeat layer shapes heavily (every ResNet block re-prices the
-// same 3x3 conv) and the spatial search re-prices each layer under dozens
-// of PE-array variants, so `evaluate_conv` sees the same (ConvSpec,
-// Architecture, SystemCosts, n_cs) tuple thousands of times per sweep.
-// The cache keys on the EXACT content of those inputs — every numeric
-// field captured bit-for-bit in a fixed word array, names excluded — so a
-// hit returns a cost that is bit-identical to recomputation (no
-// hash-collision risk: equality compares the full word array; the hash
-// only picks a shard/bucket).  The cached LayerCost carries the first
+// `evaluate_conv` memoizes `price_conv` here: the pricing of one layer
+// shape under the architecture's own PE-array unrolling, which
+// `evaluate_network` and the spatial search's fixed-dataflow baseline both
+// repeat per layer, and which the persistent store
+// (uld3d/mapper/map_cache_file.hpp) carries across runs.  The search's
+// candidate unrollings bypass the cache and call `price_conv` directly: a
+// probe costs about as much as pricing a layer's three temporal candidates
+// on one thread and twice as much when four threads share the shards, so
+// caching candidates only added ~150 k entries of ~600 B and lock traffic
+// to every searched sweep (DESIGN.md §10).
+//
+// The cache keys on the EXACT content of price_conv's (ConvSpec,
+// Architecture, SystemCosts, n_cs) inputs — every numeric field captured
+// bit-for-bit in a fixed word array, names excluded — so a hit returns a
+// cost that is bit-identical to recomputation (no hash-collision risk:
+// equality compares the full word array; the hash only picks a
+// shard/bucket).  The cached LayerCost carries the first
 // computing layer's name; lookups patch in the caller's name, keeping
 // cache-on and cache-off outputs byte-equal.
 //
 // The key is deliberately a flat POD (no heap allocation, hash computed
-// once at build time): `evaluate_conv` runs in ~1 microsecond, so a
-// std::string key with per-lookup rehashing would cost more than the
-// pricing it saves.
+// once at build time): a std::string key with per-lookup rehashing would
+// cost even more per probe.
 //
 // Sharded (16 ways) so parallel sweep/search threads rarely contend on one
 // mutex.  Racing inserts of the same key are benign: both threads computed

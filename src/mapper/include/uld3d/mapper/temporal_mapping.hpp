@@ -51,7 +51,7 @@ struct TemporalMapping {
     const nn::ConvSpec& conv, const Architecture& arch);
 
 /// Allocation-reusing variant: clears `out` and fills it with the same
-/// candidates.  Callers that price many layers (evaluate_conv, the spatial
+/// candidates.  Callers that price many layers (price_conv, the spatial
 /// search) keep one thread-local vector so steady-state enumeration does not
 /// touch the heap (the strings still allocate on first use per slot; the
 /// vector's spine never reallocates after the first call).

@@ -148,7 +148,7 @@ SpatialSearchResult search_spatial(const nn::ConvSpec& conv,
         if (pruned[i] != 0) return;
         Architecture variant = arch;
         variant.spatial = candidates[i];
-        costs[i] = evaluate_conv(conv, variant, sys, n_cs);
+        costs[i] = price_conv(conv, variant, sys, n_cs);
       },
       {.jobs = jobs, .grain = 4});
 

@@ -8,7 +8,7 @@
 // only.
 //
 // The intended usage pattern is a thread-local scratch reused across calls
-// (see mapper::evaluate_conv): capacity ratchets up to the largest batch
+// (see mapper::price_conv): capacity ratchets up to the largest batch
 // seen and is never released mid-run, so steady-state batch evaluation
 // performs zero heap allocations (visible via ULD3D_ALLOC_STATS).
 #pragma once

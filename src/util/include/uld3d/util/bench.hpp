@@ -174,7 +174,10 @@ class Harness {
   /// Record one named timing-derived scalar (ns/op, overhead ratio, ...).
   /// These come from the wall clock and can never reproduce exactly, so the
   /// comparator gates them with the timing tolerance (and --time-advisory
-  /// demotes their regressions), never with the fidelity gate.
+  /// demotes their regressions), never with the fidelity gate.  The gate is
+  /// one-sided: it fails a value only when it rises, so every timing value
+  /// must be lower-is-better.  Record a speedup as its inverse time ratio
+  /// (new / reference), never as reference / new.
   void timing_value(const std::string& name, double v,
                     const std::string& unit = "");
 

@@ -181,18 +181,27 @@ TEST_F(MapCacheTest, SearchedNetworkIdenticalAcrossJobsAndCacheModes) {
   }
 }
 
-TEST_F(MapCacheTest, SearchReusesPricingsAcrossRepeatedShapes) {
-  // ResNet-style repetition: the second pass over the same network must be
-  // answered almost entirely from the cache.
+TEST_F(MapCacheTest, SearchPricesCandidatesOutsideTheCache) {
+  // The search prices its candidate unrollings uncached; only the fixed
+  // dataflow (evaluate_network, then the search's baseline) is memoized, so
+  // a cold pass leaves one entry per conv layer (AlexNet's shapes are all
+  // distinct) and a second pass is answered entirely from the cache.
   const nn::Network net = nn::make_alexnet();
   const auto arch = make_table2_architecture(1);
+  std::size_t conv_layers = 0;
+  for (const auto& layer : net.layers()) {
+    if (layer.is_conv()) ++conv_layers;
+  }
+  ASSERT_EQ(conv_layers, 8u);
   (void)evaluate_network_with_search(net, arch, {}, 4);
-  const std::uint64_t cold_misses = MapCache::instance().misses();
+  EXPECT_EQ(MapCache::instance().size(), conv_layers);
+  EXPECT_EQ(MapCache::instance().misses(), conv_layers);
+  EXPECT_EQ(MapCache::instance().hits(), conv_layers);
   MapCache::instance().reset_counters();
   (void)evaluate_network_with_search(net, arch, {}, 4);
   EXPECT_EQ(MapCache::instance().misses(), 0u)
       << "second pass must be fully cached";
-  EXPECT_GE(MapCache::instance().hits(), cold_misses);
+  EXPECT_EQ(MapCache::instance().size(), conv_layers);
 }
 
 }  // namespace
