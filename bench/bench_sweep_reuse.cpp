@@ -2,11 +2,12 @@
 // capacity x CS-count sweep priced through the temporal mapper, run in
 // three configurations:
 //
-//   no-reuse   dedup and pruning disabled, no store — the exact pre-reuse
-//              behavior (every alias re-searched, every candidate priced).
+//   no-reuse   no dedup, no store — every alias re-searched (the spatial
+//              search's best-first pruning is part of the search and runs
+//              in all three configurations).
 //   first run  full reuse stack against an EMPTY store (dedup collapses the
-//              evaluator-blind "budget" axis, pruning skips dominated
-//              candidates, and the run persists its map cache on exit).
+//              evaluator-blind "budget" axis, and the run persists its map
+//              cache on exit).
 //   re-run     full reuse stack against the store the first run wrote:
 //              every fixed-dataflow pricing is answered from the file.
 //
@@ -151,16 +152,12 @@ int main(int argc, char** argv) {
                                                   : std::string(".")) +
       "/mapcache_sweep_reuse.bin";
 
-  // --- no-reuse baseline: the pre-reuse code path ---------------------------
-  // Dedup off (no point_key), pruning off, no store.  (The in-memory
-  // MapCache stays on: it predates the reuse layer, so the baseline keeps
-  // it.)
+  // --- no-reuse baseline ----------------------------------------------------
+  // Dedup off (no point_key), no store.  (The in-memory MapCache stays on:
+  // it predates the reuse layer, so the baseline keeps it.)
   const dse::SweepResult baseline = h.time("baseline_sweep", [&] {
-    mapper::set_spatial_prune_enabled(false);
     cache.clear();
-    dse::SweepResult r = run_sweep(grid, metrics, evaluate, {});
-    mapper::set_spatial_prune_enabled(true);
-    return r;
+    return run_sweep(grid, metrics, evaluate, {});
   });
 
   // --- first run: full reuse stack, empty store; save rebuilds the file ----
@@ -194,8 +191,8 @@ int main(int argc, char** argv) {
   const double t_warm = h.stats("warm_sweep").median_s;
 
   Table table({"Run", "Median (ms)", "Speedup"});
-  table.add_row(
-      {"no reuse (dedup/prune off)", format_double(t_base * 1e3, 2), "1.0"});
+  table.add_row({"no reuse (no dedup, no store)",
+                 format_double(t_base * 1e3, 2), "1.0"});
   table.add_row({"first run (builds store)", format_double(t_cold * 1e3, 2),
                  t_cold > 0.0 ? format_ratio(t_base / t_cold) : "-"});
   table.add_row({"re-run (warm store)", format_double(t_warm * 1e3, 2),

@@ -23,26 +23,21 @@ struct SpatialSearchResult {
   SpatialUnrolling best;
   LayerCost cost;               ///< cost under the best unrolling
   LayerCost fixed_cost;         ///< cost under the architecture's own unrolling
-  std::size_t candidates = 0;   ///< unrollings considered (priced + pruned)
-  /// Candidates skipped by the admissible EDP lower bound without being
-  /// priced: lb(s) = compute-limited latency x MAC-only energy can already
-  /// not beat the fixed dataflow's EDP, so (by monotonicity of the cost
-  /// terms under non-negative energy parameters) the full pricing cannot
-  /// either.  The winner is provably unaffected.
+  std::size_t candidates = 0;   ///< unrollings considered (priced + skipped)
+  /// Candidates skipped without being priced: the search stopped before
+  /// reaching them because their admissible EDP lower bound could not beat
+  /// the incumbent (DESIGN.md §17).  The winner is provably unaffected.
   std::size_t lb_pruned = 0;
   /// EDP of the fixed dataflow divided by EDP of the searched best (>= 1).
   [[nodiscard]] double improvement() const;
 };
 
-/// Admissible-pruning lever: on by default, `ULD3D_NO_SPATIAL_PRUNE` (set
-/// non-empty) disables it at startup, the setter at runtime (differential
-/// tests, A/B timing).  Pruning never changes the winner — it only skips
-/// pricing candidates whose lower bound already exceeds the incumbent.
-[[nodiscard]] bool spatial_prune_enabled();
-void set_spatial_prune_enabled(bool enabled);
-
 /// Search the best spatial unrolling for `conv` on a variant of `arch`
 /// (buffers and hierarchy unchanged; only the PE-array shape moves).
+/// Candidates are priced best-first by an admissible EDP lower bound until
+/// no remaining bound can beat the incumbent; `best`, `cost` and
+/// `candidates` are bit-identical to pricing every candidate in enumeration
+/// order and keeping the first strictly better one.
 [[nodiscard]] SpatialSearchResult search_spatial(const nn::ConvSpec& conv,
                                                  const Architecture& arch,
                                                  const SystemCosts& sys,
