@@ -1,7 +1,7 @@
 // Grid-based multi-tier floorplan with per-tier blockage maps.
 //
 // The die is discretized into square bins; each placement tier (Si CMOS,
-// RRAM, CNFET) keeps an occupancy grid.  Macros mark bins on every tier they
+// RRAM, CNFET) keeps an occupancy index over them.  Macros mark bins on every tier they
 // block; standard-cell regions are then allocated from free Si (or CNFET)
 // bins.  This mirrors the paper's methodology of expressing the RRAM arrays
 // as partial blockages in the M3D flow (Sec. II).
@@ -20,9 +20,9 @@ namespace uld3d::phys {
 
 /// A rectangle's (clamped) window of grid bins: columns [x0, x1), rows
 /// [y0, y1).  The single source of truth for um -> bin quantization; every
-/// occupancy query and every fast-path skip decision goes through it, so
-/// the run-skipping scans can never disagree with the naive loops about
-/// which bins a rectangle covers.
+/// occupancy query, mark and skip decision goes through it, so the
+/// run-skipping scans can never disagree with a query about which bins a
+/// rectangle covers.
 struct BinSpan {
   std::int64_t x0 = 0;
   std::int64_t y0 = 0;
@@ -78,30 +78,23 @@ class Floorplan {
   /// The grid-bin window `rect` covers (clamped to the grid).
   [[nodiscard]] BinSpan bin_span(const Rect& rect) const;
 
-  /// The tier's occupancy index, refreshed against the grid's current
-  /// content.  It stays valid until the next mark on that tier, so a scan
-  /// that marks nothing takes it once instead of re-resolving the tier and
-  /// the index's freshness for every query.
+  /// The tier's occupancy, for scans that query it directly (a scan that
+  /// marks nothing takes it once instead of re-resolving the tier for every
+  /// query).
   [[nodiscard]] const OccupancyIndex& occupancy_index(
       tech::TierKind tier) const;
 
  private:
   struct TierGrid {
     tech::TierKind kind;
-    std::vector<std::uint8_t> occupied;  // nx * ny
-    /// Lazily rebuilt query accelerator over `occupied`; mutable because a
-    /// stale index is refreshed from const queries (it is a cache).  Lazy
-    /// rebuild makes even const queries non-reentrant: one thread per
-    /// Floorplan.
-    mutable OccupancyIndex index;
+    OccupancyIndex index;
   };
 
   [[nodiscard]] const TierGrid* grid_for(tech::TierKind tier) const;
   [[nodiscard]] TierGrid* grid_for(tech::TierKind tier);
+  /// Occupy `rect`'s bins; the caller has checked them clear.
   void mark(TierGrid& grid, const Rect& rect);
   [[nodiscard]] bool clear_in(const TierGrid& grid, const Rect& rect) const;
-  /// Refresh the grid's occupancy index if stale.
-  void refresh_index(const TierGrid& grid) const;
 
   double width_um_;
   double height_um_;

@@ -1,18 +1,18 @@
 // Acceleration structures for the placement engine.
 //
 // The phys flow's hot side is occupancy *queries*: every aspect candidate of
-// every soft block asks "is this rectangle free?" against the floorplan's
-// byte grids, and the placer asks "does this rectangle overlap a placed
-// sibling?" thousands of times per anneal.  Marks, by contrast, are rare
-// (one per committed macro/region).  Two structures exploit that asymmetry:
+// every soft block asks "is this rectangle free?" against a tier's
+// occupancy, and the placer asks "does this rectangle overlap a placed
+// sibling?" thousands of times per anneal.  Two structures answer them:
 //
-//  * OccupancyIndex — a summed-area table (2D prefix sum) over one tier's
-//    occupancy bytes, plus a per-row "previous occupied column" table.  A
-//    rectangle query becomes four lookups (O(1)); a blocked scan learns the
-//    rightmost occupied column inside its window in O(rows) and can jump its
-//    x cursor past the whole blocking run instead of advancing one bin.
-//    The index is rebuilt lazily: `invalidate()` on mark, `refresh()` before
-//    the next query (rebuild is O(nx*ny), amortized over many queries).
+//  * OccupancyIndex — one tier's occupancy, held as a summed-area table (2D
+//    prefix sum of occupied bins) plus a per-row "previous occupied column"
+//    table.  A rectangle query is four lookups (O(1)); a blocked scan learns
+//    the rightmost occupied column inside its window in O(rows) and can jump
+//    its x cursor past the whole blocking run instead of advancing one bin.
+//    It is built empty and every `mark` updates both tables in place with
+//    exact integer arithmetic, so the index never needs a rebuild and const
+//    queries write nothing (they are safe to run concurrently).
 //
 //  * RectBuckets — a uniform-bucket spatial index over placed rectangles,
 //    replacing the placer's O(placed) sibling-overlap loop.  Queries test
@@ -20,17 +20,12 @@
 //    itself is Rect::overlaps on the exact stored rectangles, so the answer
 //    is identical to the full loop.
 //
-// Both structures are pure accelerators: every fast path they serve is
-// bit-identical to the naive implementation (same scan order, same
-// tie-breaks, same RNG consumption), which the randomized differential
-// suite in tests/test_phys_occupancy_index.cpp asserts.  Setting the
-// environment variable `ULD3D_NO_PLACER_INDEX` (non-empty) at startup
-// disables the fast paths process-wide, mirroring `ULD3D_NO_MAPCACHE`;
-// `set_placer_index_enabled` toggles them at runtime (tests, A/B timing).
+// The naive scans these structures replace are kept in
+// tests/reference/naive_placement as the oracle of the differential tests.
 //
-// Neither class is thread-safe for concurrent mutation; each thread owns
-// its Floorplan/Placer state (the chip_summary fan-out builds one flow per
-// task), and the enable flag is a single relaxed atomic.
+// Neither class is safe for concurrent mutation; each thread owns its
+// Floorplan/Placer state (the chip_summary fan-out builds one flow per
+// task).
 #pragma once
 
 #include <cstdint>
@@ -41,32 +36,20 @@
 
 namespace uld3d::phys {
 
-/// True when the placement fast paths (occupancy index, run-skipping,
-/// spatial buckets) are active.  Reads ULD3D_NO_PLACER_INDEX once on first
-/// use; one relaxed atomic load per call afterwards.
-[[nodiscard]] bool placer_index_enabled();
-
-/// Runtime override of the fast-path flag (tests and A/B baselines).
-void set_placer_index_enabled(bool enabled);
-
-/// Summed-area occupancy index over a row-major byte grid of nx * ny bins
-/// (non-zero byte = occupied).  The grid is passed into `refresh`, not
-/// owned, so the index can live inside a copyable/movable grid holder.
+/// Occupancy of an nx x ny bin grid.  Every window argument is clamped to
+/// the grid; an empty window holds nothing.
 class OccupancyIndex {
  public:
-  OccupancyIndex() = default;
+  /// An nx x ny grid with no bin occupied.
+  OccupancyIndex(std::int64_t nx, std::int64_t ny);
 
-  /// Mark the index stale (call after any grid mutation).
-  void invalidate() { dirty_ = true; }
+  /// Occupy every bin of [bx0, bx1) x [by0, by1).  The window must be
+  /// clear (PreconditionError otherwise): callers test it first, and a
+  /// clear window is what makes the in-place update exact.
+  void mark(std::int64_t bx0, std::int64_t by0, std::int64_t bx1,
+            std::int64_t by1);
 
-  [[nodiscard]] bool fresh() const { return !dirty_; }
-
-  /// Rebuild from `occupied` if stale; no-op when fresh.  Queries require a
-  /// refresh against the grid's current content since the last invalidate.
-  void refresh(const std::uint8_t* occupied, std::int64_t nx, std::int64_t ny);
-
-  /// Number of occupied bins in [bx0, bx1) x [by0, by1), clamped to the
-  /// grid; empty windows count zero.
+  /// Number of occupied bins in [bx0, bx1) x [by0, by1).
   [[nodiscard]] std::int64_t count(std::int64_t bx0, std::int64_t by0,
                                    std::int64_t bx1, std::int64_t by1) const;
 
@@ -89,7 +72,10 @@ class OccupancyIndex {
   [[nodiscard]] std::int64_t occupied_bins() const;
 
  private:
-  bool dirty_ = true;
+  /// Clamp the window to the grid; false when nothing of it remains.
+  bool clamp_window(std::int64_t& bx0, std::int64_t& by0, std::int64_t& bx1,
+                    std::int64_t& by1) const;
+
   std::int64_t nx_ = 0;
   std::int64_t ny_ = 0;
   /// (nx+1) * (ny+1) inclusive prefix sums; sat_[(y+1)*(nx+1) + (x+1)] is

@@ -1,88 +1,62 @@
 #include "uld3d/phys/occupancy_index.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 
-#include "uld3d/util/batch.hpp"
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/simd.hpp"
 
 namespace uld3d::phys {
 
-namespace {
-
-std::atomic<bool>& placer_index_flag() {
-  static std::atomic<bool> enabled{std::getenv("ULD3D_NO_PLACER_INDEX") ==
-                                       nullptr ||
-                                   std::getenv("ULD3D_NO_PLACER_INDEX")[0] ==
-                                       '\0'};
-  return enabled;
-}
-
-}  // namespace
-
-bool placer_index_enabled() {
-  return placer_index_flag().load(std::memory_order_relaxed);
-}
-
-void set_placer_index_enabled(bool enabled) {
-  placer_index_flag().store(enabled, std::memory_order_relaxed);
-}
-
-void OccupancyIndex::refresh(const std::uint8_t* occupied, std::int64_t nx,
-                             std::int64_t ny) {
-  if (!dirty_ && nx == nx_ && ny == ny_) return;
+OccupancyIndex::OccupancyIndex(std::int64_t nx, std::int64_t ny)
+    : nx_(nx), ny_(ny) {
   expects(nx >= 0 && ny >= 0, "grid dimensions must be non-negative");
-  nx_ = nx;
-  ny_ = ny;
   sat_.assign(static_cast<std::size_t>((nx + 1) * (ny + 1)), 0);
   prev_occ_.assign(static_cast<std::size_t>(nx * ny), -1);
-  const std::int64_t stride = nx + 1;
-  // SAT build as batch kernels (exact integer ops, so SIMD and scalar paths
-  // are identical): per row, the running occupancy count is an inclusive
-  // prefix sum of the 0/1 bins and the last-occupied column is an inclusive
-  // prefix max of (occupied ? x : -1) — both served by the shared AVX2
-  // scans in util/simd (scalar under ULD3D_NO_SIMD / non-AVX2 CPUs).
-  thread_local util::AlignedVector<std::uint32_t> ones;
-  thread_local util::AlignedVector<std::uint32_t> row_sums;
-  thread_local util::AlignedVector<std::int32_t> occ_cols;
-  ones.resize(static_cast<std::size_t>(nx));
-  row_sums.resize(static_cast<std::size_t>(nx));
-  occ_cols.resize(static_cast<std::size_t>(nx));
-  for (std::int64_t y = 0; y < ny; ++y) {
-    const std::uint8_t* row = occupied + y * nx;
-    const std::uint32_t* sat_above =
-        sat_.data() + static_cast<std::size_t>(y * stride);
-    std::uint32_t* sat_row =
-        sat_.data() + static_cast<std::size_t>((y + 1) * stride);
-    std::int32_t* prev_row = prev_occ_.data() + static_cast<std::size_t>(y * nx);
-    for (std::int64_t x = 0; x < nx; ++x) {
-      const bool occ = row[x] != 0;
-      ones[static_cast<std::size_t>(x)] = occ ? 1u : 0u;
-      occ_cols[static_cast<std::size_t>(x)] =
-          occ ? static_cast<std::int32_t>(x) : -1;
-    }
-    simd::prefix_sum_u32(ones.data(), row_sums.data(),
-                         static_cast<std::size_t>(nx));
-    simd::prefix_max_i32(occ_cols.data(), prev_row,
-                         static_cast<std::size_t>(nx));
-    for (std::int64_t x = 0; x < nx; ++x) {
-      sat_row[x + 1] = sat_above[x + 1] + row_sums[static_cast<std::size_t>(x)];
-    }
-  }
-  dirty_ = false;
 }
 
-std::int64_t OccupancyIndex::count(std::int64_t bx0, std::int64_t by0,
-                                   std::int64_t bx1, std::int64_t by1) const {
-  ensures(!dirty_, "occupancy index queried while stale");
+bool OccupancyIndex::clamp_window(std::int64_t& bx0, std::int64_t& by0,
+                                  std::int64_t& bx1, std::int64_t& by1) const {
   bx0 = std::clamp<std::int64_t>(bx0, 0, nx_);
   bx1 = std::clamp<std::int64_t>(bx1, 0, nx_);
   by0 = std::clamp<std::int64_t>(by0, 0, ny_);
   by1 = std::clamp<std::int64_t>(by1, 0, ny_);
-  if (bx0 >= bx1 || by0 >= by1) return 0;
+  return bx0 < bx1 && by0 < by1;
+}
+
+void OccupancyIndex::mark(std::int64_t bx0, std::int64_t by0,
+                          std::int64_t bx1, std::int64_t by1) {
+  if (!clamp_window(bx0, by0, bx1, by1)) return;
+  expects(rect_clear(bx0, by0, bx1, by1), "marked window must be clear");
+  // The prefix sum of [0, x] x [0, y] gains the bins the window shares
+  // with it, (min(y+1, by1) - by0) * (min(x+1, bx1) - bx0): the window was
+  // clear, so every one of them is newly occupied.
+  const std::int64_t stride = nx_ + 1;
+  for (std::int64_t y = by0 + 1; y <= ny_; ++y) {
+    std::uint32_t* row = sat_.data() + static_cast<std::size_t>(y * stride);
+    const auto rows = static_cast<std::uint32_t>(std::min(y, by1) - by0);
+    for (std::int64_t x = bx0 + 1; x < bx1; ++x) {
+      row[x] += rows * static_cast<std::uint32_t>(x - bx0);
+    }
+    const auto full = rows * static_cast<std::uint32_t>(bx1 - bx0);
+    for (std::int64_t x = bx1; x <= nx_; ++x) row[x] += full;
+  }
+  // In the window's rows, a window column is its own previous-occupied
+  // column, and a column to its right sees at least bx1 - 1.  The table is
+  // non-decreasing along a row, so the raise stops at the first column
+  // that already sees an occupied bin past the window.
+  const auto last = static_cast<std::int32_t>(bx1 - 1);
+  for (std::int64_t y = by0; y < by1; ++y) {
+    std::int32_t* row = prev_occ_.data() + static_cast<std::size_t>(y * nx_);
+    for (std::int64_t x = bx0; x < bx1; ++x) {
+      row[x] = static_cast<std::int32_t>(x);
+    }
+    for (std::int64_t x = bx1; x < nx_ && row[x] < last; ++x) row[x] = last;
+  }
+}
+
+std::int64_t OccupancyIndex::count(std::int64_t bx0, std::int64_t by0,
+                                   std::int64_t bx1, std::int64_t by1) const {
+  if (!clamp_window(bx0, by0, bx1, by1)) return 0;
   const std::int64_t stride = nx_ + 1;
   const auto at = [&](std::int64_t y, std::int64_t x) -> std::int64_t {
     return sat_[static_cast<std::size_t>(y * stride + x)];
@@ -94,12 +68,7 @@ std::int64_t OccupancyIndex::rightmost_occupied(std::int64_t bx0,
                                                 std::int64_t by0,
                                                 std::int64_t bx1,
                                                 std::int64_t by1) const {
-  ensures(!dirty_, "occupancy index queried while stale");
-  bx0 = std::clamp<std::int64_t>(bx0, 0, nx_);
-  bx1 = std::clamp<std::int64_t>(bx1, 0, nx_);
-  by0 = std::clamp<std::int64_t>(by0, 0, ny_);
-  by1 = std::clamp<std::int64_t>(by1, 0, ny_);
-  if (bx0 >= bx1 || by0 >= by1) return -1;
+  if (!clamp_window(bx0, by0, bx1, by1)) return -1;
   std::int64_t rightmost = -1;
   for (std::int64_t y = by0; y < by1; ++y) {
     const std::int32_t p = prev_occ_[static_cast<std::size_t>(y * nx_ + bx1 - 1)];
@@ -109,9 +78,7 @@ std::int64_t OccupancyIndex::rightmost_occupied(std::int64_t bx0,
 }
 
 std::int64_t OccupancyIndex::occupied_bins() const {
-  ensures(!dirty_, "occupancy index queried while stale");
-  if (nx_ == 0 || ny_ == 0) return 0;
-  return sat_[static_cast<std::size_t>((nx_ + 1) * (ny_ + 1) - 1)];
+  return sat_.back();
 }
 
 RectBuckets::RectBuckets(double width_um, double height_um,

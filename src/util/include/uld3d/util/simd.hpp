@@ -1,21 +1,20 @@
 // Runtime SIMD dispatch for the data-oriented batch kernels.
 //
-// The batch kernels (mapper/batch_eval, sim's energy finishing, the phys
-// occupancy-index build) each ship two implementations: a portable scalar
-// loop and an AVX2 one.  Which one runs is decided ONCE per process from
-// CPUID plus the `ULD3D_NO_SIMD` escape hatch (set non-empty to force the
-// scalar path, mirroring `ULD3D_NO_MAPCACHE`/`ULD3D_NO_PLACER_INDEX`), and
-// can be overridden at runtime with `set_force_scalar` for differential
-// tests.
+// The batch kernels (mapper/batch_eval, sim's energy finishing) each ship
+// two implementations: a portable scalar loop and an AVX2 one.  Which one
+// runs is decided ONCE per process from CPUID plus the `ULD3D_NO_SIMD`
+// escape hatch (set non-empty to force the scalar path, mirroring
+// `ULD3D_NO_MAPCACHE`), and can be overridden at runtime with
+// `set_force_scalar` for differential tests.
 //
 // Determinism contract (DESIGN.md §16): every AVX2 kernel mirrors the
 // scalar expression tree operation-for-operation — IEEE-exact per-lane
 // mul/add/div plus *selection*-based min/max (blend on a compare, matching
 // std::min/std::max operand order, never the asymmetric NaN/±0 semantics
-// of vminpd/vmaxpd) — and reductions are either selections (EDP argmin) or
-// integer sums (summed-area tables), both order-insensitive at the bit
-// level.  No floating-point sum is reassociated, so scalar and AVX2 runs
-// are byte-identical, not merely close.
+// of vminpd/vmaxpd) — and reductions are selections (EDP argmin), which
+// are order-insensitive at the bit level.  No floating-point sum is
+// reassociated, so scalar and AVX2 runs are byte-identical, not merely
+// close.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +57,7 @@ void set_force_scalar(bool force);
 void record_dispatch_metric();
 
 // ---------------------------------------------------------------------------
-// Shared reduction kernels.  Each dispatches on active_isa() internally and
+// Shared reduction kernel.  It dispatches on active_isa() internally and
 // returns bit-identical results on every path.
 // ---------------------------------------------------------------------------
 
@@ -73,14 +72,5 @@ void record_dispatch_metric();
 /// first index attaining it — the documented "vectorized reduction with a
 /// deterministic serial argmin tie-break".
 [[nodiscard]] std::size_t argmin_strict(const double* x, std::size_t n);
-
-/// Inclusive prefix sum of `n` uint32 values, `out[i] = sum(x[0..i])`.
-/// Integer addition is exact and associative, so the AVX2 in-lane
-/// shift-add scan is bit-identical to the serial loop.
-void prefix_sum_u32(const std::uint32_t* x, std::uint32_t* out,
-                    std::size_t n);
-
-/// Inclusive prefix max-scan of int32: `out[i] = max(x[0..i])`.
-void prefix_max_i32(const std::int32_t* x, std::int32_t* out, std::size_t n);
 
 }  // namespace uld3d::simd

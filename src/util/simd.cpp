@@ -142,124 +142,4 @@ std::size_t argmin_strict(const double* x, std::size_t n) {
   return argmin_strict_scalar(x, n);
 }
 
-// ---------------------------------------------------------------------------
-// prefix_sum_u32 / prefix_max_i32
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void prefix_sum_u32_scalar(const std::uint32_t* x, std::uint32_t* out,
-                           std::size_t n) {
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += x[i];
-    out[i] = acc;
-  }
-}
-
-void prefix_max_i32_scalar(const std::int32_t* x, std::int32_t* out,
-                           std::size_t n) {
-  std::int32_t acc = std::numeric_limits<std::int32_t>::min();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (x[i] > acc) acc = x[i];
-    out[i] = acc;
-  }
-}
-
-#if ULD3D_SIMD_X86
-/// In-register inclusive scan of 8 x i32 (classic shift-add ladder; the
-/// 128-bit shifts stay within lanes, the permute carries the low lane's
-/// total into the high lane).  `op` is add or max.
-ULD3D_TARGET_AVX2 inline __m256i scan8_add(__m256i v) {
-  v = _mm256_add_epi32(v, _mm256_slli_si256(v, 4));
-  v = _mm256_add_epi32(v, _mm256_slli_si256(v, 8));
-  const __m256i low_total =
-      _mm256_permutevar8x32_epi32(v, _mm256_set1_epi32(3));
-  const __m256i carry = _mm256_blend_epi32(_mm256_setzero_si256(), low_total,
-                                           0xF0);
-  return _mm256_add_epi32(v, carry);
-}
-
-ULD3D_TARGET_AVX2 void prefix_sum_u32_avx2(const std::uint32_t* x,
-                                           std::uint32_t* out,
-                                           std::size_t n) {
-  std::uint32_t acc = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i scanned = scan8_add(v);
-    const __m256i shifted =
-        _mm256_add_epi32(scanned, _mm256_set1_epi32(static_cast<int>(acc)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), shifted);
-    acc = out[i + 7];
-  }
-  _mm256_zeroupper();  // see argmin_strict_avx2
-  for (; i < n; ++i) {
-    acc += x[i];
-    out[i] = acc;
-  }
-}
-
-ULD3D_TARGET_AVX2 inline __m256i scan8_max(__m256i v) {
-  const __m256i kMin =
-      _mm256_set1_epi32(std::numeric_limits<std::int32_t>::min());
-  // The shift ladder injects zeros; re-seed those lanes with INT32_MIN so a
-  // shifted-in zero can never beat a genuinely negative running max.
-  __m256i s = _mm256_slli_si256(v, 4);
-  s = _mm256_blend_epi32(s, kMin, 0x11);  // lanes 0 and 4 lost their value
-  v = _mm256_max_epi32(v, s);
-  s = _mm256_slli_si256(v, 8);
-  s = _mm256_blend_epi32(s, kMin, 0x33);  // lanes 0,1 / 4,5
-  v = _mm256_max_epi32(v, s);
-  const __m256i low_total =
-      _mm256_permutevar8x32_epi32(v, _mm256_set1_epi32(3));
-  const __m256i carry = _mm256_blend_epi32(kMin, low_total, 0xF0);
-  return _mm256_max_epi32(v, carry);
-}
-
-ULD3D_TARGET_AVX2 void prefix_max_i32_avx2(const std::int32_t* x,
-                                           std::int32_t* out,
-                                           std::size_t n) {
-  std::int32_t acc = std::numeric_limits<std::int32_t>::min();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i scanned =
-        _mm256_max_epi32(scan8_max(v), _mm256_set1_epi32(acc));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), scanned);
-    acc = out[i + 7];
-  }
-  _mm256_zeroupper();  // see argmin_strict_avx2
-  for (; i < n; ++i) {
-    if (x[i] > acc) acc = x[i];
-    out[i] = acc;
-  }
-}
-#endif
-
-}  // namespace
-
-void prefix_sum_u32(const std::uint32_t* x, std::uint32_t* out,
-                    std::size_t n) {
-#if ULD3D_SIMD_X86
-  if (n >= 16 && avx2_active()) {
-    prefix_sum_u32_avx2(x, out, n);
-    return;
-  }
-#endif
-  prefix_sum_u32_scalar(x, out, n);
-}
-
-void prefix_max_i32(const std::int32_t* x, std::int32_t* out, std::size_t n) {
-#if ULD3D_SIMD_X86
-  if (n >= 16 && avx2_active()) {
-    prefix_max_i32_avx2(x, out, n);
-    return;
-  }
-#endif
-  prefix_max_i32_scalar(x, out, n);
-}
-
 }  // namespace uld3d::simd

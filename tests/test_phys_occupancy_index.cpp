@@ -1,42 +1,30 @@
-// Differential and determinism suite for the placement fast paths.
+// Tests for the placement engine's acceleration structures.
 //
-// The occupancy index, run-skipping scans, and spatial buckets are pure
-// accelerators: their contract is bit-identical behaviour to the naive
-// byte-grid / linear-scan implementations.  These tests drive both sides
-// with thousands of randomized operations and assert exact agreement, then
-// pin the end-to-end contract by comparing a full run_comparison with the
-// fast paths on vs. off, bit for bit.
+// The occupancy index is the floorplan's only occupancy state and is never
+// rebuilt, so it is checked against a byte grid kept by the test through
+// long random sequences of marks and queries.  The spatial buckets are
+// checked against a linear scan, and the floorplan's run-skipping scans
+// against the naive oracles in tests/reference.
 #include "uld3d/phys/occupancy_index.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "reference/naive_placement.hpp"
 #include "uld3d/phys/floorplan.hpp"
-#include "uld3d/phys/m3d_flow.hpp"
 #include "uld3d/phys/placer.hpp"
 #include "uld3d/util/check.hpp"
+#include "uld3d/util/math.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/rng.hpp"
-#include "uld3d/util/simd.hpp"
-#include "uld3d/util/units.hpp"
 
 namespace uld3d::phys {
 namespace {
-
-/// Restore the process-wide fast-path flag on scope exit, so a failing
-/// assertion cannot leak a disabled index into later tests.
-class IndexFlagGuard {
- public:
-  IndexFlagGuard() : saved_(placer_index_enabled()) {}
-  ~IndexFlagGuard() { set_placer_index_enabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -47,137 +35,125 @@ bool same_rect(const Rect& a, const Rect& b) {
          same_bits(a.x1, b.x1) && same_bits(a.y1, b.y1);
 }
 
-TEST(OccupancyIndex, MatchesByteGridOnRandomMarkQuerySequences) {
-  Rng rng(0xace);
-  const std::int64_t nx = 57;  // deliberately non-square, non-power-of-two
-  const std::int64_t ny = 43;
-  std::vector<std::uint8_t> grid(static_cast<std::size_t>(nx * ny), 0);
-  OccupancyIndex index;
+/// The byte grid the index must agree with: one byte per bin, queried and
+/// marked bin by bin.
+class ByteGrid {
+ public:
+  ByteGrid(std::int64_t nx, std::int64_t ny)
+      : nx_(nx), ny_(ny), bins_(static_cast<std::size_t>(nx * ny), 0) {}
 
-  const auto naive_count = [&](std::int64_t bx0, std::int64_t by0,
-                               std::int64_t bx1, std::int64_t by1) {
+  [[nodiscard]] std::int64_t count(std::int64_t bx0, std::int64_t by0,
+                                   std::int64_t bx1, std::int64_t by1) const {
     std::int64_t n = 0;
-    for (std::int64_t y = std::max<std::int64_t>(by0, 0);
-         y < std::min(by1, ny); ++y) {
-      for (std::int64_t x = std::max<std::int64_t>(bx0, 0);
-           x < std::min(bx1, nx); ++x) {
-        if (grid[static_cast<std::size_t>(y * nx + x)] != 0) ++n;
-      }
-    }
+    each(bx0, by0, bx1, by1, [&](std::int64_t x, std::int64_t y) {
+      if (bins_[index(x, y)] != 0) ++n;
+    });
     return n;
-  };
-  const auto naive_rightmost = [&](std::int64_t bx0, std::int64_t by0,
-                                   std::int64_t bx1, std::int64_t by1) {
+  }
+
+  [[nodiscard]] std::int64_t rightmost(std::int64_t bx0, std::int64_t by0,
+                                       std::int64_t bx1,
+                                       std::int64_t by1) const {
     std::int64_t rightmost = -1;
-    for (std::int64_t y = std::max<std::int64_t>(by0, 0);
-         y < std::min(by1, ny); ++y) {
-      for (std::int64_t x = std::max<std::int64_t>(bx0, 0);
-           x < std::min(bx1, nx); ++x) {
-        if (grid[static_cast<std::size_t>(y * nx + x)] != 0 && x > rightmost) {
-          rightmost = x;
-        }
-      }
-    }
+    each(bx0, by0, bx1, by1, [&](std::int64_t x, std::int64_t y) {
+      if (bins_[index(x, y)] != 0) rightmost = std::max(rightmost, x);
+    });
     return rightmost;
-  };
-  // Windows hang off every edge now and then to exercise the clamping.
-  const auto random_window = [&](std::int64_t& bx0, std::int64_t& by0,
-                                 std::int64_t& bx1, std::int64_t& by1) {
-    bx0 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(nx + 8))) - 4;
-    by0 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(ny + 8))) - 4;
-    bx1 = bx0 + static_cast<std::int64_t>(rng.below(20));
-    by1 = by0 + static_cast<std::int64_t>(rng.below(20));
-  };
+  }
 
-  std::int64_t marks = 0;
-  for (int op = 0; op < 4000; ++op) {
-    std::int64_t bx0 = 0, by0 = 0, bx1 = 0, by1 = 0;
-    random_window(bx0, by0, bx1, by1);
-    if (rng.below(5) == 0) {  // ~20% marks, 80% queries (the hot side)
-      for (std::int64_t y = std::max<std::int64_t>(by0, 0);
-           y < std::min(by1, ny); ++y) {
-        for (std::int64_t x = std::max<std::int64_t>(bx0, 0);
-             x < std::min(bx1, nx); ++x) {
-          grid[static_cast<std::size_t>(y * nx + x)] = 1;
-        }
+  void mark(std::int64_t bx0, std::int64_t by0, std::int64_t bx1,
+            std::int64_t by1) {
+    each(bx0, by0, bx1, by1,
+         [&](std::int64_t x, std::int64_t y) { bins_[index(x, y)] = 1; });
+  }
+
+ private:
+  template <typename F>
+  void each(std::int64_t bx0, std::int64_t by0, std::int64_t bx1,
+            std::int64_t by1, F&& f) const {
+    for (std::int64_t y = std::max<std::int64_t>(by0, 0);
+         y < std::min(by1, ny_); ++y) {
+      for (std::int64_t x = std::max<std::int64_t>(bx0, 0);
+           x < std::min(bx1, nx_); ++x) {
+        f(x, y);
       }
-      index.invalidate();
-      ++marks;
-      continue;
     }
-    index.refresh(grid.data(), nx, ny);
-    ASSERT_EQ(index.count(bx0, by0, bx1, by1), naive_count(bx0, by0, bx1, by1))
-        << "op " << op;
-    ASSERT_EQ(index.rect_clear(bx0, by0, bx1, by1),
-              naive_count(bx0, by0, bx1, by1) == 0)
-        << "op " << op;
-    ASSERT_EQ(index.rightmost_occupied(bx0, by0, bx1, by1),
-              naive_rightmost(bx0, by0, bx1, by1))
-        << "op " << op;
-    ASSERT_EQ(index.occupied_bins(), naive_count(0, 0, nx, ny)) << "op " << op;
   }
-  EXPECT_GT(marks, 100);  // the sequence actually mutated the grid
-}
+  [[nodiscard]] std::size_t index(std::int64_t x, std::int64_t y) const {
+    return static_cast<std::size_t>(y * nx_ + x);
+  }
 
-TEST(OccupancyIndex, SatBuildIdenticalWithSimdKernelsForcedScalar) {
-  // The SAT/prefix-max build runs on util/simd prefix kernels; forcing the
-  // scalar kernels must reproduce every query answer exactly (integer ops,
-  // so SIMD==scalar is bitwise, not approximate).
-  Rng rng(0xbee);
-  const std::int64_t nx = 61;
-  const std::int64_t ny = 37;
-  std::vector<std::uint8_t> grid(static_cast<std::size_t>(nx * ny), 0);
-  for (auto& cell : grid) cell = rng.below(3) == 0 ? 1 : 0;
+  std::int64_t nx_;
+  std::int64_t ny_;
+  std::vector<std::uint8_t> bins_;
+};
 
-  OccupancyIndex simd_index;
-  simd_index.refresh(grid.data(), nx, ny);
-
-  simd::set_force_scalar(true);
-  OccupancyIndex scalar_index;
-  scalar_index.refresh(grid.data(), nx, ny);
-  simd::set_force_scalar(false);
-
-  EXPECT_EQ(simd_index.occupied_bins(), scalar_index.occupied_bins());
-  for (int q = 0; q < 500; ++q) {
-    const std::int64_t bx0 =
-        static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(nx + 8))) - 4;
-    const std::int64_t by0 =
-        static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(ny + 8))) - 4;
-    const std::int64_t bx1 = bx0 + static_cast<std::int64_t>(rng.below(24));
-    const std::int64_t by1 = by0 + static_cast<std::int64_t>(rng.below(24));
-    ASSERT_EQ(simd_index.count(bx0, by0, bx1, by1),
-              scalar_index.count(bx0, by0, bx1, by1))
-        << "q " << q;
-    ASSERT_EQ(simd_index.rightmost_occupied(bx0, by0, bx1, by1),
-              scalar_index.rightmost_occupied(bx0, by0, bx1, by1))
-        << "q " << q;
+TEST(OccupancyIndex, MatchesByteGridOnRandomMarkQuerySequences) {
+  // An index built empty and only ever updated in place must answer every
+  // query as the byte grid beside it does.  Marks cover clear windows only,
+  // as the floorplan's do; nothing rebuilds the index.
+  Rng rng(0xace);
+  const std::int64_t dims[][2] = {{57, 43}, {1, 1}, {64, 3}, {3, 64}, {0, 5}};
+  for (const auto& [nx, ny] : dims) {
+    OccupancyIndex index(nx, ny);
+    ByteGrid grid(nx, ny);
+    // Windows hang off every edge now and then to exercise the clamping.
+    const auto draw = [&](std::int64_t bound) {
+      return static_cast<std::int64_t>(
+          rng.below(static_cast<std::uint64_t>(bound)));
+    };
+    const auto random_window = [&](std::int64_t& bx0, std::int64_t& by0,
+                                   std::int64_t& bx1, std::int64_t& by1) {
+      bx0 = draw(nx + 8) - 4;
+      by0 = draw(ny + 8) - 4;
+      bx1 = bx0 + draw(14);
+      by1 = by0 + draw(14);
+    };
+    std::int64_t marks = 0;
+    for (int op = 0; op < 4000; ++op) {
+      std::int64_t bx0 = 0, by0 = 0, bx1 = 0, by1 = 0;
+      random_window(bx0, by0, bx1, by1);
+      if (rng.below(4) == 0) {
+        if (grid.count(bx0, by0, bx1, by1) == 0) {
+          index.mark(bx0, by0, bx1, by1);
+          grid.mark(bx0, by0, bx1, by1);
+          ++marks;
+        }
+        continue;
+      }
+      const std::int64_t expected = grid.count(bx0, by0, bx1, by1);
+      ASSERT_EQ(index.count(bx0, by0, bx1, by1), expected)
+          << nx << "x" << ny << " op " << op;
+      ASSERT_EQ(index.rect_clear(bx0, by0, bx1, by1), expected == 0)
+          << nx << "x" << ny << " op " << op;
+      ASSERT_EQ(index.rightmost_occupied(bx0, by0, bx1, by1),
+                grid.rightmost(bx0, by0, bx1, by1))
+          << nx << "x" << ny << " op " << op;
+      ASSERT_EQ(index.occupied_bins(), grid.count(0, 0, nx, ny))
+          << nx << "x" << ny << " op " << op;
+    }
+    if (nx == 57) {
+      EXPECT_GT(marks, 100);  // the sequence filled the grid
+    }
   }
 }
 
-TEST(OccupancyIndex, StaleQueryIsAnInvariantViolation) {
-  OccupancyIndex index;
-  EXPECT_THROW(index.count(0, 0, 1, 1), InvariantError);
-  const std::vector<std::uint8_t> grid(4, 0);
-  index.refresh(grid.data(), 2, 2);
-  EXPECT_EQ(index.count(0, 0, 2, 2), 0);
-  index.invalidate();
-  EXPECT_THROW(index.occupied_bins(), InvariantError);
-}
-
-TEST(OccupancyIndex, RefreshIsIdempotentWhenFresh) {
-  std::vector<std::uint8_t> grid(9, 0);
-  grid[4] = 1;
-  OccupancyIndex index;
-  index.refresh(grid.data(), 3, 3);
-  EXPECT_EQ(index.occupied_bins(), 1);
-  // A fresh index ignores grid edits until invalidated (rebuild-on-mark is
-  // the caller's contract).
-  grid[0] = 1;
-  index.refresh(grid.data(), 3, 3);
-  EXPECT_EQ(index.occupied_bins(), 1);
-  index.invalidate();
-  index.refresh(grid.data(), 3, 3);
-  EXPECT_EQ(index.occupied_bins(), 2);
+TEST(OccupancyIndex, MarkingAnOccupiedWindowIsAPreconditionError) {
+  OccupancyIndex index(8, 8);
+  index.mark(2, 2, 5, 5);
+  EXPECT_THROW(index.mark(4, 4, 6, 6), PreconditionError);
+  EXPECT_THROW(index.mark(-3, -3, 20, 20), PreconditionError);
+  // A refused mark changes nothing.
+  EXPECT_EQ(index.occupied_bins(), 9);
+  EXPECT_EQ(index.count(4, 4, 6, 6), 1);
+  EXPECT_EQ(index.rightmost_occupied(0, 3, 8, 4), 4);
+  // Windows that touch the occupied one only at an edge are clear, and
+  // empty or off-grid windows mark nothing.
+  index.mark(5, 2, 8, 5);
+  index.mark(3, 3, 3, 7);
+  index.mark(-5, -5, 0, 0);
+  EXPECT_EQ(index.occupied_bins(), 18);
+  EXPECT_EQ(index.rightmost_occupied(0, 3, 8, 4), 7);
 }
 
 TEST(RectBuckets, MatchesLinearScanOnRandomInsertRemoveQuery) {
@@ -231,19 +207,22 @@ TEST(RectBuckets, MatchesLinearScanOnRandomInsertRemoveQuery) {
   }
 }
 
-TEST(PlacerIndexFlag, RuntimeToggleRoundTrips) {
-  const IndexFlagGuard guard;
-  set_placer_index_enabled(false);
-  EXPECT_FALSE(placer_index_enabled());
-  set_placer_index_enabled(true);
-  EXPECT_TRUE(placer_index_enabled());
-}
-
 TEST(FloorplanDifferential, QueriesAgreeWithIndexOnAndOff) {
-  const IndexFlagGuard guard;
+  // Every floorplan query, answered from the occupancy index, against a
+  // byte grid the test keeps by marking each allocated region's bin window
+  // itself (the naive bin loops the queries once ran).
   Rng rng(0xf100);
+  const auto tier = tech::TierKind::kSiCmosFeol;
   for (int trial = 0; trial < 8; ++trial) {
     Floorplan fp(4000.0, 3000.0, tech::TierStack::make_m3d_130nm(), 50.0);
+    const std::int64_t nx = fp.bins_x();
+    const std::int64_t ny = fp.bins_y();
+    const double bin = fp.bin_um();
+    ByteGrid grid(nx, ny);
+    const auto grid_clear = [&](const Rect& r) {
+      const BinSpan s = fp.bin_span(r);
+      return grid.count(s.x0, s.y0, s.x1, s.y1) == 0;
+    };
     const auto random_rect = [&] {
       const double x = rng.uniform() * 3900.0;
       const double y = rng.uniform() * 2900.0;
@@ -252,54 +231,64 @@ TEST(FloorplanDifferential, QueriesAgreeWithIndexOnAndOff) {
       return Rect::at(x, y, w, h);
     };
     for (int op = 0; op < 300; ++op) {
-      const Rect r = random_rect();
-      const auto tier = tech::TierKind::kSiCmosFeol;
       switch (rng.below(3)) {
         case 0: {
-          // Both implementations must agree BEFORE the mutation decides.
-          set_placer_index_enabled(true);
-          const bool fast_free = fp.region_free(tier, r);
-          set_placer_index_enabled(false);
-          const bool naive_free = fp.region_free(tier, r);
-          ASSERT_EQ(fast_free, naive_free) << "trial " << trial << " op " << op;
-          set_placer_index_enabled(true);
-          fp.allocate_region(tier, r);
+          const Rect r = random_rect();
+          const bool free = grid_clear(r);
+          ASSERT_EQ(fp.region_free(tier, r), free)
+              << "trial " << trial << " op " << op;
+          ASSERT_EQ(fp.allocate_region(tier, r), free)
+              << "trial " << trial << " op " << op;
+          if (free) {
+            const BinSpan s = fp.bin_span(r);
+            grid.mark(s.x0, s.y0, s.x1, s.y1);
+          }
           break;
         }
         case 1: {
           const double w = 100.0 + rng.uniform() * 1000.0;
           const double h = 100.0 + rng.uniform() * 1000.0;
-          set_placer_index_enabled(true);
-          const auto fast_found = fp.find_free_region(tier, w, h);
-          set_placer_index_enabled(false);
-          const auto naive_found = fp.find_free_region(tier, w, h);
-          ASSERT_EQ(fast_found.has_value(), naive_found.has_value())
+          std::optional<Rect> expected;
+          const std::int64_t bw = ceil_to_int(w / bin);
+          const std::int64_t bh = ceil_to_int(h / bin);
+          for (std::int64_t by = 0; !expected && by + bh <= ny; ++by) {
+            for (std::int64_t bx = 0; bx + bw <= nx; ++bx) {
+              const Rect r = Rect::at(static_cast<double>(bx) * bin,
+                                      static_cast<double>(by) * bin,
+                                      static_cast<double>(bw) * bin,
+                                      static_cast<double>(bh) * bin);
+              if (grid_clear(r)) {
+                expected = r;
+                break;
+              }
+            }
+          }
+          const auto found = fp.find_free_region(tier, w, h);
+          ASSERT_EQ(found.has_value(), expected.has_value())
               << "trial " << trial << " op " << op;
-          if (fast_found.has_value()) {
-            ASSERT_TRUE(same_rect(*fast_found, *naive_found))
+          if (found.has_value()) {
+            ASSERT_TRUE(same_rect(*found, *expected))
                 << "trial " << trial << " op " << op;
           }
           break;
         }
         default: {
-          set_placer_index_enabled(true);
-          const double fast_free = fp.free_area_um2(tier);
-          const double fast_util = fp.utilization(tier);
-          set_placer_index_enabled(false);
-          ASSERT_TRUE(same_bits(fast_free, fp.free_area_um2(tier)))
+          const std::int64_t used = grid.count(0, 0, nx, ny);
+          const auto free_bins = static_cast<double>(nx * ny - used);
+          ASSERT_TRUE(same_bits(fp.free_area_um2(tier), free_bins * bin * bin))
               << "trial " << trial << " op " << op;
-          ASSERT_TRUE(same_bits(fast_util, fp.utilization(tier)))
+          ASSERT_TRUE(same_bits(fp.utilization(tier),
+                                static_cast<double>(used) /
+                                    static_cast<double>(nx * ny)))
               << "trial " << trial << " op " << op;
           break;
         }
       }
-      set_placer_index_enabled(true);
     }
   }
 }
 
 TEST(FloorplanDifferential, PlaceMacroAnywhereAgreesWithNaiveScan) {
-  const IndexFlagGuard guard;
   Rng seq(0x9a);
   for (int trial = 0; trial < 6; ++trial) {
     Floorplan fast_fp(3000.0, 3000.0, tech::TierStack::make_m3d_130nm(), 50.0);
@@ -310,10 +299,9 @@ TEST(FloorplanDifferential, PlaceMacroAnywhereAgreesWithNaiveScan) {
       const std::string name = "m" + std::to_string(op);
       const Macro macro = m3d ? Macro::rram_array_m3d(name, area)
                               : Macro::rram_array_2d(name, area);
-      set_placer_index_enabled(true);
       const auto fast_placed = fast_fp.place_macro_anywhere(macro);
-      set_placer_index_enabled(false);
-      const auto naive_placed = naive_fp.place_macro_anywhere(macro);
+      const auto naive_placed =
+          reference::naive_place_macro_anywhere(naive_fp, macro);
       ASSERT_EQ(fast_placed.has_value(), naive_placed.has_value())
           << "trial " << trial << " op " << op;
       if (fast_placed.has_value()) {
@@ -321,93 +309,10 @@ TEST(FloorplanDifferential, PlaceMacroAnywhereAgreesWithNaiveScan) {
             << "trial " << trial << " op " << op;
       }
     }
-    set_placer_index_enabled(true);
   }
-}
-
-FlowInput case_study_input() {
-  FlowInput input;
-  input.rram_capacity_bits = units::mb_to_bits(64.0);
-  input.cs_sram_area_um2 = 1.97e6;
-  input.cs_logic_area_um2 = 4.6e6;
-  input.cs_logic_gates = 295600;
-  return input;
-}
-
-void expect_reports_identical(const DesignReport& a, const DesignReport& b) {
-  EXPECT_EQ(a.feasible, b.feasible);
-  EXPECT_EQ(a.unplaced, b.unplaced);
-  EXPECT_TRUE(same_bits(a.die_width_um, b.die_width_um));
-  EXPECT_TRUE(same_bits(a.footprint_mm2, b.footprint_mm2));
-  EXPECT_TRUE(same_bits(a.si_utilization, b.si_utilization));
-  EXPECT_EQ(a.cs_placed, b.cs_placed);
-  EXPECT_TRUE(same_bits(a.placement_hpwl_um, b.placement_hpwl_um));
-  EXPECT_TRUE(same_bits(a.total_wirelength_um, b.total_wirelength_um));
-  EXPECT_EQ(a.buffers, b.buffers);
-  EXPECT_TRUE(same_bits(a.congestion_peak, b.congestion_peak));
-  EXPECT_TRUE(same_bits(a.congestion_overflow, b.congestion_overflow));
-  EXPECT_TRUE(same_bits(a.total_power_mw, b.total_power_mw));
-  EXPECT_TRUE(same_bits(a.peak_density_mw_per_mm2, b.peak_density_mw_per_mm2));
-  EXPECT_TRUE(
-      same_bits(a.upper_tier_power_fraction, b.upper_tier_power_fraction));
-  ASSERT_EQ(a.placed_macros.size(), b.placed_macros.size());
-  for (std::size_t i = 0; i < a.placed_macros.size(); ++i) {
-    EXPECT_TRUE(same_rect(a.placed_macros[i].rect, b.placed_macros[i].rect))
-        << "macro " << i;
-  }
-  ASSERT_EQ(a.placed_blocks.size(), b.placed_blocks.size());
-  for (std::size_t i = 0; i < a.placed_blocks.size(); ++i) {
-    EXPECT_EQ(a.placed_blocks[i].macro.name, b.placed_blocks[i].macro.name);
-    EXPECT_TRUE(same_rect(a.placed_blocks[i].rect, b.placed_blocks[i].rect))
-        << "block " << i;
-  }
-  ASSERT_EQ(a.bus_routes.size(), b.bus_routes.size());
-  for (std::size_t i = 0; i < a.bus_routes.size(); ++i) {
-    EXPECT_TRUE(same_bits(a.bus_routes[i].from.x, b.bus_routes[i].from.x));
-    EXPECT_TRUE(same_bits(a.bus_routes[i].from.y, b.bus_routes[i].from.y));
-    EXPECT_TRUE(same_bits(a.bus_routes[i].to.x, b.bus_routes[i].to.x));
-    EXPECT_TRUE(same_bits(a.bus_routes[i].to.y, b.bus_routes[i].to.y));
-    EXPECT_TRUE(same_bits(a.bus_routes[i].tracks, b.bus_routes[i].tracks));
-  }
-}
-
-TEST(PlacementDeterminism, RunComparisonBitIdenticalWithIndexOff) {
-  const IndexFlagGuard guard;
-  const M3dFlow flow;
-  set_placer_index_enabled(true);
-  const FlowComparison fast = flow.run_comparison(case_study_input(), 8);
-  set_placer_index_enabled(false);
-  const FlowComparison naive = flow.run_comparison(case_study_input(), 8);
-  set_placer_index_enabled(true);
-  expect_reports_identical(fast.design_2d, naive.design_2d);
-  expect_reports_identical(fast.design_3d, naive.design_3d);
-  EXPECT_EQ(fast.iso_footprint, naive.iso_footprint);
-  EXPECT_TRUE(
-      same_bits(fast.wirelength_per_cs_ratio, naive.wirelength_per_cs_ratio));
-  EXPECT_TRUE(same_bits(fast.peak_density_ratio, naive.peak_density_ratio));
-}
-
-TEST(PlacementDeterminism, AutoSizedM3dDesignBitIdenticalWithIndexOff) {
-  // Eight CSs on an auto-sized die: the constructive pass fragments the
-  // free space and stops at its first unplaceable block, and the shelf
-  // fallback places every block.  The fast side (early exit, table-driven
-  // scans) must match the naive side, which walks every candidate.
-  const IndexFlagGuard guard;
-  const M3dFlow flow;
-  set_placer_index_enabled(true);
-  const DesignReport fast =
-      flow.run_design(case_study_input(), /*m3d=*/true, 8);
-  set_placer_index_enabled(false);
-  const DesignReport naive =
-      flow.run_design(case_study_input(), /*m3d=*/true, 8);
-  set_placer_index_enabled(true);
-  EXPECT_TRUE(fast.feasible);
-  expect_reports_identical(fast, naive);
 }
 
 TEST(PlacerMetrics, CountersTrackScanAndSkipActivity) {
-  const IndexFlagGuard guard;
-  set_placer_index_enabled(true);
   MetricsRegistry::set_enabled(true);
   MetricsRegistry& registry = MetricsRegistry::instance();
   registry.counter("phys.placer.candidates_scanned").reset();

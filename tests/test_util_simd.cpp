@@ -1,4 +1,4 @@
-// Unit tests for the util/simd reduction kernels: the AVX2 and scalar paths
+// Unit tests for the util/simd reduction kernel: the AVX2 and scalar paths
 // must agree element-for-element with a naive serial reference, including
 // the argmin tie-break ("strict <, first of equals wins") and NaN/inf
 // handling that the mapper's determinism contract depends on.
@@ -90,93 +90,6 @@ TEST_F(SimdTest, ArgminEdgeCases) {
   EXPECT_EQ(argmin_strict(v.data(), 16), 3u);
   set_force_scalar(true);
   EXPECT_EQ(argmin_strict(v.data(), 16), 3u);
-}
-
-TEST_F(SimdTest, PrefixSumRandomizedMatchesSerialReference) {
-  Rng rng(2);
-  util::AlignedVector<std::uint32_t> in;
-  util::AlignedVector<std::uint32_t> out;
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t n = 1 + rng.below(130);
-    in.resize(n);
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      in[i] = static_cast<std::uint32_t>(rng.below(1000));
-    }
-    prefix_sum_u32(in.data(), out.data(), n);
-    std::uint32_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += in[i];
-      ASSERT_EQ(out[i], acc) << "n=" << n << " i=" << i;
-    }
-    set_force_scalar(true);
-    prefix_sum_u32(in.data(), out.data(), n);
-    set_force_scalar(false);
-    acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += in[i];
-      ASSERT_EQ(out[i], acc) << "scalar n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST_F(SimdTest, PrefixSumWrapsModulo32Bits) {
-  // Unsigned overflow is defined; the vector path must wrap identically.
-  util::AlignedVector<std::uint32_t> in;
-  util::AlignedVector<std::uint32_t> out;
-  in.resize(32);
-  out.resize(32);
-  for (std::size_t i = 0; i < 32; ++i) in[i] = 0x90000000u;
-  prefix_sum_u32(in.data(), out.data(), 32);
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < 32; ++i) {
-    acc += in[i];
-    ASSERT_EQ(out[i], acc) << i;
-  }
-}
-
-TEST_F(SimdTest, PrefixMaxRandomizedMatchesSerialReference) {
-  Rng rng(3);
-  util::AlignedVector<std::int32_t> in;
-  util::AlignedVector<std::int32_t> out;
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t n = 1 + rng.below(130);
-    in.resize(n);
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // The phys use case: -1 for empty columns, the column index otherwise.
-      in[i] = rng.below(4) == 0 ? -1 : static_cast<std::int32_t>(i);
-    }
-    prefix_max_i32(in.data(), out.data(), n);
-    std::int32_t acc = std::numeric_limits<std::int32_t>::min();
-    for (std::size_t i = 0; i < n; ++i) {
-      acc = std::max(acc, in[i]);
-      ASSERT_EQ(out[i], acc) << "n=" << n << " i=" << i;
-    }
-    set_force_scalar(true);
-    prefix_max_i32(in.data(), out.data(), n);
-    set_force_scalar(false);
-    acc = std::numeric_limits<std::int32_t>::min();
-    for (std::size_t i = 0; i < n; ++i) {
-      acc = std::max(acc, in[i]);
-      ASSERT_EQ(out[i], acc) << "scalar n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST_F(SimdTest, PrefixMaxHandlesInt32Extremes) {
-  util::AlignedVector<std::int32_t> in;
-  util::AlignedVector<std::int32_t> out;
-  in.resize(24);
-  out.resize(24);
-  const std::int32_t lo = std::numeric_limits<std::int32_t>::min();
-  const std::int32_t hi = std::numeric_limits<std::int32_t>::max();
-  for (std::size_t i = 0; i < 24; ++i) in[i] = lo;
-  in[5] = hi;
-  prefix_max_i32(in.data(), out.data(), 24);
-  for (std::size_t i = 0; i < 24; ++i) {
-    ASSERT_EQ(out[i], i < 5 ? lo : hi) << i;
-  }
 }
 
 TEST_F(SimdTest, DispatchReportingIsConsistent) {
