@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/math.hpp"
@@ -16,11 +17,21 @@ Floorplan::Floorplan(double width_um, double height_um, tech::TierStack stack,
       nx_(0),
       ny_(0),
       stack_(std::move(stack)) {
-  expects(width_um > 0.0 && height_um > 0.0, "die dimensions must be positive");
-  expects(bin_um > 0.0, "bin size must be positive");
-  nx_ = ceil_to_int(width_um / bin_um);
-  ny_ = ceil_to_int(height_um / bin_um);
-  expects(nx_ * ny_ <= 64 * 1024 * 1024, "floorplan grid too fine");
+  expects(width_um > 0.0 && height_um > 0.0 && std::isfinite(width_um) &&
+              std::isfinite(height_um),
+          "die dimensions must be positive and finite");
+  expects(bin_um > 0.0 && std::isfinite(bin_um),
+          "bin size must be positive and finite");
+  // Each side is bounded before its cast and the product by a division, so
+  // no bin count can overflow.
+  constexpr std::int64_t kMaxBins = 64 * 1024 * 1024;
+  const double side_x = width_um / bin_um;
+  const double side_y = height_um / bin_um;
+  expects(side_x <= kMaxBins && side_y <= kMaxBins, "floorplan grid too fine");
+  nx_ = ceil_to_int(side_x);
+  ny_ = ceil_to_int(side_y);
+  expects(nx_ <= kMaxBins / std::max<std::int64_t>(ny_, 1),
+          "floorplan grid too fine");
   for (const auto& tier : stack_.tiers()) {
     if (tier.kind == tech::TierKind::kBeolMetal) continue;  // routing only
     grids_.push_back({tier.kind, OccupancyIndex(nx_, ny_)});
@@ -86,39 +97,71 @@ bool Floorplan::place_macro(const Macro& macro, double x, double y) {
 
 std::optional<Rect> Floorplan::place_macro_anywhere(const Macro& macro) {
   // First fit over the bin positions in row-major order — the position a
-  // bin-by-bin loop over place_macro would find — with run skipping: a
-  // blocked candidate learns the rightmost occupied column inside its bin
-  // window, and every following candidate whose window still starts at or
-  // before that column is rejected without re-querying (it provably
-  // contains the same occupied bin — the window rows are fixed along a scan
-  // row and the window right edge only grows).
-  for (std::int64_t by = 0; by < ny_; ++by) {
-    const double y = static_cast<double>(by) * bin_um_;
+  // bin-by-bin loop over place_macro would find.  Occupancy only grows, so
+  // a position illegal for one macro stays illegal for every later macro of
+  // the same shape and blocked grids: the scan resumes at that shape's
+  // previous hit.
+  std::uint32_t blocked = 0;
+  for (std::size_t g = 0; g < grids_.size(); ++g) {
+    if (macro.blocks(grids_[g].kind)) blocked |= 1U << g;
+  }
+  auto cursor = std::find_if(
+      cursors_.begin(), cursors_.end(), [&](const MacroCursor& c) {
+        return c.width_um == macro.width_um &&
+               c.height_um == macro.height_um && c.blocked == blocked;
+      });
+  if (cursor == cursors_.end()) {
+    cursors_.push_back({macro.width_um, macro.height_um, blocked, {}, 0, 0});
+    cursor = std::prev(cursors_.end());
+  }
+  MacroCursor& c = *cursor;
+  for (; c.by < ny_; ++c.by, c.bx = 0) {
+    const double y = static_cast<double>(c.by) * bin_um_;
     if (y + macro.height_um > height_um_ + 1e-6) {
       // place_macro rejects on the die's top edge; y only grows from here,
       // so no later row can succeed either (same comparison, monotone y).
       return std::nullopt;
     }
-    std::int64_t skip_col = -1;
-    for (std::int64_t bx = 0; bx < nx_; ++bx) {
-      const double x = static_cast<double>(bx) * bin_um_;
-      const Rect rect = Rect::at(x, y, macro.width_um, macro.height_um);
-      if (rect.x1 > width_um_ + 1e-6) break;  // off the right edge; monotone
-      const BinSpan s = bin_span(rect);
-      if (s.x0 <= skip_col) continue;
-      bool blocked = false;
-      for (const auto& g : grids_) {
-        if (!macro.blocks(g.kind)) continue;
-        if (!g.index.rect_clear(s.x0, s.y0, s.x1, s.y1)) {
-          skip_col = g.index.rightmost_occupied(s.x0, s.y0, s.x1, s.y1);
-          blocked = true;
-          break;
+    if (c.columns.empty()) {
+      // The columns whose rect stays inside the die, with their bin window
+      // along x (independent of y).  A shape wider than the die keeps an
+      // empty table, and rebuilding it stops at its first column.
+      for (std::int64_t bx = 0; bx < nx_; ++bx) {
+        const Rect rect = Rect::at(static_cast<double>(bx) * bin_um_, y,
+                                   macro.width_um, macro.height_um);
+        if (rect.x1 > width_um_ + 1e-6) break;  // monotone in x
+        const BinSpan s = bin_span(rect);
+        c.columns.push_back({s.x0, s.x1});
+      }
+      if (c.columns.empty()) continue;
+    }
+    const BinSpan rows = bin_span(Rect::at(0.0, y, macro.width_um,
+                                           macro.height_um));
+    const auto columns_end = static_cast<std::int64_t>(c.columns.size());
+    while (c.bx < columns_end) {
+      const auto [x0, x1] = c.columns[static_cast<std::size_t>(c.bx)];
+      std::int64_t blocker = -1;
+      for (std::size_t g = 0; g < grids_.size() && blocker < 0; ++g) {
+        const OccupancyIndex& index = grids_[g].index;
+        if ((blocked >> g & 1U) != 0 &&
+            !index.rect_clear(x0, rows.y0, x1, rows.y1)) {
+          blocker = index.rightmost_occupied(x0, rows.y0, x1, rows.y1);
         }
       }
-      if (blocked) continue;
-      if (place_macro(macro, x, y)) {
-        return Rect::at(x, y, macro.width_um, macro.height_um);
+      if (blocker < 0) {
+        const double x = static_cast<double>(c.bx) * bin_um_;
+        if (place_macro(macro, x, y)) {
+          return Rect::at(x, y, macro.width_um, macro.height_um);
+        }
+        ++c.bx;
+        continue;
       }
+      // Every later window that starts at or before the blocking column
+      // still holds it.
+      c.bx = std::partition_point(
+                 c.columns.begin() + c.bx + 1, c.columns.end(),
+                 [&](const auto& col) { return col.first <= blocker; }) -
+             c.columns.begin();
     }
   }
   return std::nullopt;
@@ -136,32 +179,6 @@ bool Floorplan::region_free(tech::TierKind tier, const Rect& rect) const {
   const TierGrid* grid = grid_for(tier);
   expects(grid != nullptr, "tier has no placement grid");
   return clear_in(*grid, rect);
-}
-
-std::optional<Rect> Floorplan::find_free_region(tech::TierKind tier,
-                                                double w_um,
-                                                double h_um) const {
-  const TierGrid* grid = grid_for(tier);
-  expects(grid != nullptr, "tier has no placement grid");
-  const std::int64_t bw = ceil_to_int(w_um / bin_um_);
-  const std::int64_t bh = ceil_to_int(h_um / bin_um_);
-  for (std::int64_t by = 0; by + bh <= ny_; ++by) {
-    std::int64_t skip_col = -1;
-    for (std::int64_t bx = 0; bx + bw <= nx_; ++bx) {
-      const Rect rect = Rect::at(static_cast<double>(bx) * bin_um_,
-                                 static_cast<double>(by) * bin_um_,
-                                 static_cast<double>(bw) * bin_um_,
-                                 static_cast<double>(bh) * bin_um_);
-      const BinSpan s = bin_span(rect);
-      if (s.x0 <= skip_col) continue;
-      if (!grid->index.rect_clear(s.x0, s.y0, s.x1, s.y1)) {
-        skip_col = grid->index.rightmost_occupied(s.x0, s.y0, s.x1, s.y1);
-        continue;
-      }
-      return rect;
-    }
-  }
-  return std::nullopt;
 }
 
 double Floorplan::free_area_um2(tech::TierKind tier) const {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "uld3d/phys/macro.hpp"
@@ -58,11 +59,6 @@ class Floorplan {
   /// Returns false (no change) if any bin there is already occupied.
   bool allocate_region(tech::TierKind tier, const Rect& rect);
 
-  /// Find a free rectangle of at least w x h on `tier` (first fit).
-  [[nodiscard]] std::optional<Rect> find_free_region(tech::TierKind tier,
-                                                     double w_um,
-                                                     double h_um) const;
-
   /// Free area on a placement tier (um^2, bin-quantized).
   [[nodiscard]] double free_area_um2(tech::TierKind tier) const;
 
@@ -89,6 +85,17 @@ class Floorplan {
     tech::TierKind kind;
     OccupancyIndex index;
   };
+  /// place_macro_anywhere's first-fit state for one macro shape (width,
+  /// height and the grids it blocks): each in-die column's bin window along
+  /// x, and the shape's last hit (or where its scan ended).
+  struct MacroCursor {
+    double width_um;
+    double height_um;
+    std::uint32_t blocked;  ///< bit g set: the shape blocks grids_[g]
+    std::vector<std::pair<std::int64_t, std::int64_t>> columns;
+    std::int64_t by;
+    std::int64_t bx;
+  };
 
   [[nodiscard]] const TierGrid* grid_for(tech::TierKind tier) const;
   [[nodiscard]] TierGrid* grid_for(tech::TierKind tier);
@@ -104,6 +111,7 @@ class Floorplan {
   tech::TierStack stack_;
   std::vector<TierGrid> grids_;
   std::vector<PlacedMacro> macros_;
+  std::vector<MacroCursor> cursors_;
 };
 
 }  // namespace uld3d::phys

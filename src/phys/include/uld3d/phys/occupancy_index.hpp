@@ -1,9 +1,9 @@
 // Acceleration structures for the placement engine.
 //
-// The phys flow's hot side is occupancy *queries*: every aspect candidate of
-// every soft block asks "is this rectangle free?" against a tier's
-// occupancy, and the placer asks "does this rectangle overlap a placed
-// sibling?" thousands of times per anneal.  Two structures answer them:
+// The phys flow's hot side is occupancy *queries*: the macro scan and the
+// placer's legal-run tables ask "is this rectangle free?" against a tier's
+// occupancy, and the anneal asks "does this rectangle overlap a placed
+// sibling?" for each of its moves.  Two structures answer them:
 //
 //  * OccupancyIndex — one tier's occupancy, held as a summed-area table (2D
 //    prefix sum of occupied bins) plus a per-row "previous occupied column"
@@ -15,7 +15,7 @@
 //    queries write nothing (they are safe to run concurrently).
 //
 //  * RectBuckets — a uniform-bucket spatial index over placed rectangles,
-//    replacing the placer's O(placed) sibling-overlap loop.  Queries test
+//    replacing the anneal's O(placed) sibling-overlap loop.  Queries test
 //    only rectangles sharing a bucket with the probe; the overlap predicate
 //    itself is Rect::overlaps on the exact stored rectangles, so the answer
 //    is identical to the full loop.
@@ -97,9 +97,6 @@ class RectBuckets {
   /// bucket grid (~one rect per bucket).
   RectBuckets(double width_um, double height_um, std::size_t expected);
 
-  /// Drop every stored rectangle.
-  void clear();
-
   /// Store `rect` under `id`.  A given id must be removed before it is
   /// re-inserted.
   void insert(std::size_t id, const Rect& rect);
@@ -109,8 +106,7 @@ class RectBuckets {
   void remove(std::size_t id, const Rect& rect);
 
   /// Some stored rectangle with id != `self` overlapping `q`, or nullopt.
-  /// Any overlapping rectangle may be returned (used as a skip hint; the
-  /// boolean outcome is what legality depends on).
+  /// Any overlapping rectangle may be returned.
   [[nodiscard]] std::optional<Rect> overlaps_any(const Rect& q,
                                                  std::size_t self) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/log.hpp"
@@ -92,6 +93,9 @@ DesignReport M3dFlow::run_design_once(const FlowInput& input, bool m3d,
   report.die_height_um = die_height_um;
   report.footprint_mm2 = die_width_um * die_height_um / 1.0e6;
 
+  // The floorplan step includes building the die's occupancy tables.
+  std::optional<TraceSpan> floorplan_span(std::in_place, "phys.flow.floorplan",
+                                          "phys");
   const auto stack = m3d ? tech::TierStack::make_m3d_130nm()
                          : tech::TierStack::make_2d_baseline_130nm();
   Floorplan fp(die_width_um, die_height_um, stack, /*bin_um=*/50.0);
@@ -121,35 +125,33 @@ DesignReport M3dFlow::run_design_once(const FlowInput& input, bool m3d,
       areas.periph_um2 / static_cast<double>(banks * subarrays_per_bank);
   std::vector<std::size_t> bank_macro_index;
   std::vector<std::size_t> periph_macro_index;
-  {
-    TraceSpan floorplan_span("phys.flow.floorplan", "phys");
-    for (std::int64_t b = 0; b < banks; ++b) {
-      const std::string suffix = "_bank" + std::to_string(b);
-      for (std::int64_t s = 0; s < subarrays_per_bank; ++s) {
-        const std::string name = "rram" + suffix + "_" + std::to_string(s);
-        const Macro array = m3d ? Macro::rram_array_m3d(name, sub_cells)
-                                : Macro::rram_array_2d(name, sub_cells);
-        if (!place_with_aspects(array)) {
-          log_warning("flow: RRAM array did not fit: " + name);
-          MetricsRegistry::instance().counter("phys.flow.infeasible").add();
-          return report;  // infeasible
-        }
-        if (s == 0) bank_macro_index.push_back(fp.macros().size() - 1);
-        // Each sub-array carries its own strip of sense amps/controllers.
-        const Macro periph = Macro::rram_periph(
-            "periph" + suffix + "_" + std::to_string(s), sub_periph);
-        if (!place_with_aspects(periph)) {
-          log_warning("flow: peripheral strip did not fit: " + periph.name);
-          MetricsRegistry::instance().counter("phys.flow.infeasible").add();
-          return report;
-        }
-        if (s == 0) periph_macro_index.push_back(fp.macros().size() - 1);
+  for (std::int64_t b = 0; b < banks; ++b) {
+    const std::string suffix = "_bank" + std::to_string(b);
+    for (std::int64_t s = 0; s < subarrays_per_bank; ++s) {
+      const std::string name = "rram" + suffix + "_" + std::to_string(s);
+      const Macro array = m3d ? Macro::rram_array_m3d(name, sub_cells)
+                              : Macro::rram_array_2d(name, sub_cells);
+      if (!place_with_aspects(array)) {
+        log_warning("flow: RRAM array did not fit: " + name);
+        MetricsRegistry::instance().counter("phys.flow.infeasible").add();
+        return report;  // infeasible
       }
+      if (s == 0) bank_macro_index.push_back(fp.macros().size() - 1);
+      // Each sub-array carries its own strip of sense amps/controllers.
+      const Macro periph = Macro::rram_periph(
+          "periph" + suffix + "_" + std::to_string(s), sub_periph);
+      if (!place_with_aspects(periph)) {
+        log_warning("flow: peripheral strip did not fit: " + periph.name);
+        MetricsRegistry::instance().counter("phys.flow.infeasible").add();
+        return report;
+      }
+      if (s == 0) periph_macro_index.push_back(fp.macros().size() - 1);
     }
-    MetricsRegistry::instance()
-        .counter("phys.flow.macros_placed")
-        .add(fp.macros().size());
   }
+  MetricsRegistry::instance()
+      .counter("phys.flow.macros_placed")
+      .add(fp.macros().size());
+  floorplan_span.reset();
 
   // --- CS placement: logic + SRAM soft blocks, pulled toward their bank ---
   std::vector<SoftBlock> blocks;

@@ -111,10 +111,6 @@ void RectBuckets::bucket_span(const Rect& rect, std::int64_t& cx0,
       static_cast<std::int64_t>(std::floor(rect.y1 / cell_h_)), 0, rows_ - 1);
 }
 
-void RectBuckets::clear() {
-  for (auto& cell : cells_) cell.clear();
-}
-
 void RectBuckets::insert(std::size_t id, const Rect& rect) {
   std::int64_t cx0 = 0, cy0 = 0, cx1 = 0, cy1 = 0;
   bucket_span(rect, cx0, cy0, cx1, cy1);

@@ -11,8 +11,8 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <tuple>
+#include <utility>
 
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/metrics.hpp"
@@ -131,20 +131,58 @@ struct ScanPos {
   auto operator<=>(const ScanPos&) const = default;
 };
 
-/// Left-to-right skip state for one scan row.  A blocked candidate records
-/// what blocked it; later candidates in the same row whose bin-expanded
-/// window still reaches the blocker are rejected without a query (the
-/// window rows are fixed along a row and its right edge only grows, so the
-/// blocker provably still collides).
-struct RowSkip {
-  std::int64_t grid_col = -1;  ///< rightmost occupied grid column hit
-  double sibling_x1 = -1.0;    ///< right edge (um) of a colliding sibling
-
-  [[nodiscard]] bool covers(const AxisCandidate& col) const {
-    if (col.q0 < sibling_x1) return true;
-    return grid_col >= 0 && col.b0 <= grid_col;
-  }
+/// Columns [begin, end) of one scan row.
+struct Run {
+  std::size_t begin = 0;
+  std::size_t end = 0;
 };
+using Runs = std::vector<Run>;
+
+/// Remove columns [c0, c1) from `runs` (ordered, disjoint).
+void cut_runs(Runs& runs, std::size_t c0, std::size_t c1) {
+  const auto first = std::partition_point(
+      runs.begin(), runs.end(), [&](const Run& r) { return r.end <= c0; });
+  const auto last = std::partition_point(
+      first, runs.end(), [&](const Run& r) { return r.begin < c1; });
+  if (first == last) return;
+  const Run head{first->begin, c0};
+  const Run tail{c1, std::prev(last)->end};
+  auto at = runs.erase(first, last);
+  if (tail.begin < tail.end) at = runs.insert(at, tail);
+  if (head.begin < head.end) runs.insert(at, head);
+}
+
+/// The legal candidates of one shape's scan tables on one tier, built a
+/// row at a time on first use.  A built row lists, in column order, the
+/// maximal runs of columns i whose candidate (a, j, i) lies inside the die,
+/// is clear on the tier and overlaps none of the first `seen` committed
+/// siblings.  Extents never decrease along an axis table, so the columns
+/// and rows inside the die are prefixes; only those rows are kept.
+struct RunTable {
+  static constexpr std::size_t kUnbuilt =
+      std::numeric_limits<std::size_t>::max();
+  struct Row {
+    Runs runs;
+    std::size_t seen = kUnbuilt;
+  };
+  const ShapeTables* shape = nullptr;
+  tech::TierKind tier{};
+  std::array<std::size_t, kNumAspects> inside_cols{};
+  std::array<std::vector<Row>, kNumAspects> rows;
+};
+
+/// The candidates of `axis` whose extent overlaps [lo, hi) as
+/// Rect::overlaps has it: one range, because the extents never decrease.
+std::pair<std::size_t, std::size_t> overlapping(
+    const std::vector<AxisCandidate>& axis, double lo, double hi) {
+  const auto first =
+      std::partition_point(axis.begin(), axis.end(),
+                           [&](const AxisCandidate& c) { return !(lo < c.q1); });
+  const auto last = std::partition_point(
+      first, axis.end(), [&](const AxisCandidate& c) { return c.q0 < hi; });
+  return {static_cast<std::size_t>(first - axis.begin()),
+          static_cast<std::size_t>(last - axis.begin())};
+}
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -173,13 +211,6 @@ PlacementResult Placer::place(Floorplan& fp,
   Counter& c_skipped = registry.counter("phys.placer.candidates_skipped");
   Counter& c_legal = registry.counter("phys.placer.legal_checks");
 
-  // Bin-expanded rects of the currently placed siblings.  The buckets
-  // mirror `rects` exactly (insert on place, remove+insert on an accepted
-  // anneal move).
-  const double bin = fp.bin_um();
-  RectBuckets buckets(fp.width_um(), fp.height_um(),
-                      std::max<std::size_t>(blocks.size(), 1));
-
   // Constructive pass: biggest blocks first, best legal candidate position.
   std::vector<std::size_t> order(blocks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -188,48 +219,8 @@ PlacementResult Placer::place(Floorplan& fp,
   });
 
   std::vector<Rect> rects(blocks.size());  // invalid until placed
+  const double bin = fp.bin_um();
   const double step = options_.grid_step_um;
-
-  // Legality of one candidate from its bin-expanded rect `q`, bin window
-  // `s` and die-bounds verdict: inside the die, clear on the block's tier,
-  // disjoint from every placed sibling.  A blocked candidate feeds the
-  // row-skip state.  Nothing is marked while placing, so one tier's index
-  // serves the whole call.
-  const auto legal = [&](const OccupancyIndex& index, const Rect& q,
-                         const BinSpan& s, bool inside, std::size_t self,
-                         RowSkip& skip) -> bool {
-    if (!inside) return false;
-    c_legal.add();
-    if (!index.rect_clear(s.x0, s.y0, s.x1, s.y1)) {
-      skip.grid_col = index.rightmost_occupied(s.x0, s.y0, s.x1, s.y1);
-      return false;
-    }
-    if (const auto hit = buckets.overlaps_any(q, self)) {
-      skip.sibling_x1 = std::max(skip.sibling_x1, hit->x1);
-      return false;
-    }
-    return true;
-  };
-
-  // Legality of the candidate at (*col, row).  A blocked candidate moves
-  // `col` onto the last candidate its blocker still covers — q0 and b0
-  // never decrease along the table, so those form one run right after it —
-  // and the caller's ++col steps past the run.
-  const auto legal_in_row = [&](const OccupancyIndex& index,
-                                const AxisCandidate& row, AxisIter& col,
-                                AxisIter end, std::size_t self,
-                                RowSkip& skip) -> bool {
-    if (legal(index, Rect{col->q0, row.q0, col->q1, row.q1},
-              BinSpan{col->b0, row.b0, col->b1, row.b1},
-              col->inside && row.inside, self, skip)) {
-      return true;
-    }
-    const AxisIter open = std::partition_point(
-        col + 1, end, [&](const AxisCandidate& c) { return skip.covers(c); });
-    c_skipped.add(static_cast<std::uint64_t>(open - col - 1));
-    col = open - 1;
-    return false;
-  };
 
   // Scan tables, built once per (shape, scan step) on first use: a
   // design's blocks share a few shapes.  A deque keeps references stable.
@@ -257,35 +248,130 @@ PlacementResult Placer::place(Floorplan& fp,
     return t;
   };
 
+  // Legal-run tables, one per (scan tables, tier), built a row at a time on
+  // first use; a row catches up with the siblings committed since its last
+  // use when it is used again.  The constructive and shelf passes test
+  // legality through them alone.  Nothing is marked in the floorplan while
+  // placing, so a row's tier runs never change.
+  std::vector<RunTable> run_tables;
+  std::vector<Rect> committed;  // bin-expanded, in commit order
+  const auto runs_for = [&](const ShapeTables& shape,
+                            tech::TierKind tier) -> RunTable& {
+    for (RunTable& t : run_tables) {
+      if (t.shape == &shape && t.tier == tier) return t;
+    }
+    RunTable& t = run_tables.emplace_back();
+    t.shape = &shape;
+    t.tier = tier;
+    const auto inside = [](const AxisCandidate& c) { return c.inside; };
+    for (std::size_t a = 0; a < kNumAspects; ++a) {
+      const ShapeTables::Aspect& tab = shape.aspects[a];
+      t.inside_cols[a] = static_cast<std::size_t>(
+          std::partition_point(tab.xs.begin(), tab.xs.end(), inside) -
+          tab.xs.begin());
+      t.rows[a].resize(static_cast<std::size_t>(
+          std::partition_point(tab.ys.begin(), tab.ys.end(), inside) -
+          tab.ys.begin()));
+    }
+    return t;
+  };
+  const auto legal_runs = [&](RunTable& t, std::size_t a,
+                              std::size_t j) -> const Runs& {
+    const ShapeTables::Aspect& tab = t.shape->aspects[a];
+    const AxisCandidate& row = tab.ys[j];
+    RunTable::Row& r = t.rows[a][j];
+    if (r.seen == RunTable::kUnbuilt) {
+      const OccupancyIndex& index = fp.occupancy_index(t.tier);
+      const AxisIter cols = tab.xs.begin();
+      const AxisIter cols_end =
+          cols + static_cast<std::ptrdiff_t>(t.inside_cols[a]);
+      for (AxisIter col = cols; col != cols_end;) {
+        c_scanned.add();
+        c_legal.add();
+        if (!index.rect_clear(col->b0, row.b0, col->b1, row.b1)) {
+          // Every later window that starts at or before the blocking
+          // column still holds it.
+          const std::int64_t blocker =
+              index.rightmost_occupied(col->b0, row.b0, col->b1, row.b1);
+          const AxisIter open = std::partition_point(
+              col + 1, cols_end,
+              [&](const AxisCandidate& c) { return c.b0 <= blocker; });
+          c_skipped.add(static_cast<std::uint64_t>(open - col - 1));
+          col = open;
+          continue;
+        }
+        // A later window lies inside the window from this one's left edge
+        // to its own right edge; while that window stays clear, so does
+        // every candidate up to it.
+        std::uint64_t probed = 0;  // probes inside the clear stretch
+        const AxisIter stop = std::partition_point(
+            col + 1, cols_end, [&](const AxisCandidate& c) {
+              c_scanned.add();
+              c_legal.add();
+              const bool clear =
+                  index.rect_clear(col->b0, row.b0, c.b1, row.b1);
+              probed += clear ? 1 : 0;
+              return clear;
+            });
+        c_skipped.add(static_cast<std::uint64_t>(stop - col - 1) - probed);
+        const auto begin = static_cast<std::size_t>(col - cols);
+        const auto end = static_cast<std::size_t>(stop - cols);
+        if (!r.runs.empty() && r.runs.back().end == begin) {
+          r.runs.back().end = end;
+        } else {
+          r.runs.push_back({begin, end});
+        }
+        col = stop;
+      }
+      r.seen = 0;
+    }
+    // Rect::overlaps tests each axis on its own: a sibling that reaches
+    // this row removes one range of its columns.
+    for (; r.seen < committed.size() && !r.runs.empty(); ++r.seen) {
+      const Rect& q = committed[r.seen];
+      if (q.y0 < row.q1 && row.q0 < q.y1) {
+        const auto [c0, c1] = overlapping(tab.xs, q.x0, q.x1);
+        cut_runs(r.runs, c0, c1);
+      }
+    }
+    return r.runs;
+  };
+
   // Best legal (position, shape) by anchor HPWL plus distortion penalty:
   // the least cost, and among equal costs the first in scan order.  Rows
-  // are visited best-first under a lower bound on every cost in the row,
-  // and only candidates that would displace the incumbent are tested for
-  // legality (DESIGN.md §12 has the exactness argument).
+  // with a legal candidate are visited best-first under a lower bound on
+  // every cost in the row (DESIGN.md §12 has the exactness argument).
   struct Anchor {
     double weight;
     double x;
     double y;
   };
+  /// A row to visit.  `i` is the row's cheapest legal column when `bound`
+  /// is that column's exact price, and kUnpriced when the row is scanned.
   struct RowKey {
     double bound;
     std::size_t a;
     std::size_t j;
+    std::size_t i;
+  };
+  constexpr std::size_t kUnpriced = std::numeric_limits<std::size_t>::max();
+  const auto later = [](const RowKey& l, const RowKey& r) {
+    return std::tie(l.bound, l.a, l.j) > std::tie(r.bound, r.a, r.j);
   };
   std::vector<Anchor> anchors;
-  std::vector<RowKey> row_order;
+  std::vector<RowKey> row_heap;
   const auto try_place = [&](std::size_t bi, double scan_step,
                              double penalty_weight) -> Rect {
     const SoftBlock& block = blocks[bi];
     const ShapeTables& shape = tables_for(block, scan_step);
-    const OccupancyIndex& index = fp.occupancy_index(block.tier);
+    RunTable& legal = runs_for(shape, block.tier);
     double distortion_penalty[kNumAspects];
     for (std::size_t a = 0; a < kNumAspects; ++a) {
       distortion_penalty[a] =
           penalty_weight * fp.width_um() * std::abs(std::log(kAspects[a]));
     }
-    // The bound and the V-window hold for finite, non-negative weights and
-    // finite anchors; anything else falls back to the plain scan order.
+    // The bounds hold for finite, non-negative weights and finite anchors;
+    // anything else falls back to the plain scan order.
     anchors.clear();
     bool bounded = true;
     for (const auto& [k, weight] : block.affinities) {
@@ -294,35 +380,114 @@ PlacementResult Placer::place(Floorplan& fp,
       bounded = bounded && std::isfinite(weight) && weight >= 0.0 &&
                 std::isfinite(c.x) && std::isfinite(c.y);
     }
-    const bool v_window = bounded && anchors.size() == 1;
-    // A row's bound drops every |dx| from block_cost's sum: each term
-    // w * (|dx| + |dy|) rounds to at least w * |dy|, and rounding keeps the
-    // sums in order, so no candidate of the row costs less.
-    row_order.clear();
+    const auto price = [&](const AxisCandidate& col, const AxisCandidate& row,
+                           std::size_t a) {
+      double cost = 0.0;
+      for (const Anchor& anchor : anchors) {
+        cost += anchor.weight * (std::abs(col.centre - anchor.x) +
+                                 std::abs(row.centre - anchor.y));
+      }
+      return cost + distortion_penalty[a];
+    };
+    // The row's cheapest legal candidate, first of equals, as
+    // {price, column}, for a block with at most one anchor: the price is
+    // NaN when the row has no candidate that is not NaN.  Along a row the
+    // cost never rises while the column centre is left of the anchor's and
+    // never falls after, so the candidate is the legal column nearest the
+    // anchor on one side or the other.  NaN prices (coordinates near the
+    // end of the double range, zero weight) never win and lie only far from
+    // the anchor, so a side whose nearest legal column prices NaN has
+    // nothing to offer.
+    const auto cheapest = [&](const Runs& runs, std::size_t a,
+                              std::size_t j, std::size_t split)
+        -> std::pair<double, std::size_t> {
+      const ShapeTables::Aspect& tab = shape.aspects[a];
+      const AxisCandidate& row = tab.ys[j];
+      const auto cost_at = [&](std::size_t i) {
+        c_scanned.add();
+        return price(tab.xs[i], row, a);
+      };
+      const auto right =
+          std::partition_point(runs.begin(), runs.end(),
+                               [&](const Run& r) { return r.end <= split; });
+      std::pair<double, std::size_t> best{
+          std::numeric_limits<double>::quiet_NaN(), 0};
+      if (right != runs.end()) {
+        best.second = std::max(right->begin, split);
+        best.first = cost_at(best.second);
+      }
+      const auto left = right != runs.end() && right->begin < split ? right
+                        : right != runs.begin() ? std::prev(right)
+                                                : runs.end();
+      if (left == runs.end()) return best;
+      std::size_t i = std::min(left->end, split) - 1;
+      const double cost = cost_at(i);
+      if (std::isnan(cost) || cost > best.first) return best;
+      // Left of the anchor the first legal column of this price wins: the
+      // previous legal column tells whether that is this one, and
+      // otherwise a binary search finds it.
+      const bool run_start = i == left->begin;
+      if ((!run_start || left != runs.begin()) &&
+          cost_at(run_start ? std::prev(left)->end - 1 : i - 1) <= cost) {
+        const auto first = static_cast<std::size_t>(
+            std::partition_point(
+                tab.xs.begin(), tab.xs.begin() + static_cast<std::ptrdiff_t>(i),
+                [&](const AxisCandidate& c) {
+                  return !(price(c, row, a) <= cost);
+                }) -
+            tab.xs.begin());
+        const auto run =
+            std::partition_point(runs.begin(), runs.end(),
+                                 [&](const Run& r) { return r.end <= first; });
+        i = std::max(run->begin, first);
+      }
+      return {cost, i};
+    };
+
+    // A row with a legal candidate gets a bound: with at most one anchor
+    // the exact price of its cheapest legal candidate, which visiting the
+    // row then takes; otherwise one below every price in the row, which
+    // visiting the row then scans.
+    const bool exact = bounded && anchors.size() <= 1;
+    row_heap.clear();
     for (std::size_t a = 0; a < kNumAspects; ++a) {
-      const std::vector<AxisCandidate>& ys = shape.aspects[a].ys;
-      for (std::size_t j = 0; j < ys.size(); ++j) {
+      const ShapeTables::Aspect& tab = shape.aspects[a];
+      // Columns before `split` lie left of the anchor.
+      std::size_t split = 0;
+      if (exact && !anchors.empty()) {
+        split = static_cast<std::size_t>(
+            std::partition_point(tab.xs.begin(), tab.xs.end(),
+                                 [&](const AxisCandidate& c) {
+                                   return c.centre < anchors[0].x;
+                                 }) -
+            tab.xs.begin());
+      }
+      for (std::size_t j = 0; j < legal.rows[a].size(); ++j) {
+        const Runs& runs = legal_runs(legal, a, j);
+        if (runs.empty()) continue;
+        if (exact) {
+          const auto [cost, i] = cheapest(runs, a, j, split);
+          if (!std::isnan(cost)) row_heap.push_back({cost, a, j, i});
+          continue;
+        }
+        // Each term w * (|dx| + |dy|) rounds to at least w * |dy|, and
+        // rounding keeps the sums in order, so no candidate of the row
+        // costs less.  -inf bounds every cost, NaN included.
         double bound = -std::numeric_limits<double>::infinity();
         if (bounded) {
           bound = 0.0;
           for (const Anchor& anchor : anchors) {
-            bound += anchor.weight * std::abs(ys[j].centre - anchor.y);
+            bound += anchor.weight * std::abs(tab.ys[j].centre - anchor.y);
           }
           bound += distortion_penalty[a];
-          // Only coordinates near the double range's end can make it NaN,
-          // and -inf bounds every cost.
           if (std::isnan(bound)) {
             bound = -std::numeric_limits<double>::infinity();
           }
         }
-        row_order.push_back({bound, a, j});
+        row_heap.push_back({bound, a, j, kUnpriced});
       }
     }
-    std::sort(row_order.begin(), row_order.end(),
-              [](const RowKey& l, const RowKey& r) {
-                return std::tie(l.bound, l.a, l.j) <
-                       std::tie(r.bound, r.a, r.j);
-              });
+    std::make_heap(row_heap.begin(), row_heap.end(), later);
 
     double best_cost = std::numeric_limits<double>::infinity();
     Rect best{};
@@ -330,7 +495,10 @@ PlacementResult Placer::place(Floorplan& fp,
     // incumbent: nothing precedes it, so no cost of +inf (which a strict
     // `<` never takes) can win a tie against it.
     ScanPos incumbent{};
-    for (const RowKey& r : row_order) {
+    while (!row_heap.empty()) {
+      std::pop_heap(row_heap.begin(), row_heap.end(), later);
+      const RowKey r = row_heap.back();
+      row_heap.pop_back();
       // No candidate costs less than its row's bound and rows come in
       // (bound, aspect, row) order: once a bound passes the best cost, or
       // ties it in a row after the incumbent's, no later row can win.
@@ -341,42 +509,22 @@ PlacementResult Placer::place(Floorplan& fp,
       }
       const ShapeTables::Aspect& tab = shape.aspects[r.a];
       const AxisCandidate& row = tab.ys[r.j];
-      const auto price = [&](const AxisCandidate& col) {
-        double cost = 0.0;
-        for (const Anchor& anchor : anchors) {
-          cost += anchor.weight * (std::abs(col.centre - anchor.x) +
-                                   std::abs(row.centre - anchor.y));
-        }
-        return cost + distortion_penalty[r.a];
-      };
-      const auto wins = [&](double cost, std::size_t i) {
-        return cost < best_cost ||
-               (cost == best_cost && ScanPos{r.a, r.j, i} < incumbent);
-      };
-      AxisIter col = tab.xs.begin();
-      const AxisIter end = tab.xs.end();
-      if (v_window) {
-        // One anchor: along the row the cost never rises while the column
-        // centre is left of the anchor's and never falls after, so the
-        // columns that can win form one window.  Start at its left edge.
-        col = std::partition_point(col, end, [&](const AxisCandidate& c) {
-          return c.centre < anchors[0].x &&
-                 !wins(price(c), static_cast<std::size_t>(&c - tab.xs.data()));
-        });
-      }
-      RowSkip skip;
-      for (; col != end; ++col) {
-        c_scanned.add();
-        const auto i = static_cast<std::size_t>(col - tab.xs.begin());
-        const double cost = price(*col);
-        if (!wins(cost, i)) {
-          if (v_window && col->centre >= anchors[0].x) break;
-          continue;
-        }
-        if (legal_in_row(index, row, col, end, bi, skip)) {
+      const auto consider = [&](double cost, std::size_t i) {
+        if (cost < best_cost ||
+            (cost == best_cost && ScanPos{r.a, r.j, i} < incumbent)) {
           best_cost = cost;
-          best = Rect::at(col->pos, row.pos, tab.w, tab.h);
+          best = Rect::at(tab.xs[i].pos, row.pos, tab.w, tab.h);
           incumbent = {r.a, r.j, i};
+        }
+      };
+      if (r.i != kUnpriced) {
+        consider(r.bound, r.i);
+        continue;
+      }
+      for (const Run& run : legal_runs(legal, r.a, r.j)) {
+        for (std::size_t i = run.begin; i < run.end; ++i) {
+          c_scanned.add();
+          consider(price(tab.xs[i], row, r.a), i);
         }
       }
     }
@@ -384,44 +532,20 @@ PlacementResult Placer::place(Floorplan& fp,
   };
 
   // First-fit bottom-left scan, ignoring affinities — the dense-packing
-  // fallback when affinity-driven placement fragments the free space.  The
-  // pass only adds siblings, so a candidate illegal for one block stays
-  // illegal for every later one: a block of the same shape and tier as an
-  // earlier block resumes at that block's hit (or at the end, if it found
-  // nothing).
-  struct ShelfCursor {
-    const ShapeTables* shape;
-    tech::TierKind tier;
-    ScanPos next;
-  };
-  std::vector<ShelfCursor> cursors;
+  // fallback when affinity-driven placement fragments the free space: the
+  // first legal candidate in scan order.
   const auto shelf_place = [&](std::size_t bi) -> Rect {
     const SoftBlock& block = blocks[bi];
     const ShapeTables& shape = tables_for(block, bin);
-    auto cursor = std::find_if(
-        cursors.begin(), cursors.end(), [&](const ShelfCursor& c) {
-          return c.shape == &shape && c.tier == block.tier;
-        });
-    if (cursor == cursors.end()) {
-      cursors.push_back({&shape, block.tier, ScanPos{}});
-      cursor = std::prev(cursors.end());
-    }
-    const OccupancyIndex& index = fp.occupancy_index(block.tier);
-    ScanPos& pos = cursor->next;
-    for (; pos.a < kNumAspects; ++pos.a, pos.j = 0) {
-      const ShapeTables::Aspect& tab = shape.aspects[pos.a];
-      for (; pos.j < tab.ys.size(); ++pos.j, pos.i = 0) {
-        const AxisCandidate& row = tab.ys[pos.j];
-        RowSkip skip;
-        const AxisIter end = tab.xs.end();
-        for (AxisIter col = tab.xs.begin() + static_cast<std::ptrdiff_t>(pos.i);
-             col != end; ++col) {
-          c_scanned.add();
-          if (legal_in_row(index, row, col, end, bi, skip)) {
-            pos.i = static_cast<std::size_t>(col - tab.xs.begin());
-            return Rect::at(col->pos, row.pos, tab.w, tab.h);
-          }
-        }
+    RunTable& legal = runs_for(shape, block.tier);
+    for (std::size_t a = 0; a < kNumAspects; ++a) {
+      const ShapeTables::Aspect& tab = shape.aspects[a];
+      for (std::size_t j = 0; j < legal.rows[a].size(); ++j) {
+        const Runs& runs = legal_runs(legal, a, j);
+        if (runs.empty()) continue;
+        c_scanned.add();
+        return Rect::at(tab.xs[runs.front().begin].pos, tab.ys[j].pos, tab.w,
+                        tab.h);
       }
     }
     return Rect{};
@@ -429,7 +553,7 @@ PlacementResult Placer::place(Floorplan& fp,
 
   const auto commit_rect = [&](std::size_t bi, const Rect& rect) {
     rects[bi] = rect;
-    if (rect.valid()) buckets.insert(bi, bin_expand(rect, bin));
+    if (rect.valid()) committed.push_back(bin_expand(rect, bin));
   };
 
   // The constructive pass stops at the first block that fits nowhere: the
@@ -455,7 +579,8 @@ PlacementResult Placer::place(Floorplan& fp,
     // placement as a dense bottom-left shelf packing (feasibility first,
     // wirelength second), then let annealing recover locality.
     std::fill(rects.begin(), rects.end(), Rect{});
-    buckets.clear();
+    committed.clear();
+    run_tables.clear();
     for (const std::size_t bi : order) {
       commit_rect(bi, shelf_place(bi));
       if (!rects[bi].valid()) result.unplaced.push_back(blocks[bi].name);
@@ -463,7 +588,13 @@ PlacementResult Placer::place(Floorplan& fp,
   }
 
   // Annealing refinement: random relocations, accept downhill (or uphill
-  // with Boltzmann probability).
+  // with Boltzmann probability).  A move relocates a block, so legality
+  // comes from the tier and the bin-expanded rects of the other blocks.
+  RectBuckets buckets(fp.width_um(), fp.height_um(),
+                      std::max<std::size_t>(blocks.size(), 1));
+  for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
+    if (rects[bi].valid()) buckets.insert(bi, bin_expand(rects[bi], bin));
+  }
   double temperature = options_.initial_temperature;
   const std::int64_t cols =
       std::max<std::int64_t>(1, static_cast<std::int64_t>(fp.width_um() / step));
@@ -479,10 +610,10 @@ PlacementResult Placer::place(Floorplan& fp,
     const Rect candidate =
         Rect::at(x, y, rects[bi].width(), rects[bi].height());
     c_scanned.add();
-    RowSkip skip;  // single candidate; the hints are unused
     const Rect q = bin_expand(candidate, bin);
-    if (!legal(fp.occupancy_index(block.tier), q, fp.bin_span(q),
-               inside_die(fp, q), bi, skip)) {
+    if (!inside_die(fp, q)) continue;
+    c_legal.add();
+    if (!fp.region_free(block.tier, q) || buckets.overlaps_any(q, bi)) {
       continue;
     }
     const double old_cost = block_cost(block, rects[bi], fixed);
@@ -490,7 +621,7 @@ PlacementResult Placer::place(Floorplan& fp,
     const double delta = new_cost - old_cost;
     if (delta < 0.0 || rng.uniform() < std::exp(-delta / temperature)) {
       buckets.remove(bi, bin_expand(rects[bi], bin));
-      buckets.insert(bi, bin_expand(candidate, bin));
+      buckets.insert(bi, q);
       rects[bi] = candidate;
     }
     temperature *= options_.cooling;

@@ -83,7 +83,8 @@ std::optional<Rect> naive_place_macro_anywhere(Floorplan& fp,
 
 PlacementResult naive_place(const PlacerOptions& options, Floorplan& fp,
                             const std::vector<SoftBlock>& blocks, Rng& rng,
-                            bool* shelf_fallback) {
+                            NaivePlaceTrace* trace) {
+  NaivePlaceTrace taken;
   PlacementResult result;
   const auto& fixed = fp.macros();
   std::vector<std::size_t> order(blocks.size());
@@ -115,14 +116,19 @@ PlacementResult naive_place(const PlacerOptions& options, Floorplan& fp,
   bool constructive_failed = false;
   for (const std::size_t bi : order) {
     Rect best = try_place(bi, step, 0.02);
-    if (!best.valid()) best = try_place(bi, step / 2.0, 0.0);
+    if (!best.valid()) {
+      taken.second_chance_after_commit =
+          taken.second_chance_after_commit || bi != order.front();
+      best = try_place(bi, step / 2.0, 0.0);
+    }
     if (!best.valid()) {
       constructive_failed = true;
       break;
     }
     rects[bi] = best;
   }
-  if (shelf_fallback != nullptr) *shelf_fallback = constructive_failed;
+  taken.shelf_fallback = constructive_failed;
+  if (trace != nullptr) *trace = taken;
 
   if (constructive_failed) {
     std::fill(rects.begin(), rects.end(), Rect{});

@@ -1,8 +1,9 @@
 // The naive placement scans: every candidate tested from scratch, in scan
 // order, through the public Floorplan API only.  These are the oracles that
-// Floorplan::place_macro_anywhere's run-skipping scan and Placer::place's
-// best-first search, shelf cursor and sibling buckets must reproduce bit
-// for bit (placements, HPWL, unplaced names and RNG consumption).
+// Floorplan::place_macro_anywhere's resumable run-skipping scan and
+// Placer::place's best-first search, legal-run tables and sibling buckets
+// must reproduce bit for bit (placements, HPWL, unplaced names and RNG
+// consumption).
 #pragma once
 
 #include <optional>
@@ -19,14 +20,22 @@ namespace uld3d::phys::reference {
 std::optional<Rect> naive_place_macro_anywhere(Floorplan& fp,
                                                const Macro& macro);
 
+/// Which paths one naive_place call took.
+struct NaivePlaceTrace {
+  /// The constructive pass failed and the shelf packing ran.
+  bool shelf_fallback = false;
+  /// A block took the second-chance scan (step / 2) after an earlier block
+  /// had been placed.
+  bool second_chance_after_commit = false;
+};
+
 /// Placer(options).place(fp, blocks, rng) with exhaustive scans: the
 /// constructive pass prices every legal candidate and keeps the first
 /// strictly cheaper one, the shelf fallback restarts its first-fit scan at
 /// the die origin for every block, and legality tests every placed sibling.
-/// `shelf_fallback`, when given, reports whether the constructive pass
-/// failed and the shelf packing ran.
+/// `trace`, when given, reports which paths the call took.
 PlacementResult naive_place(const PlacerOptions& options, Floorplan& fp,
                             const std::vector<SoftBlock>& blocks, Rng& rng,
-                            bool* shelf_fallback = nullptr);
+                            NaivePlaceTrace* trace = nullptr);
 
 }  // namespace uld3d::phys::reference

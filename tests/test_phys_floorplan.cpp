@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "uld3d/util/check.hpp"
 
 namespace uld3d::phys {
@@ -81,23 +83,6 @@ TEST(Floorplan, AllocateRegionMarksOnlyThatTier) {
   EXPECT_FALSE(fp.allocate_region(tech::TierKind::kSiCmosFeol, region));
 }
 
-TEST(Floorplan, FindFreeRegionAvoidsBlockages) {
-  Floorplan fp = make_fp(2000.0);
-  ASSERT_TRUE(fp.allocate_region(tech::TierKind::kSiCmosFeol,
-                                 Rect::at(0, 0, 2000, 1000)));
-  const auto found =
-      fp.find_free_region(tech::TierKind::kSiCmosFeol, 1500.0, 900.0);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_GE(found->y0, 1000.0);
-}
-
-TEST(Floorplan, FindFreeRegionFailsWhenTooBig) {
-  const Floorplan fp = make_fp(2000.0);
-  EXPECT_FALSE(
-      fp.find_free_region(tech::TierKind::kSiCmosFeol, 2500.0, 100.0)
-          .has_value());
-}
-
 TEST(Floorplan, FreeAreaTracksAllocations) {
   Floorplan fp = make_fp(2000.0);
   const double before = fp.free_area_um2(tech::TierKind::kSiCmosFeol);
@@ -114,10 +99,19 @@ TEST(Floorplan, MetalTiersHaveNoPlacementGrid) {
 }
 
 TEST(Floorplan, ValidatesConstruction) {
-  EXPECT_THROW(Floorplan(0.0, 100.0, tech::TierStack::make_m3d_130nm()),
+  const auto stack = tech::TierStack::make_m3d_130nm();
+  EXPECT_THROW(Floorplan(0.0, 100.0, stack), PreconditionError);
+  EXPECT_THROW(Floorplan(100.0, 100.0, stack, 0.0), PreconditionError);
+  // 2^32 bins a side: the 64-bit bin count wraps to 0.
+  EXPECT_THROW(Floorplan(429496729600.0, 429496729600.0, stack, 100.0),
                PreconditionError);
-  EXPECT_THROW(Floorplan(100.0, 100.0, tech::TierStack::make_m3d_130nm(), 0.0),
-               PreconditionError);
+  // 3.037e9 bins a side: the bin count wraps negative.
+  EXPECT_THROW(Floorplan(3.037e11, 3.037e11, stack, 100.0), PreconditionError);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Floorplan(inf, 100.0, stack), PreconditionError);
+  EXPECT_THROW(Floorplan(100.0, 100.0, stack, inf), PreconditionError);
+  // Each side fits, the product does not.
+  EXPECT_THROW(Floorplan(1.0e6, 1.0e6, stack, 100.0), PreconditionError);
 }
 
 }  // namespace

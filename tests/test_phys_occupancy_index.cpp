@@ -19,7 +19,6 @@
 #include "uld3d/phys/floorplan.hpp"
 #include "uld3d/phys/placer.hpp"
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/math.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/rng.hpp"
 
@@ -231,7 +230,7 @@ TEST(FloorplanDifferential, QueriesAgreeWithIndexOnAndOff) {
       return Rect::at(x, y, w, h);
     };
     for (int op = 0; op < 300; ++op) {
-      switch (rng.below(3)) {
+      switch (rng.below(2)) {
         case 0: {
           const Rect r = random_rect();
           const bool free = grid_clear(r);
@@ -242,33 +241,6 @@ TEST(FloorplanDifferential, QueriesAgreeWithIndexOnAndOff) {
           if (free) {
             const BinSpan s = fp.bin_span(r);
             grid.mark(s.x0, s.y0, s.x1, s.y1);
-          }
-          break;
-        }
-        case 1: {
-          const double w = 100.0 + rng.uniform() * 1000.0;
-          const double h = 100.0 + rng.uniform() * 1000.0;
-          std::optional<Rect> expected;
-          const std::int64_t bw = ceil_to_int(w / bin);
-          const std::int64_t bh = ceil_to_int(h / bin);
-          for (std::int64_t by = 0; !expected && by + bh <= ny; ++by) {
-            for (std::int64_t bx = 0; bx + bw <= nx; ++bx) {
-              const Rect r = Rect::at(static_cast<double>(bx) * bin,
-                                      static_cast<double>(by) * bin,
-                                      static_cast<double>(bw) * bin,
-                                      static_cast<double>(bh) * bin);
-              if (grid_clear(r)) {
-                expected = r;
-                break;
-              }
-            }
-          }
-          const auto found = fp.find_free_region(tier, w, h);
-          ASSERT_EQ(found.has_value(), expected.has_value())
-              << "trial " << trial << " op " << op;
-          if (found.has_value()) {
-            ASSERT_TRUE(same_rect(*found, *expected))
-                << "trial " << trial << " op " << op;
           }
           break;
         }
@@ -289,27 +261,126 @@ TEST(FloorplanDifferential, QueriesAgreeWithIndexOnAndOff) {
 }
 
 TEST(FloorplanDifferential, PlaceMacroAnywhereAgreesWithNaiveScan) {
+  // place_macro_anywhere resumes first fit at the last hit of the same
+  // shape (width, height and blocked tiers).  Besides fresh shapes, the
+  // sequences repeat earlier shapes, give an earlier shape's size other
+  // blocked tiers, keep one side of an earlier shape and change the other,
+  // ask for a shape that fits nowhere and then for one that fits, and mark
+  // the floorplan between calls with place_macro and allocate_region.
+  // Every call must land where a bin-by-bin scan from the origin lands.
   Rng seq(0x9a);
+  constexpr tech::TierKind kTiers[] = {tech::TierKind::kSiCmosFeol,
+                                       tech::TierKind::kRram,
+                                       tech::TierKind::kCnfetFeol};
+  int repeats_placed = 0;
+  int retiered = 0;
+  int resized = 0;
+  int fits_after_miss = 0;
   for (int trial = 0; trial < 6; ++trial) {
     Floorplan fast_fp(3000.0, 3000.0, tech::TierStack::make_m3d_130nm(), 50.0);
-    Floorplan naive_fp(3000.0, 3000.0, tech::TierStack::make_m3d_130nm(), 50.0);
-    for (int op = 0; op < 25; ++op) {
-      const double area = 1.0e4 + seq.uniform() * 8.0e5;
-      const bool m3d = seq.below(2) == 0;
-      const std::string name = "m" + std::to_string(op);
-      const Macro macro = m3d ? Macro::rram_array_m3d(name, area)
-                              : Macro::rram_array_2d(name, area);
+    Floorplan naive_fp = fast_fp;
+    std::vector<Macro> drawn;
+    const auto place_both = [&](const Macro& macro) {
       const auto fast_placed = fast_fp.place_macro_anywhere(macro);
       const auto naive_placed =
           reference::naive_place_macro_anywhere(naive_fp, macro);
-      ASSERT_EQ(fast_placed.has_value(), naive_placed.has_value())
-          << "trial " << trial << " op " << op;
-      if (fast_placed.has_value()) {
-        ASSERT_TRUE(same_rect(*fast_placed, *naive_placed))
-            << "trial " << trial << " op " << op;
+      EXPECT_EQ(fast_placed.has_value(), naive_placed.has_value())
+          << "trial " << trial << " " << macro.name;
+      if (fast_placed.has_value() && naive_placed.has_value()) {
+        EXPECT_TRUE(same_rect(*fast_placed, *naive_placed))
+            << "trial " << trial << " " << macro.name;
+      }
+      drawn.push_back(macro);
+      return fast_placed.has_value();
+    };
+    for (int op = 0; op < 60 && !HasFailure(); ++op) {
+      const std::string name = "m" + std::to_string(op);
+      switch (seq.below(9)) {
+        case 0: {
+          const Rect r = Rect::at(seq.uniform() * 2900.0, seq.uniform() * 2900.0,
+                                  20.0 + seq.uniform() * 500.0,
+                                  20.0 + seq.uniform() * 500.0);
+          const tech::TierKind tier = kTiers[seq.below(3)];
+          ASSERT_EQ(fast_fp.allocate_region(tier, r),
+                    naive_fp.allocate_region(tier, r))
+              << "trial " << trial << " op " << op;
+          break;
+        }
+        case 1: {
+          const Macro macro =
+              Macro::rram_periph(name, 1.0e4 + seq.uniform() * 2.0e5);
+          const double x = seq.uniform() * 2900.0;
+          const double y = seq.uniform() * 2900.0;
+          ASSERT_EQ(fast_fp.place_macro(macro, x, y),
+                    naive_fp.place_macro(macro, x, y))
+              << "trial " << trial << " op " << op;
+          break;
+        }
+        case 2:
+        case 3:
+          if (!drawn.empty()) {
+            Macro macro = drawn[seq.below(drawn.size())];
+            macro.name = name;
+            if (place_both(macro)) ++repeats_placed;
+            break;
+          }
+          [[fallthrough]];
+        case 4:
+          if (!drawn.empty()) {
+            Macro macro = drawn[seq.below(drawn.size())];
+            macro.name = name;
+            const bool was[] = {macro.blocks_si, macro.blocks_rram,
+                                macro.blocks_cnfet};
+            while (macro.blocks_si == was[0] && macro.blocks_rram == was[1] &&
+                   macro.blocks_cnfet == was[2]) {
+              macro.blocks_si = seq.below(2) == 0;
+              macro.blocks_rram = seq.below(2) == 0;
+              macro.blocks_cnfet = seq.below(2) == 0;
+            }
+            place_both(macro);
+            ++retiered;
+            break;
+          }
+          [[fallthrough]];
+        case 5:
+          if (!drawn.empty()) {
+            Macro macro = drawn[seq.below(drawn.size())];
+            macro.name = name;
+            double& side = seq.below(2) == 0 ? macro.width_um : macro.height_um;
+            side *= 0.5 + seq.uniform();
+            place_both(macro);
+            ++resized;
+            break;
+          }
+          [[fallthrough]];
+        case 6: {
+          // Larger than any free square left (or than the die), then small.
+          const bool big = place_both(Macro::rram_array_2d(
+              name + "_big", 6.0e6 + seq.uniform() * 4.0e6));
+          const bool small =
+              place_both(Macro::rram_array_m3d(name + "_small", 1.0e4));
+          if (!big && small) ++fits_after_miss;
+          break;
+        }
+        default: {
+          const double area = 1.0e4 + seq.uniform() * 8.0e5;
+          place_both(seq.below(2) == 0 ? Macro::rram_array_m3d(name, area)
+                                       : Macro::rram_array_2d(name, area));
+          break;
+        }
       }
     }
+    for (const tech::TierKind tier : kTiers) {
+      EXPECT_TRUE(
+          same_bits(fast_fp.utilization(tier), naive_fp.utilization(tier)))
+          << "trial " << trial;
+    }
   }
+  // The sequences reach every case the cursor must get right.
+  EXPECT_GT(repeats_placed, 20);
+  EXPECT_GT(retiered, 20);
+  EXPECT_GT(resized, 20);
+  EXPECT_GT(fits_after_miss, 15);
 }
 
 TEST(PlacerMetrics, CountersTrackScanAndSkipActivity) {

@@ -1,10 +1,11 @@
 // Differential suite for Placer::place.  The best-first constructive
-// search, the shelf cursor, the shared scan tables and the sibling buckets
-// may only skip work that cannot change the result, so every placement
-// must equal the naive oracle's (tests/reference/naive_placement) bit for
-// bit: every PlacementResult field, the occupancy it commits and the RNG's
-// next draw.  Generated cases cover the search's corners; the flow's own
-// designs pin the end-to-end contract.
+// search, the legal-run tables, the shared scan tables and the anneal's
+// sibling buckets may only skip work that cannot change the result, so
+// every placement must equal the naive oracle's
+// (tests/reference/naive_placement) bit for bit: every PlacementResult
+// field, the occupancy it commits and the RNG's next draw.  Generated
+// cases cover the search's corners; the flow's own designs pin the
+// end-to-end contract.
 #include "uld3d/phys/placer.hpp"
 
 #include <gtest/gtest.h>
@@ -111,7 +112,7 @@ Macro random_macro(Rng& g, const std::string& name, double area, bool m3d) {
 /// first-of-equals tie-break decides.  The rest draw every size freely.
 /// Fills run up to 95% of the free Si area, so the constructive pass often
 /// fails and the shelf fallback runs; a few shapes are drawn per case, so
-/// shapes repeat and the shelf cursor resumes.
+/// shapes repeat and later blocks reuse run rows that earlier blocks cut.
 PlacerCase random_case(Rng& g) {
   const bool symmetric = g.below(3) == 0;
   const bool m3d = g.below(2) == 0;
@@ -219,25 +220,39 @@ TEST_P(PlacerDifferential, MatchesNaiveOracleBitForBit) {
   Rng g(0xd1ce + static_cast<std::uint64_t>(GetParam()));
   int fallbacks = 0;
   int symmetric_constructive = 0;
+  int second_chances = 0;
+  int multi_anchor_constructive = 0;
   for (int n = 0; n < kCases; ++n) {
     PlacerCase c = random_case(g);
     Floorplan naive_fp = c.fp;
     Rng rng(c.seed);
     Rng naive_rng(c.seed);
     const PlacementResult got = Placer(c.options).place(c.fp, c.blocks, rng);
-    bool fallback = false;
+    reference::NaivePlaceTrace trace;
     const PlacementResult want = reference::naive_place(
-        c.options, naive_fp, c.blocks, naive_rng, &fallback);
+        c.options, naive_fp, c.blocks, naive_rng, &trace);
     ASSERT_TRUE(same_placement(got, want)) << "case " << n;
     ASSERT_EQ(rng(), naive_rng()) << "case " << n;
     ASSERT_TRUE(same_occupancy(c.fp, naive_fp)) << "case " << n;
-    if (fallback) ++fallbacks;
-    if (c.symmetric && !fallback) ++symmetric_constructive;
+    if (trace.shelf_fallback) ++fallbacks;
+    if (c.symmetric && !trace.shelf_fallback) ++symmetric_constructive;
+    if (trace.second_chance_after_commit) ++second_chances;
+    const bool multi_anchor = std::any_of(
+        c.blocks.begin(), c.blocks.end(), [](const SoftBlock& b) {
+          return b.affinities.size() >= 2 &&
+                 std::all_of(b.affinities.begin(), b.affinities.end(),
+                             [](const auto& a) { return a.second >= 0.0; });
+        });
+    if (multi_anchor && !trace.shelf_fallback) ++multi_anchor_constructive;
   }
-  // The generator reaches the shelf fallback, and the constructive search
-  // on symmetric cases.
+  // The generator reaches the shelf fallback; the constructive search on
+  // symmetric cases and on blocks with several anchors, whose rows are
+  // scanned; and second-chance scans whose run tables are first built
+  // after siblings were committed.
   EXPECT_GT(fallbacks, kCases / 10);
   EXPECT_GT(symmetric_constructive, kCases / 20);
+  EXPECT_GT(multi_anchor_constructive, kCases / 3);
+  EXPECT_GT(second_chances, kCases / 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, PlacerDifferential, ::testing::Range(0, 6));

@@ -11,6 +11,14 @@ quartiles, the pairs the change won, and whether the claim rule holds: the
 change is better in at least 9 of every 10 pairs, and its median beats the
 parent's by more than the parent's interquartile range.  The direction of
 "better" is each metric's `better` field in the change's BENCHMARK.json.
+Each end-to-end metric also gets a no-regression verdict against its
+relative `bound` there:
+  worse       the change's median is worse than the parent's by more than
+              the bound;
+  unresolved  either side's interquartile range, relative to its median, is
+              wider than the bound, and not every change run beats every
+              parent run;
+  ok          otherwise.
 Also prints the `correct` and `failed` totals of each side.  --out writes
 every run's raw result as JSON.
 """
@@ -50,8 +58,29 @@ def finite(value):
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
-def summarize(name, unit, direction, parent, change):
-    """One table row; its last column says whether the claim rule holds."""
+def relative_iqr(values):
+    q1, q3 = quartiles(values)
+    median = statistics.median(values)
+    if q3 == q1:
+        return 0.0
+    return (q3 - q1) / abs(median) if median else math.inf
+
+
+def regression_verdict(direction, bound, parent, change):
+    """`worse`, `unresolved` or `ok` for one end-to-end metric."""
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    excess = (c_med - p_med) if direction == "lower" else (p_med - c_med)
+    if excess > bound * abs(p_med):
+        return "worse"
+    separated = all(better(direction, c, p) for c in change for p in parent)
+    if max(relative_iqr(parent), relative_iqr(change)) > bound and not separated:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(name, unit, direction, bound, parent, change):
+    """One table row: the claim rule, then (for an end-to-end metric, whose
+    `bound` is not None) the no-regression verdict."""
     pairs = [(p, c) for p, c in zip(parent, change) if finite(p) and finite(c)]
     if not pairs:
         return None
@@ -64,9 +93,11 @@ def summarize(name, unit, direction, parent, change):
     gap = (p_med - c_med) if direction == "lower" else (c_med - p_med)
     claim = wins * 10 >= 9 * len(pairs) and gap > p_q3 - p_q1
     ratio = p_med / c_med if c_med else float("nan")
+    verdict = "-" if bound is None else regression_verdict(direction, bound,
+                                                           ps, cs)
     row = (f"{name:<40} {unit:<8} {p_med:.6g} [{p_q1:.6g}-{p_q3:.6g}]  "
            f"{c_med:.6g} [{c_q1:.6g}-{c_q3:.6g}]  {ratio:.3g}x  "
-           f"{wins}/{len(pairs)}  {'yes' if claim else 'no'}")
+           f"{wins}/{len(pairs)}  {'yes' if claim else 'no'}  {verdict}")
     return row
 
 
@@ -89,6 +120,7 @@ def main():
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"]
                   for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -108,7 +140,8 @@ def main():
               f"/{len(results)} runs, failed {sum(r['failed'] for r in results)}"
               f" of {sum(r['attempted'] for r in results)} attempted")
     print(f"{'metric':<40} {'unit':<8} parent median [q1-q3]  "
-          f"change median [q1-q3]  parent/change  change wins  claim")
+          f"change median [q1-q3]  parent/change  change wins  claim  "
+          f"no-regression")
     names = sorted(set(runs["parent"][0]["metrics"]) &
                    set(runs["change"][0]["metrics"]))
     for name in names:
@@ -117,8 +150,8 @@ def main():
         unit = runs["change"][0]["metrics"][name]["unit"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in runs}
-        row = summarize(name, unit, directions[name], values["parent"],
-                        values["change"])
+        row = summarize(name, unit, directions[name], bounds.get(name),
+                        values["parent"], values["change"])
         if row:
             print(row)
 
