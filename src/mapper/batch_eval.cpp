@@ -504,8 +504,12 @@ LayerCost evaluate_candidates(const nn::ConvSpec& conv,
                               const Architecture& arch,
                               const SystemCosts& sys, std::int64_t n_cs,
                               CandidateBatch& b) {
+  // "Nothing beat +inf" (no candidates, or every EDP overflowed) is the
+  // zero cost under the layer's name, as a MapCache hit returns it.
+  LayerCost cost;
+  cost.layer = conv.name;
   const std::size_t n = candidates.size();
-  if (n == 0) return LayerCost{};
+  if (n == 0) return cost;
   b.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const TemporalMapping& m = candidates[i];
@@ -539,14 +543,12 @@ LayerCost evaluate_candidates(const nn::ConvSpec& conv,
   price_range(consts, b, 0, n);
 #endif
   const std::size_t win = simd::argmin_strict(b.edp.data(), n);
-  if (win == n) return LayerCost{};  // seed behavior: nothing beat +inf
+  if (win == n) return cost;
   // The fused kernel stores only edp; re-derive the winner's term arrays
   // with the scalar trees (bit-identical by the §16 contract) before
   // materializing the LayerCost below.
   if (fused) price_range(consts, b, win, win + 1);
 
-  LayerCost cost;
-  cost.layer = conv.name;
   cost.mapping_order = candidates[win].order;
   cost.utilization = candidates[win].utilization;
   cost.cs_used = b.cs_used[win];

@@ -74,6 +74,9 @@ LayerCost price_conv(const nn::ConvSpec& conv, const Architecture& arch,
     }
   } else {
     // Seed scalar loop, kept as the A/B baseline for ULD3D_NO_SIMD runs.
+    // Named up front, so "nothing beat +inf" carries the layer's name as
+    // evaluate_candidates and a MapCache hit return it.
+    best.layer = conv.name;
     double best_edp = std::numeric_limits<double>::infinity();
     for (const auto& m : candidates) {
       LayerCost c = price_candidate_scalar(conv, m, arch, sys, n_cs);

@@ -82,8 +82,8 @@ struct CandidateBatch {
 /// Price all `candidates` of `conv` on `arch` through the SoA passes and
 /// return the cheapest-EDP candidate as a LayerCost, byte-identical to the
 /// seed loop `for (m : candidates) best = min_edp(price_candidate_scalar)`.
-/// Returns a default-constructed LayerCost when no candidate has an EDP
-/// strictly below +inf (the seed loop's behavior on all-NaN/inf batches).
+/// Returns a zero LayerCost that carries only `conv.name` when no candidate
+/// has an EDP strictly below +inf (all-NaN/inf batches, or none at all).
 [[nodiscard]] LayerCost evaluate_candidates(
     const nn::ConvSpec& conv, const std::vector<TemporalMapping>& candidates,
     const Architecture& arch, const SystemCosts& sys, std::int64_t n_cs,

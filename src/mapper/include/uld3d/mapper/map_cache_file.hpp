@@ -61,7 +61,8 @@ std::size_t load_map_cache_file(const std::string& path);
 /// (re-read best-effort: a file another shard just rewrote contributes its
 /// entries; a corrupt one is overwritten with a warning) and atomically
 /// rewrite the file in canonical key order — the same inputs always produce
-/// byte-identical files.  Returns the number of NEWLY appended records and
+/// byte-identical files.  A file that parsed cleanly and gains no record is
+/// left as it is.  Returns the number of NEWLY appended records and
 /// counts them as "mapper.mapcache.file_appends".  Throws
 /// StatusError(kInternal) when the file cannot be written.
 std::size_t save_map_cache_file(const std::string& path);

@@ -339,9 +339,11 @@ std::size_t save_map_cache_file(const std::string& path) {
   // Equal keys carry bit-identical costs by the determinism contract, so
   // first-in wins is a no-op choice.
   Entries preexisting_entries;
+  bool preexisting_clean = false;
   if (const std::optional<std::string> data = read_file(path)) {
     try {
       preexisting_entries = parse(*data, path);
+      preexisting_clean = true;
     } catch (const StatusError& error) {
       std::cerr << "mapcache: existing file is unreadable, rewriting: "
                 << error.what() << "\n";
@@ -388,10 +390,15 @@ std::size_t save_map_cache_file(const std::string& path) {
     }
   }
   const std::size_t appended = merged.size() - preexisting;
-  if (!write_file_atomic(path, serialize(merged))) {
-    throw StatusError(
-        Failure(ErrorCode::kInternal, "could not write map-cache store")
-            .with("mapcache", path));
+  // A store that parsed cleanly and gains nothing already holds every entry:
+  // a warm run leaves it untouched instead of rewriting, syncing and
+  // renaming the same records.
+  if (!preexisting_clean || appended > 0) {
+    if (!write_file_atomic(path, serialize(merged))) {
+      throw StatusError(
+          Failure(ErrorCode::kInternal, "could not write map-cache store")
+              .with("mapcache", path));
+    }
   }
   MetricsRegistry::instance()
       .counter("mapper.mapcache.file_appends")

@@ -3,7 +3,9 @@
 #
 #  1. A --mapper sweep run twice against one --mapcache-file is byte-identical
 #     on stdout, and the second (warm) run's metrics show nonzero
-#     mapper.mapcache.file_hits and file_loads with zero file_appends.
+#     mapper.mapcache.file_hits and file_loads with zero file_appends.  The
+#     warm run leaves the store in place: same inode, so it was not
+#     rewritten.
 #  2. ULD3D_MAPCACHE_FILE mirrors the flag.
 #  3. A corrupted cache file is refused with exit 3 (config error) before
 #     any work runs; ULD3D_NO_MAPCACHE_FILE bypasses the file layer and the
@@ -43,9 +45,13 @@ metric_nonzero "$tmpdir/cold.json" mapper.mapcache.file_appends \
 metric_zero "$tmpdir/cold.json" mapper.mapcache.file_loads \
   || fail "cold run claims to have loaded entries"
 
+inode() { ls -i "$1" | awk '{print $1}'; }
+cold_inode="$(inode "$store")"
 "$cli" sweep --mapper --keep-going --jobs 4 --mapcache-file "$store" \
   --metrics "$tmpdir/warm.json" \
   > "$tmpdir/warm.out" 2> "$tmpdir/warm.err" || fail "warm mapper sweep failed"
+[ "$(inode "$store")" = "$cold_inode" ] \
+  || fail "warm run rewrote a store it added nothing to"
 cmp -s "$tmpdir/cold.out" "$tmpdir/warm.out" \
   || fail "warm-cache stdout differs from cold run"
 metric_nonzero "$tmpdir/warm.json" mapper.mapcache.file_hits \

@@ -84,6 +84,7 @@ LayerCost naive_best(const nn::ConvSpec& conv, const Architecture& arch,
                      const SystemCosts& sys, std::int64_t n_cs) {
   const auto candidates = candidate_mappings(conv, arch);
   LayerCost best;
+  best.layer = conv.name;
   double best_edp = std::numeric_limits<double>::infinity();
   for (const auto& m : candidates) {
     LayerCost c = price_candidate_scalar(conv, m, arch, sys, n_cs);
@@ -209,32 +210,39 @@ TEST_F(BatchEvalTest, SpatialSearchWinnerIdenticalAcrossModes) {
   expect_costs_identical(batch.cost, seed.cost);
 }
 
+/// Denormal quotients and overflowing products, the same (RRAM bandwidth,
+/// MAC energy) extremes test_mapper_spatial_search's differential takes.
+struct Extreme {
+  double rram_bw;
+  double mac_energy;
+};
+constexpr Extreme kExtremes[] = {
+    {1e300, 1e-310}, {5e-324, 1e308}, {1e-300, 1e300}};
+
+nn::ConvSpec extreme_conv() {
+  nn::ConvSpec c;
+  c.name = "extreme";
+  c.k = 512;
+  c.c = 512;
+  c.ox = 56;
+  c.oy = 56;
+  c.fx = 3;
+  c.fy = 3;
+  c.stride = 1;
+  return c;
+}
+
 TEST_F(BatchEvalTest, DenormalAndOverflowEdgeCasesStayIdentical) {
   // Push the arithmetic into denormal quotients and overflowing products:
   // the kernels must not diverge from the scalar trees even at the extremes
   // of the double range.
   const auto base = make_table2_architecture(1);
   CandidateBatch scratch;
-
-  struct Extreme {
-    double rram_bw;
-    double mac_energy;
-  };
-  for (const Extreme e :
-       {Extreme{1e300, 1e-310}, Extreme{5e-324, 1e308},
-        Extreme{1e-300, 1e300}}) {
+  const nn::ConvSpec c = extreme_conv();
+  for (const Extreme& e : kExtremes) {
     Architecture arch = base;
     arch.rram_bandwidth_bits_per_cycle = e.rram_bw;
     arch.mac_energy_pj = e.mac_energy;
-    nn::ConvSpec c;
-    c.name = "extreme";
-    c.k = 512;
-    c.c = 512;
-    c.ox = 56;
-    c.oy = 56;
-    c.fx = 3;
-    c.fy = 3;
-    c.stride = 1;
     const auto candidates = candidate_mappings(c, arch);
     const LayerCost ref = naive_best(c, arch, {}, 8);
     const LayerCost batch =
@@ -249,6 +257,35 @@ TEST_F(BatchEvalTest, DenormalAndOverflowEdgeCasesStayIdentical) {
   }
 }
 
+TEST_F(BatchEvalTest, OverflowedLayerIsNamedOnMissHitAndScalarLoop) {
+  // When every temporal mapping overflows, price_conv returns its zero
+  // "nothing beat +inf" cost.  A MapCache miss, a hit and the seed scalar
+  // loop must return it field for field alike, under the caller's name.
+  const auto base = make_table2_architecture(1);
+  const nn::ConvSpec c = extreme_conv();
+  MapCache& cache = MapCache::instance();
+  int overflowed = 0;
+  for (const Extreme& e : kExtremes) {
+    Architecture arch = base;
+    arch.rram_bandwidth_bits_per_cycle = e.rram_bw;
+    arch.mac_energy_pj = e.mac_energy;
+    cache.clear();
+    const LayerCost miss = evaluate_conv(c, arch, {}, 8);
+    const std::uint64_t hits = cache.hits();
+    const LayerCost hit = evaluate_conv(c, arch, {}, 8);
+    EXPECT_EQ(cache.hits(), hits + 1);
+    set_batch_eval_enabled(false);
+    const LayerCost scalar_loop = price_conv(c, arch, {}, 8);
+    set_batch_eval_enabled(true);
+
+    EXPECT_EQ(miss.layer, c.name);
+    expect_costs_identical(hit, miss);
+    expect_costs_identical(scalar_loop, miss);
+    if (miss.mapping_order.empty()) ++overflowed;
+  }
+  EXPECT_GT(overflowed, 0) << "no extreme reached the nothing-beat result";
+}
+
 TEST_F(BatchEvalTest, EmptyCandidateListYieldsDefaultCost) {
   const auto arch = make_table2_architecture(1);
   CandidateBatch scratch;
@@ -256,7 +293,8 @@ TEST_F(BatchEvalTest, EmptyCandidateListYieldsDefaultCost) {
   nn::ConvSpec c;
   c.name = "none";
   const LayerCost cost = evaluate_candidates(c, none, arch, {}, 1, scratch);
-  EXPECT_TRUE(cost.layer.empty());
+  EXPECT_EQ(cost.layer, "none");
+  EXPECT_TRUE(cost.mapping_order.empty());
   EXPECT_TRUE(bits_equal(cost.energy_pj, 0.0));
 }
 

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "reference/exhaustive_spatial_search.hpp"
-#include "uld3d/mapper/map_cache.hpp"
 #include "uld3d/mapper/table2.hpp"
 #include "uld3d/nn/zoo.hpp"
 #include "uld3d/util/check.hpp"
@@ -228,12 +227,7 @@ TEST(SpatialPruneTest, RandomizedDifferentialAgainstExhaustiveOracle) {
       arch.mac_energy_pj = e.mac_energy;
     }
 
-    // Both sides price the fixed baseline on a cache miss: a MapCache hit
-    // renames price_conv's unnamed "nothing beat +inf" result, which the
-    // overflow extremes produce, while a miss leaves it unnamed.
-    MapCache::instance().clear();
     const SpatialSearchResult got = search_spatial(c, arch, sys, n_cs);
-    MapCache::instance().clear();
     const SpatialSearchResult want =
         reference::exhaustive_spatial_search(c, arch, sys, n_cs);
     if (!same_result(got, want)) {
