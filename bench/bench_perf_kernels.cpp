@@ -12,13 +12,10 @@
 // single-relaxed-load-plus-branch cost class.
 #include <cstdint>
 #include <iostream>
-#include <limits>
-#include <vector>
 
 #include "uld3d/accel/case_study.hpp"
 #include "uld3d/core/edp_model.hpp"
 #include "uld3d/core/workload.hpp"
-#include "uld3d/mapper/batch_eval.hpp"
 #include "uld3d/mapper/cost_model.hpp"
 #include "uld3d/mapper/table2.hpp"
 #include "uld3d/nn/zoo.hpp"
@@ -26,8 +23,6 @@
 #include "uld3d/util/bench.hpp"
 #include "uld3d/util/flightrec.hpp"
 #include "uld3d/util/metrics.hpp"
-#include "uld3d/util/rng.hpp"
-#include "uld3d/util/simd.hpp"
 #include "uld3d/util/telemetry.hpp"
 #include "uld3d/util/trace.hpp"
 #include "uld3d/util/units.hpp"
@@ -56,36 +51,6 @@ double ns_per_op(const bench::Stats& stats, std::int64_t ops) {
   return stats.median_s / static_cast<double>(ops) * 1e9;
 }
 
-/// A large deterministic candidate pool for the SoA batch-eval kernels:
-/// the three real candidates of a ResNet-ish conv, replicated with jittered
-/// traffic volumes so every slot prices differently (the jitter scales keep
-/// all quantities positive and finite).
-std::vector<mapper::TemporalMapping> synthetic_candidates(
-    const nn::ConvSpec& conv, const mapper::Architecture& arch,
-    std::size_t n) {
-  const auto seeds = mapper::candidate_mappings(conv, arch);
-  std::vector<mapper::TemporalMapping> out;
-  out.reserve(n);
-  Rng rng(0x5eedcafe);
-  const auto jitter = [&](mapper::OperandTraffic& t) {
-    const double s = 0.5 + rng.uniform();
-    t.reg_bits *= s;
-    t.local_bits *= s;
-    t.global_bits *= s;
-    t.rram_read_bits *= s;
-    t.rram_write_bits *= s;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    mapper::TemporalMapping m = seeds[i % seeds.size()];
-    m.compute_cycles *= 0.5 + rng.uniform();
-    jitter(m.weights);
-    jitter(m.inputs);
-    jitter(m.outputs);
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,60 +72,6 @@ int main(int argc, char** argv) {
     const mapper::SystemCosts sys;
     h.time("mapper_alexnet_arch1",
            [&] { return mapper::evaluate_network(alexnet, arch, sys, 8); });
-  }
-
-  // --- SoA batch candidate evaluation vs the seed scalar loop ---------------
-  // 4096 jittered candidates priced per sample.  The scalar leg is the seed
-  // path (price_candidate_scalar + strict-< argmin); the batch leg is
-  // evaluate_candidates with whatever SIMD dispatch the host offers.  Both
-  // must crown the same winner — that agreement is a hard fidelity value.
-  double batch_winner_edp = 0.0;
-  double batch_scalar_winner_match = 0.0;
-  {
-    const auto arch = mapper::make_table2_architecture(1);
-    const mapper::SystemCosts sys;
-    nn::ConvSpec conv;
-    conv.name = "bench";
-    conv.k = 256;
-    conv.c = 128;
-    conv.ox = 28;
-    conv.oy = 28;
-    conv.fx = 3;
-    conv.fy = 3;
-    const std::size_t kCandidates = 4096;
-    const auto pool = synthetic_candidates(conv, arch, kCandidates);
-
-    const auto scalar_eval = [&] {
-      mapper::LayerCost best;
-      double best_edp = std::numeric_limits<double>::infinity();
-      for (const auto& m : pool) {
-        mapper::LayerCost c =
-            mapper::price_candidate_scalar(conv, m, arch, sys, 8);
-        const double edp = c.latency_cycles * c.energy_pj;
-        if (edp < best_edp) {
-          best_edp = edp;
-          best = c;
-        }
-      }
-      return best;
-    };
-    mapper::CandidateBatch scratch;
-    const auto batch_eval = [&] {
-      return mapper::evaluate_candidates(conv, pool, arch, sys, 8, scratch);
-    };
-
-    const mapper::LayerCost scalar_best = scalar_eval();
-    const mapper::LayerCost batch_best = batch_eval();
-    batch_winner_edp = batch_best.latency_cycles * batch_best.energy_pj;
-    batch_scalar_winner_match =
-        (batch_best.latency_cycles == scalar_best.latency_cycles &&
-         batch_best.energy_pj == scalar_best.energy_pj &&
-         batch_best.mapping_order == scalar_best.mapping_order)
-            ? 1.0
-            : 0.0;
-
-    h.time("candidate_eval_scalar_4k", scalar_eval);
-    h.time("candidate_eval_batch_4k", batch_eval);
   }
 
   {
@@ -319,25 +230,9 @@ int main(int argc, char** argv) {
                      "ratio");
     }
   }
-  {
-    const std::size_t kCandidates = 4096;
-    const double scalar_ns =
-        ns_per_op(h.stats("candidate_eval_scalar_4k"),
-                  static_cast<std::int64_t>(kCandidates));
-    const double batch_ns = ns_per_op(h.stats("candidate_eval_batch_4k"),
-                                      static_cast<std::int64_t>(kCandidates));
-    h.timing_value("candidate_eval_scalar_ns_per_candidate", scalar_ns, "ns");
-    h.timing_value("candidate_eval_batch_ns_per_candidate", batch_ns, "ns");
-  }
   // A deterministic model output pins fidelity alongside the timings: the
   // synthetic-workload EDP benefit the analytical kernel computes.
   h.value("synthetic_edp_benefit_anchor", anchor_edp_benefit, "ratio");
-  // Batch-eval fidelity: the batched argmin's winner EDP (deterministic on
-  // the fixed synthetic pool) and its agreement with the scalar winner.
-  // Both are exact-gated — a dispatch-dependent value here would mean the
-  // determinism contract of DESIGN.md §16 is broken.
-  h.value("batch_candidate_winner_edp", batch_winner_edp, "cycles*pJ");
-  h.value("batch_scalar_winner_match", batch_scalar_winner_match, "bool");
   bench::do_not_optimize(sim18);
   return h.finish();
 }

@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/fault.hpp"
-#include "uld3d/util/parallel.hpp"
 #include "uld3d/util/table.hpp"
 #include "uld3d/util/units.hpp"
 
@@ -63,22 +61,8 @@ ChipSummary summarize_chip(const CaseStudy& study, const nn::Network& net) {
   const phys::FlowInput input_2d = derive_flow_input(study, net, false);
   const phys::FlowInput input_3d = derive_flow_input(study, net, true);
   const phys::M3dFlow flow;
-  // The workload simulation and the 2D physical design are independent;
-  // overlap them when jobs allow.  The 3D run must stay after: it is held
-  // to the 2D die dimensions.  Slot 0 is the workload run, so a failure
-  // there is rethrown first — the same order the serial code reported.
-  const int jobs =
-      FaultInjector::instance().armed() ? 1 : parallel::jobs();
-  parallel::parallel_for_indexed(
-      2,
-      [&](std::size_t i) {
-        if (i == 0) {
-          s.workload = study.run(net);
-        } else {
-          s.physical.design_2d = flow.run_design(input_2d, false, 1);
-        }
-      },
-      {.jobs = jobs});
+  s.workload = study.run(net);
+  s.physical.design_2d = flow.run_design(input_2d, false, 1);
   s.physical.design_3d =
       flow.run_design(input_3d, true, study.m3d_cs_count(),
                       s.physical.design_2d.die_width_um,

@@ -4,21 +4,110 @@
 #include <cmath>
 #include <limits>
 
-#include "uld3d/mapper/batch_eval.hpp"
 #include "uld3d/mapper/map_cache.hpp"
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/math.hpp"
-#include "uld3d/util/metrics.hpp"
-#include "uld3d/util/simd.hpp"
 
 namespace uld3d::mapper {
 
 namespace {
 
-// The seed per-candidate pricing (`price_candidate`) moved verbatim to
-// batch_eval.cpp as `price_candidate_scalar`; price_conv below prices all
-// candidates of a layer through the SoA batch passes instead and falls back
-// to the scalar loop when batch evaluation is disabled.
+double buffer_energy(const OperandBuffers& buffers, const OperandTraffic& t) {
+  return t.reg_bits * buffers.reg.access_energy_pj_per_bit +
+         t.local_bits * buffers.local.access_energy_pj_per_bit +
+         t.global_bits * buffers.global.access_energy_pj_per_bit;
+}
+
+/// Time the (per-CS) buffer levels need to move their traffic.
+double buffer_cycles(const OperandBuffers& buffers, const OperandTraffic& t) {
+  double cycles = 0.0;
+  if (t.local_bits > 0.0 && buffers.local.bandwidth_bits_per_cycle > 0.0) {
+    cycles = std::max(cycles, t.local_bits / buffers.local.bandwidth_bits_per_cycle);
+  }
+  if (t.global_bits > 0.0 && buffers.global.bandwidth_bits_per_cycle > 0.0) {
+    cycles = std::max(cycles, t.global_bits / buffers.global.bandwidth_bits_per_cycle);
+  }
+  return cycles;
+}
+
+LayerCost price_candidate(const nn::ConvSpec& conv, const TemporalMapping& m,
+                          const Architecture& arch, const SystemCosts& sys,
+                          std::int64_t n_cs) {
+  LayerCost cost;
+  cost.layer = conv.name;
+  cost.mapping_order = m.order;
+  cost.utilization = m.utilization;
+
+  // --- parallel partitioning: the mapper hybrid-splits K tiles and output
+  //     rows across CSs, searching the (k_par, oy_par) split that maximizes
+  //     used CSs (a mapping freedom ZigZag also explores; the fixed Sec.-II
+  //     SoC in uld3d::sim deliberately does NOT have it) ---
+  const std::int64_t oy_outer = ceil_div(conv.oy, arch.spatial.oy);
+  std::int64_t k_par = 1;
+  std::int64_t oy_par = 1;
+  for (std::int64_t k = 1; k <= std::min<std::int64_t>(n_cs, m.k_outer); ++k) {
+    const std::int64_t oy = std::min<std::int64_t>(n_cs / k, oy_outer);
+    if (k * oy >= k_par * oy_par) {  // prefer larger k: splits weight traffic
+      k_par = k;
+      oy_par = oy;
+    }
+  }
+  const std::int64_t nmax = k_par * oy_par;
+  cost.cs_used = nmax;
+  const double share = 1.0 / static_cast<double>(nmax);
+
+  cost.compute_cycles = m.compute_cycles * share;
+
+  // --- RRAM port occupancy per CS: weights split along K (replicated across
+  //     the oy_par row groups), inputs split along OY (replicated across the
+  //     k_par channel groups), outputs fully split ---
+  const double rram_reads_per_cs =
+      m.weights.rram_read_bits / static_cast<double>(k_par) +
+      m.inputs.rram_read_bits / static_cast<double>(oy_par);
+  const double rram_writes_per_cs = m.outputs.rram_write_bits * share;
+  cost.rram_cycles = (rram_reads_per_cs + rram_writes_per_cs *
+                                              sys.rram_write_occupancy) /
+                     arch.rram_bandwidth_bits_per_cycle;
+
+  const double buf_cycles =
+      (buffer_cycles(arch.inputs, m.inputs) +
+       buffer_cycles(arch.weights, m.weights) +
+       buffer_cycles(arch.outputs, m.outputs)) *
+      share;
+  cost.latency_cycles =
+      std::max({cost.compute_cycles, cost.rram_cycles, buf_cycles});
+
+  // --- energy (whole system; traffic volumes are per unique bit) ---
+  const double macs = static_cast<double>(conv.k * conv.c * conv.ox * conv.oy *
+                                          conv.fx * conv.fy);
+  cost.mac_energy_pj = macs * arch.mac_energy_pj;
+  cost.buffer_energy_pj = buffer_energy(arch.weights, m.weights) +
+                          buffer_energy(arch.inputs, m.inputs) +
+                          buffer_energy(arch.outputs, m.outputs);
+  const double access_scale = n_cs > 1 ? sys.m3d_access_energy_scale : 1.0;
+  cost.rram_energy_pj =
+      access_scale *
+      ((m.weights.rram_read_bits + m.inputs.rram_read_bits) *
+           arch.rram_read_pj_per_bit +
+       m.outputs.rram_write_bits * arch.rram_write_pj_per_bit);
+
+  const double n = static_cast<double>(n_cs);
+  const double bank_scale =
+      1.0 + sys.extra_bank_idle_fraction * (n - 1.0);
+  const double mem_idle =
+      sys.mem_idle_pj_per_cycle * bank_scale *
+      std::max(0.0, cost.latency_cycles - cost.rram_cycles);
+  const double nm = static_cast<double>(nmax);
+  const double cs_idle =
+      sys.cs_idle_pj_per_cycle *
+      ((n - nm) * cost.latency_cycles +
+       nm * std::max(0.0, cost.latency_cycles - cost.compute_cycles));
+  cost.idle_energy_pj = mem_idle + cs_idle;
+
+  cost.energy_pj = cost.mac_energy_pj + cost.buffer_energy_pj +
+                   cost.rram_energy_pj + cost.idle_energy_pj;
+  return cost;
+}
 
 LayerCost price_vector_layer(const nn::Layer& layer, const Architecture& arch,
                              const SystemCosts& sys, std::int64_t n_cs) {
@@ -56,40 +145,21 @@ LayerCost price_vector_layer(const nn::Layer& layer, const Architecture& arch,
 LayerCost price_conv(const nn::ConvSpec& conv, const Architecture& arch,
                      const SystemCosts& sys, std::int64_t n_cs) {
   expects(n_cs >= 1, "need at least one CS");
-  // Per-thread scratch: the candidate vector and the SoA batch ratchet
-  // capacity and are fully rewritten each call, so steady-state evaluation
-  // performs no heap allocations (satellite of the batch-kernel PR; visible
-  // under ULD3D_ALLOC_STATS).
+  // Per-thread scratch: the candidate vector ratchets capacity and is fully
+  // rewritten each call, so steady-state enumeration does not reallocate.
   thread_local std::vector<TemporalMapping> candidates;
-  thread_local CandidateBatch batch;
   candidate_mappings(conv, arch, candidates);
+  // Named up front, so "nothing beat +inf" (every EDP overflowed) carries
+  // the layer's name, as a MapCache hit returns it.
   LayerCost best;
-  if (batch_eval_enabled()) {
-    best = evaluate_candidates(conv, candidates, arch, sys, n_cs, batch);
-    if (metrics_enabled()) {
-      MetricsRegistry::instance()
-          .counter("mapper.batch.batched_candidates")
-          .add(candidates.size());
-      simd::record_dispatch_metric();
-    }
-  } else {
-    // Seed scalar loop, kept as the A/B baseline for ULD3D_NO_SIMD runs.
-    // Named up front, so "nothing beat +inf" carries the layer's name as
-    // evaluate_candidates and a MapCache hit return it.
-    best.layer = conv.name;
-    double best_edp = std::numeric_limits<double>::infinity();
-    for (const auto& m : candidates) {
-      LayerCost c = price_candidate_scalar(conv, m, arch, sys, n_cs);
-      const double edp = c.latency_cycles * c.energy_pj;
-      if (edp < best_edp) {
-        best_edp = edp;
-        best = std::move(c);
-      }
-    }
-    if (metrics_enabled()) {
-      MetricsRegistry::instance()
-          .counter("mapper.batch.scalar_fallback_calls")
-          .add();
+  best.layer = conv.name;
+  double best_edp = std::numeric_limits<double>::infinity();
+  for (const auto& m : candidates) {
+    LayerCost c = price_candidate(conv, m, arch, sys, n_cs);
+    const double edp = c.latency_cycles * c.energy_pj;
+    if (edp < best_edp) {
+      best_edp = edp;
+      best = std::move(c);
     }
   }
   return best;

@@ -72,7 +72,7 @@ struct AxisTable {
   }
 };
 
-/// What the bound needs from price_candidate_scalar's (k_par, oy_par)
+/// What the bound needs from price_candidate's (k_par, oy_par)
 /// split: the CSs it occupies, their share, and the RRAM port cycles every
 /// temporal mapping pays at least (each reads the weights and the inputs
 /// once and writes the outputs once).
@@ -83,7 +83,7 @@ struct Split {
 };
 
 /// One entry per candidate of `candidates`, in order.  Every bound term
-/// uses its priced twin's expression tree (price_candidate_scalar,
+/// uses its priced twin's expression tree (cost_model.cpp's price_candidate,
 /// candidate_mappings), so it is at most that term in floating point too.
 std::vector<Entry> bound_candidates(
     const nn::ConvSpec& conv, const Architecture& arch, const SystemCosts& sys,
@@ -109,7 +109,7 @@ std::vector<Entry> bound_candidates(
   const double n = static_cast<double>(n_cs);
 
   // The split depends on (min(n_cs, k_outer), oy_outer) only.  For a fixed
-  // oy exponent, price_candidate_scalar's k-scan over a larger k_outer
+  // oy exponent, price_candidate's k-scan over a larger k_outer
   // extends the scan over a smaller one, so one scan per oy exponent, with
   // k exponents taken from large to small, yields every split; n_cs / k is
   // shared by all of them.

@@ -45,23 +45,4 @@ struct LayerResult {
 [[nodiscard]] LayerResult simulate_layer(const nn::Layer& layer,
                                          const AcceleratorConfig& cfg);
 
-/// The energy-finishing inputs simulate_layer derives before pricing energy:
-/// memory traffic and compute energy.  Combined with the cycle fields
-/// already in LayerResult they fully determine the energy terms (see
-/// sim/energy_batch.hpp).
-struct LayerTerms {
-  double read_bits = 0.0;
-  double write_bits = 0.0;
-  double compute_energy_pj = 0.0;
-};
-
-/// Terms-only variant for batched energy finishing: identical to
-/// simulate_layer except the four energy fields of the returned LayerResult
-/// are left at zero and the finishing inputs are reported in `terms`.
-/// `finish_energy(cfg, terms..., r)` completes it to the simulate_layer
-/// result, byte-identically.
-[[nodiscard]] LayerResult simulate_layer_terms(const nn::Layer& layer,
-                                               const AcceleratorConfig& cfg,
-                                               LayerTerms& terms);
-
 }  // namespace uld3d::sim

@@ -1,7 +1,5 @@
 #include "uld3d/sim/layer_sim.hpp"
 
-#include "uld3d/sim/energy_batch.hpp"
-
 #include <algorithm>
 #include <cmath>
 
@@ -27,9 +25,34 @@ void count_layer_activity(const char* op_counter, double ops,
       .add(static_cast<std::uint64_t>(write_bits));
 }
 
-// Energy accounting (the former local finish_energy) lives in
-// sim/energy_batch.cpp: simulate_layer calls the scalar version per layer;
-// simulate_network batches all layers' terms through finish_energy_batch.
+/// Common energy accounting once cycles and traffic are known.
+void finish_energy(const AcceleratorConfig& cfg, double read_bits,
+                   double write_bits, double compute_energy, LayerResult& r) {
+  const auto& mem = cfg.memory;
+  const double access_scale = cfg.m3d ? mem.m3d_access_energy_scale : 1.0;
+  r.compute_energy_pj = compute_energy;
+  r.memory_energy_pj = access_scale * (read_bits * mem.read_energy_pj_per_bit +
+                                       write_bits * mem.write_energy_pj_per_bit);
+
+  const double cycles = static_cast<double>(r.cycles);
+  const double n = static_cast<double>(cfg.n_cs);
+  const double nm = static_cast<double>(r.cs_used);
+  // Peripheral idle: whole-memory leakage for the layer's duration, grown by
+  // the extra per-bank controllers in the banked M3D organisation.
+  const double bank_scale =
+      1.0 + mem.extra_bank_idle_fraction * static_cast<double>(cfg.n_banks - 1);
+  const double mem_busy = std::min(r.memory_cycles, cycles);
+  const double idle_mem =
+      mem.mem_idle_pj_per_cycle * bank_scale * (cycles - mem_busy);
+  // CS idle: unused CSs idle the whole layer; active CSs idle their slack
+  // (Eq. (7) structure).
+  const double compute_busy = std::min(r.compute_cycles, cycles);
+  const double idle_cs =
+      mem.cs_idle_pj_per_cycle *
+      ((n - nm) * cycles + nm * (cycles - compute_busy));
+  r.idle_energy_pj = idle_mem + idle_cs;
+  r.energy_pj = r.compute_energy_pj + r.memory_energy_pj + r.idle_energy_pj;
+}
 
 /// Downsample-style projections (1x1, strided) partition over input channels
 /// so their output maps colocate with the residual add that consumes them.
@@ -39,8 +62,7 @@ bool use_c_partition(const nn::ConvSpec& conv, const AcceleratorConfig& cfg,
          conv.fx == 1 && conv.fy == 1 && conv.stride > 1 && plan.c_tiles > 1;
 }
 
-LayerResult simulate_conv(const nn::Layer& layer, const AcceleratorConfig& cfg,
-                          LayerTerms& terms) {
+LayerResult simulate_conv(const nn::Layer& layer, const AcceleratorConfig& cfg) {
   const auto& conv = layer.conv();
   const auto& arr = cfg.array;
   const auto& mem = cfg.memory;
@@ -112,15 +134,12 @@ LayerResult simulate_conv(const nn::Layer& layer, const AcceleratorConfig& cfg,
               static_cast<double>(arr.rows * arr.cols));
 
   count_layer_activity("sim.layer.macs", macs, w_bits + i_bits, o_bits);
-  terms.read_bits = w_bits + i_bits;
-  terms.write_bits = o_bits;
-  terms.compute_energy_pj = macs * arr.mac_energy_pj;
+  finish_energy(cfg, w_bits + i_bits, o_bits, macs * arr.mac_energy_pj, r);
   return r;
 }
 
 LayerResult simulate_vector_layer(const nn::Layer& layer,
-                                  const AcceleratorConfig& cfg,
-                                  LayerTerms& terms) {
+                                  const AcceleratorConfig& cfg) {
   const auto& arr = cfg.array;
   const auto& mem = cfg.memory;
   LayerResult r;
@@ -153,28 +172,16 @@ LayerResult simulate_vector_layer(const nn::Layer& layer,
   r.utilization = 0.0;  // the systolic array is idle during vector layers
 
   count_layer_activity("sim.layer.vector_ops", ops, i_bits, o_bits);
-  terms.read_bits = i_bits;
-  terms.write_bits = o_bits;
-  terms.compute_energy_pj = ops * arr.vector_op_energy_pj;
+  finish_energy(cfg, i_bits, o_bits, ops * arr.vector_op_energy_pj, r);
   return r;
 }
 
 }  // namespace
 
-LayerResult simulate_layer_terms(const nn::Layer& layer,
-                                 const AcceleratorConfig& cfg,
-                                 LayerTerms& terms) {
-  cfg.validate();
-  if (layer.is_conv()) return simulate_conv(layer, cfg, terms);
-  return simulate_vector_layer(layer, cfg, terms);
-}
-
 LayerResult simulate_layer(const nn::Layer& layer, const AcceleratorConfig& cfg) {
-  LayerTerms terms;
-  LayerResult r = simulate_layer_terms(layer, cfg, terms);
-  finish_energy(cfg, terms.read_bits, terms.write_bits,
-                terms.compute_energy_pj, r);
-  return r;
+  cfg.validate();
+  if (layer.is_conv()) return simulate_conv(layer, cfg);
+  return simulate_vector_layer(layer, cfg);
 }
 
 }  // namespace uld3d::sim

@@ -1,15 +1,11 @@
 #include "uld3d/sim/network_sim.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
-#include "uld3d/sim/energy_batch.hpp"
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/fault.hpp"
-#include "uld3d/util/simd.hpp"
 #include "uld3d/util/metrics.hpp"
-#include "uld3d/util/parallel.hpp"
 #include "uld3d/util/status.hpp"
 #include "uld3d/util/telemetry.hpp"
 #include "uld3d/util/trace.hpp"
@@ -27,53 +23,11 @@ NetworkResult simulate_network(const nn::Network& net,
   NetworkResult result;
   result.network = net.name();
   result.layers.reserve(net.size());
-  // Batched energy finishing (SoA pass over all layers at once) unless the
-  // ULD3D_NO_SIMD escape hatch asked for the seed per-layer path, or a fault
-  // injector is armed (the seed path prices each layer before the next
-  // layer's fault site, and injection tests rely on that interleaving).
-  const bool batched =
-      !simd::disabled_by_env() && !FaultInjector::instance().armed();
-  thread_local EnergyBatch batch;
-  thread_local std::vector<LayerTerms> terms;
-  if (batched) terms.clear();
   for (const auto& layer : net.layers()) {
     TraceSpan layer_span(layer.name(), "sim");
     m_layers.add();
     fault_site("sim.network.layer");
-    if (batched) {
-      LayerTerms t;
-      result.layers.push_back(simulate_layer_terms(layer, cfg, t));
-      terms.push_back(t);
-    } else {
-      result.layers.push_back(simulate_layer(layer, cfg));
-    }
-  }
-  if (batched) {
-    const std::size_t n = result.layers.size();
-    batch.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const LayerResult& r = result.layers[i];
-      batch.read_bits[i] = terms[i].read_bits;
-      batch.write_bits[i] = terms[i].write_bits;
-      batch.compute_energy[i] = terms[i].compute_energy_pj;
-      batch.cycles[i] = static_cast<double>(r.cycles);
-      batch.nm[i] = static_cast<double>(r.cs_used);
-      batch.memory_cycles[i] = r.memory_cycles;
-      batch.compute_cycles[i] = r.compute_cycles;
-    }
-    finish_energy_batch(cfg, batch, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      LayerResult& r = result.layers[i];
-      r.compute_energy_pj = batch.compute_energy[i];
-      r.memory_energy_pj = batch.memory_energy[i];
-      r.idle_energy_pj = batch.idle_energy[i];
-      r.energy_pj = batch.energy[i];
-    }
-  }
-  // Validation and totals stay serial and in layer order: the strict checks
-  // fire on the first bad layer exactly as the seed loop did, and no
-  // floating-point sum is reassociated.
-  for (const LayerResult& r : result.layers) {
+    LayerResult r = simulate_layer(layer, cfg);
     if (r.cycles < 0 || !std::isfinite(r.energy_pj) || r.energy_pj < 0.0) {
       throw StatusError(Failure(ErrorCode::kNumericalError,
                                 "layer simulation produced a bad result")
@@ -84,6 +38,7 @@ NetworkResult simulate_network(const nn::Network& net,
     }
     result.total_cycles += r.cycles;
     result.total_energy_pj += r.energy_pj;
+    result.layers.push_back(std::move(r));
   }
   return result;
 }
@@ -109,21 +64,8 @@ DesignComparison compare_designs(const nn::Network& net,
                                  const AcceleratorConfig& cfg_3d) {
   DesignComparison cmp;
   cmp.network = net.name();
-  // The two runs are independent pure evaluations; run them concurrently
-  // when jobs allow.  Slot 0 is the 2D run, so a failure there is rethrown
-  // first — the same order the serial code reported.  An armed injector
-  // forces serial so "sim.network.layer" trips keep their arrival order.
-  const int jobs =
-      FaultInjector::instance().armed() ? 1 : parallel::jobs();
-  std::array<NetworkResult, 2> runs;
-  parallel::parallel_for_indexed(
-      2,
-      [&](std::size_t i) {
-        runs[i] = simulate_network(net, i == 0 ? cfg_2d : cfg_3d);
-      },
-      {.jobs = jobs});
-  cmp.run_2d = std::move(runs[0]);
-  cmp.run_3d = std::move(runs[1]);
+  cmp.run_2d = simulate_network(net, cfg_2d);
+  cmp.run_3d = simulate_network(net, cfg_3d);
   ensures(cmp.run_2d.layers.size() == cmp.run_3d.layers.size(),
           "designs must simulate the same layer list");
   for (std::size_t i = 0; i < cmp.run_2d.layers.size(); ++i) {

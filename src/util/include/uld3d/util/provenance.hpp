@@ -31,11 +31,6 @@ struct Provenance {
   std::int64_t unix_time_s = 0;
   int jobs = 1;                  ///< parallel::jobs() at capture time
   int hardware_concurrency = 1;  ///< cores visible to the process
-  /// SIMD dispatch of the batch kernels at capture time: "avx2", "scalar",
-  /// or "scalar-forced" (ULD3D_NO_SIMD suppressed an available AVX2 unit).
-  /// Records which kernel family produced a result — byte-identical by
-  /// contract, but the distinction matters when chasing a timing regression.
-  std::string simd_isa;
   /// Peak resident set size in KiB (getrusage ru_maxrss; 0 where
   /// unavailable).  Lets BENCH_*.json correlate timing noise with memory
   /// pressure; bench refreshes it at finish() so it covers the run.

@@ -8,7 +8,6 @@
 #include "uld3d/util/export.hpp"
 #include "uld3d/util/parallel.hpp"
 #include "uld3d/util/provenance_config.hpp"
-#include "uld3d/util/simd.hpp"
 
 #if defined(_WIN32)
 // No gethostname without winsock; fall back to the environment.
@@ -62,7 +61,6 @@ Provenance capture_provenance() {
   p.hostname = capture_hostname();
   p.jobs = parallel::jobs();
   p.hardware_concurrency = parallel::hardware_concurrency();
-  p.simd_isa = simd::isa_name();
   p.peak_rss_kb = peak_rss_kb();
   p.pool_queue_high_water = parallel::ThreadPool::instance().queue_high_water();
 
@@ -123,7 +121,6 @@ std::string provenance_json(const Provenance& p, int indent) {
   os << pad << "  \"jobs\": " << p.jobs << ",\n";
   os << pad << "  \"hardware_concurrency\": " << p.hardware_concurrency
      << ",\n";
-  field("simd_isa", p.simd_isa);
   os << pad << "  \"peak_rss_kb\": " << p.peak_rss_kb << ",\n";
   os << pad << "  \"pool_queue_high_water\": " << p.pool_queue_high_water
      << ",\n";

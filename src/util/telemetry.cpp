@@ -205,7 +205,7 @@ void EventSink::run_start_impl(const Provenance& provenance,
      << json_escape(provenance.timestamp_utc)
      << "\", \"jobs\": " << provenance.jobs
      << ", \"hardware_concurrency\": " << provenance.hardware_concurrency
-     << ", \"simd_isa\": \"" << json_escape(provenance.simd_isa) << "\"}}";
+     << "}}";
   append_line(os.str());
   // Make the stream's identity line durable immediately: if the process
   // later dies on a fatal signal, the postmortem's RunId must still join

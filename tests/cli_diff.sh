@@ -8,6 +8,9 @@
 #  3. --json emits a parseable document carrying the same verdict.
 #  4. Error contract: usage errors exit 2; malformed input and
 #     different-sweep streams exit 3.
+#  5. A base stream whose run_start provenance still carries "simd_isa"
+#     (recorded while the batch kernels existed) diffs clean against a
+#     stream without it.
 #
 # Usage: cli_diff.sh /path/to/uld3d_cli /path/to/uld3d-diff
 set -u
@@ -95,6 +98,16 @@ sed 's/"fingerprint": "[^"]*"/"fingerprint": "deadbeef"/' \
   >/dev/null 2>&1
 code=$?
 [ "$code" -eq 3 ] || fail "different sweep: expected exit 3, got $code"
+
+# --- 5. a base stream recorded with the simd_isa provenance field -----------
+sed 's/\("ev": "run_start".*"hardware_concurrency": [0-9]*\)}}$/\1, "simd_isa": "avx2"}}/' \
+  "$tmpdir/base.ndjson" > "$tmpdir/basesimd.ndjson"
+grep -q '"simd_isa": "avx2"}}$' "$tmpdir/basesimd.ndjson" \
+  || fail "fixture: could not add simd_isa to the run_start provenance"
+"$diff_tool" "$tmpdir/basesimd.ndjson" "$tmpdir/same.ndjson" $noise_gates \
+  >/dev/null
+code=$?
+[ "$code" -eq 0 ] || fail "base stream with simd_isa: expected exit 0, got $code"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures diff check(s) failed" >&2

@@ -13,6 +13,9 @@
 #     exits 0, a foreign one exits 1.
 #  5. Analyzer error contract: usage errors exit 2, malformed mid-file
 #     JSON exits 3, while one torn FINAL line is tolerated.
+#  6. A stream whose run_start provenance still carries "simd_isa" (every
+#     stream recorded while the batch kernels existed) loads in every mode,
+#     and its canonical projection is that of the same stream without it.
 #
 # Usage: cli_telemetry.sh /path/to/uld3d_cli /path/to/uld3d-report
 set -u
@@ -125,6 +128,22 @@ echo '{"schema": 999, "ev": "run_start", "run": "x", "shard": "0/1", "ts_ms": 0}
 "$report" "$tmpdir/future.ndjson" >/dev/null 2>&1
 code=$?
 [ "$code" -eq 3 ] || fail "future schema: expected exit 3, got $code"
+
+# --- 6. streams recorded with the simd_isa provenance field -----------------
+sed 's/\("ev": "run_start".*"hardware_concurrency": [0-9]*\)}}$/\1, "simd_isa": "avx2"}}/' \
+  "$tmpdir/ev1.ndjson" > "$tmpdir/evsimd.ndjson"
+grep -q '"simd_isa": "avx2"}}$' "$tmpdir/evsimd.ndjson" \
+  || fail "fixture: could not add simd_isa to the run_start provenance"
+"$report" "$tmpdir/evsimd.ndjson" >/dev/null 2>&1 \
+  || fail "stream with simd_isa: summary should exit 0"
+"$report" --json "$tmpdir/evsimd.ndjson" > "$tmpdir/simd.json" 2>/dev/null \
+  || fail "stream with simd_isa: --json should exit 0"
+grep -q 'simd_isa' "$tmpdir/simd.json" \
+  && fail "stream with simd_isa: --json still reports the field"
+"$report" --canon "$tmpdir/evsimd.ndjson" > "$tmpdir/canonsimd.txt" \
+  || fail "stream with simd_isa: --canon should exit 0"
+cmp -s "$tmpdir/canonsimd.txt" "$tmpdir/canon1.txt" \
+  || fail "simd_isa changed the canonical projection"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures telemetry check(s) failed" >&2

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "uld3d/mapper/cost_model.hpp"
 #include "uld3d/mapper/spatial_search.hpp"
 #include "uld3d/mapper/table2.hpp"
 #include "uld3d/nn/zoo.hpp"
@@ -93,6 +94,45 @@ TEST_F(MapCacheTest, HitPatchesInTheCallersLayerName) {
   EXPECT_EQ(MapCache::instance().hits(), 1u);
   EXPECT_TRUE(bits_equal(first.energy_pj, second.energy_pj));
   EXPECT_TRUE(bits_equal(first.latency_cycles, second.latency_cycles));
+}
+
+/// The suite name is kept from the deleted batch-kernel differential; its
+/// scalar loop is `price_conv` itself, called here outside the cache.
+using BatchEvalTest = MapCacheTest;
+
+TEST_F(BatchEvalTest, OverflowedLayerIsNamedOnMissHitAndScalarLoop) {
+  // Denormal quotients and overflowing products (the RRAM bandwidth and MAC
+  // energy extremes of test_mapper_spatial_search's differential).  Where
+  // every temporal mapping overflows, price_conv returns its zero "nothing
+  // beat +inf" cost.  A MapCache miss, a hit and price_conv must return it
+  // field for field alike, under the caller's name.
+  struct Extreme {
+    double rram_bw;
+    double mac_energy;
+  };
+  const Extreme extremes[] = {{1e300, 1e-310}, {5e-324, 1e308},
+                              {1e-300, 1e300}};
+  const auto base = make_table2_architecture(1);
+  const nn::ConvSpec c = conv(512, 512, 56, 3, "extreme");
+  MapCache& cache = MapCache::instance();
+  int overflowed = 0;
+  for (const Extreme& e : extremes) {
+    Architecture arch = base;
+    arch.rram_bandwidth_bits_per_cycle = e.rram_bw;
+    arch.mac_energy_pj = e.mac_energy;
+    cache.clear();
+    const LayerCost miss = evaluate_conv(c, arch, {}, 8);
+    const std::uint64_t hits = cache.hits();
+    const LayerCost hit = evaluate_conv(c, arch, {}, 8);
+    EXPECT_EQ(cache.hits(), hits + 1);
+    const LayerCost scalar_loop = price_conv(c, arch, {}, 8);
+
+    EXPECT_EQ(miss.layer, c.name);
+    expect_costs_identical(hit, miss);
+    expect_costs_identical(scalar_loop, miss);
+    if (miss.mapping_order.empty()) ++overflowed;
+  }
+  EXPECT_GT(overflowed, 0) << "no extreme reached the nothing-beat result";
 }
 
 TEST_F(MapCacheTest, CacheOffMatchesCacheOnBitwise) {

@@ -186,9 +186,8 @@ double random_cost(Rng& rng, double typical) {
 
 TEST(SpatialPruneTest, RandomizedDifferentialAgainstExhaustiveOracle) {
   // Random conv shapes, all six Table II architectures, 1-64 CSs and random
-  // non-negative system costs; every tenth case also takes one of
-  // test_mapper_batch_eval's denormal/overflow (RRAM bandwidth, MAC energy)
-  // extremes.
+  // non-negative system costs; every tenth case also takes one of three
+  // denormal/overflow (RRAM bandwidth, MAC energy) extremes.
   struct Extreme {
     double rram_bw;
     double mac_energy;

@@ -8,7 +8,6 @@
 #include "uld3d/nn/zoo.hpp"
 #include "uld3d/tech/pdk.hpp"
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/simd.hpp"
 
 namespace uld3d::sim {
 namespace {
@@ -90,8 +89,8 @@ bool sim_bits_equal(double a, double b) {
 }
 
 TEST(NetworkSim, BatchedEnergyFinishingIsByteIdenticalToPerLayer) {
-  // simulate_network's batched finish_energy_batch (AVX2 or forced scalar)
-  // must reproduce the seed per-layer simulate_layer results bitwise.
+  // simulate_network must reproduce the per-layer simulate_layer results
+  // bitwise, and sum the totals in layer order.
   const nn::Network net = nn::make_resnet18();
   const AcceleratorConfig config = cfg(8);
 
@@ -105,30 +104,25 @@ TEST(NetworkSim, BatchedEnergyFinishingIsByteIdenticalToPerLayer) {
     ref_energy += ref.back().energy_pj;
   }
 
-  for (const bool force_scalar : {false, true}) {
-    simd::set_force_scalar(force_scalar);
-    const NetworkResult got = simulate_network(net, config);
-    simd::set_force_scalar(false);
-    ASSERT_EQ(got.layers.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      const LayerResult& a = got.layers[i];
-      const LayerResult& b = ref[i];
-      EXPECT_EQ(a.name, b.name);
-      EXPECT_EQ(a.cycles, b.cycles);
-      EXPECT_EQ(a.cs_used, b.cs_used);
-      EXPECT_EQ(a.memory_bound, b.memory_bound);
-      EXPECT_TRUE(sim_bits_equal(a.compute_cycles, b.compute_cycles));
-      EXPECT_TRUE(sim_bits_equal(a.memory_cycles, b.memory_cycles));
-      EXPECT_TRUE(sim_bits_equal(a.energy_pj, b.energy_pj));
-      EXPECT_TRUE(sim_bits_equal(a.compute_energy_pj, b.compute_energy_pj));
-      EXPECT_TRUE(sim_bits_equal(a.memory_energy_pj, b.memory_energy_pj));
-      EXPECT_TRUE(sim_bits_equal(a.idle_energy_pj, b.idle_energy_pj));
-      EXPECT_TRUE(sim_bits_equal(a.utilization, b.utilization));
-    }
-    EXPECT_EQ(got.total_cycles, ref_cycles);
-    EXPECT_TRUE(sim_bits_equal(got.total_energy_pj, ref_energy))
-        << "force_scalar=" << force_scalar;
+  const NetworkResult got = simulate_network(net, config);
+  ASSERT_EQ(got.layers.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const LayerResult& a = got.layers[i];
+    const LayerResult& b = ref[i];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.cs_used, b.cs_used);
+    EXPECT_EQ(a.memory_bound, b.memory_bound);
+    EXPECT_TRUE(sim_bits_equal(a.compute_cycles, b.compute_cycles));
+    EXPECT_TRUE(sim_bits_equal(a.memory_cycles, b.memory_cycles));
+    EXPECT_TRUE(sim_bits_equal(a.energy_pj, b.energy_pj));
+    EXPECT_TRUE(sim_bits_equal(a.compute_energy_pj, b.compute_energy_pj));
+    EXPECT_TRUE(sim_bits_equal(a.memory_energy_pj, b.memory_energy_pj));
+    EXPECT_TRUE(sim_bits_equal(a.idle_energy_pj, b.idle_energy_pj));
+    EXPECT_TRUE(sim_bits_equal(a.utilization, b.utilization));
   }
+  EXPECT_EQ(got.total_cycles, ref_cycles);
+  EXPECT_TRUE(sim_bits_equal(got.total_energy_pj, ref_energy));
 }
 
 TEST(NetworkSim, EnergyRatioNearUnity) {

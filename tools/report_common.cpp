@@ -93,7 +93,6 @@ StreamSummary summarize(const EventStream& stream) {
       run.command = event.string_or("command", "");
       if (const JsonValue* prov = event.find("provenance"); prov != nullptr) {
         run.git_sha = prov->string_or("git_sha", "");
-        run.simd_isa = prov->string_or("simd_isa", "");
       }
     } else if (type == "run_end") {
       run.status = event.string_or("status", "?");
@@ -175,8 +174,7 @@ std::string summary_to_json(const StreamSummary& summary,
       os << run.exit_code;
     }
     os << ", \"command\": \"" << json_escape(run.command)
-       << "\", \"git_sha\": \"" << json_escape(run.git_sha)
-       << "\", \"simd_isa\": \"" << json_escape(run.simd_isa) << "\"}";
+       << "\", \"git_sha\": \"" << json_escape(run.git_sha) << "\"}";
   }
   os << "], \"sweep\": ";
   if (summary.sweep_line.empty()) {

@@ -47,7 +47,6 @@ struct RunInfo {
   std::string shard;
   std::string command;
   std::string git_sha;
-  std::string simd_isa;  ///< batch-kernel dispatch ("" = stream predates it)
   std::string status = "(no run_end)";  ///< crash/kill leaves no run_end
   std::string exit_code = "-";
 };

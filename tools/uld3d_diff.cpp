@@ -269,15 +269,6 @@ std::string run_list(const StreamSummary& s) {
   return out;
 }
 
-/// First non-empty simd_isa recorded in the stream ("" when the stream
-/// predates the field).
-std::string simd_isa_of(const StreamSummary& s) {
-  for (const report::RunInfo& run : s.runs) {
-    if (!run.simd_isa.empty()) return run.simd_isa;
-  }
-  return "";
-}
-
 int run_diff(const Options& opts) {
   const EventStream base_stream = report::read_events(opts.base_events);
   const EventStream cur_stream = report::read_events(opts.cur_events);
@@ -386,17 +377,10 @@ int run_diff(const Options& opts) {
 
   std::cout << "uld3d-diff: base [" << run_list(base) << "] vs current ["
             << run_list(cur) << "]\n";
-  // Different batch-kernel dispatch explains a timing delta without a code
-  // change; surface it so nobody chases an AVX2-vs-scalar "regression".
-  if (const std::string bi = simd_isa_of(base), ci = simd_isa_of(cur);
-      !bi.empty() && !ci.empty() && bi != ci) {
-    std::cout << "Note: SIMD dispatch differs (base " << bi << ", current "
-              << ci << ") — timing deltas are expected; values must still "
-              << "match byte-for-byte\n";
-  }
-  // Same reasoning as the SIMD note: a warm persistent MapCache skips the
-  // mapper's pricing work entirely, so comparing a cold base against a warm
-  // current (or vice versa) yields huge timing deltas with identical values.
+  // A warm persistent MapCache skips the mapper's pricing work entirely, so
+  // comparing a cold base against a warm current (or vice versa) yields huge
+  // timing deltas with identical values; surface it so nobody chases that
+  // "regression".
   if (have_reuse && base_reuse.warm() != cur_reuse.warm()) {
     std::cout << "Note: map-cache temperature differs (base "
               << (base_reuse.warm() ? "warm" : "cold") << ", current "

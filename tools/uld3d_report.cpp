@@ -223,12 +223,10 @@ void print_summary_tables(const Options& opts, const EventStream& stream,
   }
   std::cout << "\n\n";
 
-  Table run_table({"Run", "Shard", "Status", "Exit", "SIMD", "Command"});
+  Table run_table({"Run", "Shard", "Status", "Exit", "Command"});
   for (const report::RunInfo& run : s.runs) {
     run_table.add_row({run.id.empty() ? "(unlabelled)" : run.id, run.shard,
-                       run.status, run.exit_code,
-                       run.simd_isa.empty() ? "-" : run.simd_isa,
-                       run.command});
+                       run.status, run.exit_code, run.command});
   }
   run_table.print(std::cout, "Runs");
 
