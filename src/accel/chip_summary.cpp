@@ -8,8 +8,7 @@
 
 namespace uld3d::accel {
 
-phys::FlowInput derive_flow_input(const CaseStudy& study,
-                                  const nn::Network& net, bool m3d_design) {
+phys::FlowInput derive_flow_input(const CaseStudy& study, bool m3d_design) {
   phys::FlowInput input;
   input.pdk = study.pdk;
   input.rram_capacity_bits = study.capacity_bits();
@@ -56,10 +55,11 @@ phys::FlowInput derive_flow_input(const CaseStudy& study,
 
 ChipSummary summarize_chip(const CaseStudy& study, const nn::Network& net) {
   ChipSummary s;
-  // Each design is characterized under its own activity, then placed; the
-  // M3D design is held to the 2D footprint (iso-footprint comparison).
-  const phys::FlowInput input_2d = derive_flow_input(study, net, false);
-  const phys::FlowInput input_3d = derive_flow_input(study, net, true);
+  // Each design is characterized at the default activation factors, then
+  // placed; the M3D design is held to the 2D footprint (iso-footprint
+  // comparison).
+  const phys::FlowInput input_2d = derive_flow_input(study, false);
+  const phys::FlowInput input_3d = derive_flow_input(study, true);
   const phys::M3dFlow flow;
   s.workload = study.run(net);
   s.physical.design_2d = flow.run_design(input_2d, false, 1);

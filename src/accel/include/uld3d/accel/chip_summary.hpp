@@ -14,13 +14,12 @@
 
 namespace uld3d::accel {
 
-/// Build a phys::FlowInput whose power numbers come from simulating `net`
-/// on ONE of the study's designs (each design is characterized under its
-/// own activity, as a Tempus power run would): average CS power from
-/// compute energy over runtime, memory power from access + idle energy,
-/// and the CNFET-selector share from the in-array access fraction.
+/// Build a phys::FlowInput for ONE of the study's designs, with power at
+/// the default activation factors of the paper's Tempus runs (no workload
+/// is simulated): CS power from gate energy and leakage, peripheral power
+/// at the CS logic's areal density, and the in-array access and
+/// CNFET-selector shares at the default read duty.
 [[nodiscard]] phys::FlowInput derive_flow_input(const CaseStudy& study,
-                                                const nn::Network& net,
                                                 bool m3d_design);
 
 /// The full coupled run: simulate, derive power, run the physical flow.

@@ -60,6 +60,16 @@ void Architecture::validate() const {
         spatial.oy >= 1)) {
     expects(false, "spatial unrolling factors must be >= 1: " + name);
   }
+  // total_pes() and cs_area_um2's gate count must fit in 64 bits.
+  std::int64_t pes = 0;
+  std::int64_t gates = 0;
+  if (__builtin_mul_overflow(spatial.k, spatial.c, &pes) ||
+      __builtin_mul_overflow(pes, spatial.ox, &pes) ||
+      __builtin_mul_overflow(pes, spatial.oy, &pes) ||
+      __builtin_mul_overflow(pes, kGatesPerPe, &gates) ||
+      __builtin_add_overflow(gates, kControlGates, &gates)) {
+    expects(false, "PE count overflows 64-bit gate arithmetic: " + name);
+  }
   if (!(rram_capacity_bits > 0.0)) {
     expects(false, "RRAM capacity must be positive: " + name);
   }

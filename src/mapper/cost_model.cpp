@@ -12,6 +12,46 @@ namespace uld3d::mapper {
 
 namespace {
 
+double fill(std::int64_t dim, std::int64_t unroll) {
+  const std::int64_t outer = ceil_div(dim, unroll);
+  return static_cast<double>(dim) /
+         static_cast<double>(outer * unroll);
+}
+
+/// Route `volume` bits of read traffic for one operand down the hierarchy:
+/// the innermost level large enough to hold `resident_bits` serves the
+/// repeated reads; every level above sees the data only once.
+void route_reads(const OperandBuffers& buffers, double resident_bits,
+                 double repeated_bits, double once_bits, std::int64_t pes,
+                 OperandTraffic& t) {
+  const double reg_cap = buffers.reg.capacity_bits * static_cast<double>(pes);
+  if (reg_cap >= resident_bits && reg_cap > 0.0) {
+    t.reg_bits += repeated_bits;
+    t.rram_read_bits += once_bits;
+    return;
+  }
+  if (buffers.local.capacity_bits >= resident_bits &&
+      buffers.local.capacity_bits > 0.0) {
+    t.local_bits += repeated_bits;
+    t.rram_read_bits += once_bits;
+    return;
+  }
+  if (buffers.global.capacity_bits >= resident_bits &&
+      buffers.global.capacity_bits > 0.0) {
+    t.global_bits += repeated_bits;
+    t.rram_read_bits += once_bits;
+    return;
+  }
+  // Nothing holds the working set: every repeated fetch goes to RRAM.
+  t.rram_read_bits += repeated_bits;
+}
+
+/// Capacity available to hold partial sums (registers + local + global).
+double psum_capacity(const OperandBuffers& outputs, std::int64_t pes) {
+  return outputs.reg.capacity_bits * static_cast<double>(pes) +
+         outputs.local.capacity_bits + outputs.global.capacity_bits;
+}
+
 double buffer_energy(const OperandBuffers& buffers, const OperandTraffic& t) {
   return t.reg_bits * buffers.reg.access_energy_pj_per_bit +
          t.local_bits * buffers.local.access_energy_pj_per_bit +
@@ -30,83 +70,35 @@ double buffer_cycles(const OperandBuffers& buffers, const OperandTraffic& t) {
   return cycles;
 }
 
-LayerCost price_candidate(const nn::ConvSpec& conv, const TemporalMapping& m,
-                          const Architecture& arch, const SystemCosts& sys,
-                          std::int64_t n_cs) {
-  LayerCost cost;
-  cost.layer = conv.name;
-  cost.mapping_order = m.order;
-  cost.utilization = m.utilization;
+ConvVolumes conv_volumes(const nn::ConvSpec& conv, const Architecture& arch) {
+  const double wb = static_cast<double>(arch.weight_bits);
+  const double ab = static_cast<double>(arch.activation_bits);
+  const double pb = static_cast<double>(arch.psum_bits);
+  ConvVolumes v;
+  v.macs = static_cast<double>(conv.k * conv.c * conv.ox * conv.oy * conv.fx *
+                               conv.fy);
+  v.weight_bits =
+      static_cast<double>(conv.k * conv.c * conv.fx * conv.fy) * wb;
+  v.input_bits =
+      static_cast<double>(conv.c * conv.input_x() * conv.input_y()) * ab;
+  v.output_bits = static_cast<double>(conv.k * conv.ox * conv.oy) * ab;
+  v.psum_bits = static_cast<double>(conv.k * conv.ox * conv.oy) * pb;
+  return v;
+}
 
-  // --- parallel partitioning: the mapper hybrid-splits K tiles and output
-  //     rows across CSs, searching the (k_par, oy_par) split that maximizes
-  //     used CSs (a mapping freedom ZigZag also explores; the fixed Sec.-II
-  //     SoC in uld3d::sim deliberately does NOT have it) ---
-  const std::int64_t oy_outer = ceil_div(conv.oy, arch.spatial.oy);
-  std::int64_t k_par = 1;
-  std::int64_t oy_par = 1;
-  for (std::int64_t k = 1; k <= std::min<std::int64_t>(n_cs, m.k_outer); ++k) {
+/// The split of `k_outer` K tiles and `oy_outer` output-row tiles that
+/// CsSplit describes.
+CsSplit cs_split(std::int64_t n_cs, std::int64_t k_outer,
+                 std::int64_t oy_outer) {
+  CsSplit split;
+  for (std::int64_t k = 1; k <= std::min<std::int64_t>(n_cs, k_outer); ++k) {
     const std::int64_t oy = std::min<std::int64_t>(n_cs / k, oy_outer);
-    if (k * oy >= k_par * oy_par) {  // prefer larger k: splits weight traffic
-      k_par = k;
-      oy_par = oy;
+    if (k * oy >= split.k_par * split.oy_par) {  // prefer larger k
+      split.k_par = k;
+      split.oy_par = oy;
     }
   }
-  const std::int64_t nmax = k_par * oy_par;
-  cost.cs_used = nmax;
-  const double share = 1.0 / static_cast<double>(nmax);
-
-  cost.compute_cycles = m.compute_cycles * share;
-
-  // --- RRAM port occupancy per CS: weights split along K (replicated across
-  //     the oy_par row groups), inputs split along OY (replicated across the
-  //     k_par channel groups), outputs fully split ---
-  const double rram_reads_per_cs =
-      m.weights.rram_read_bits / static_cast<double>(k_par) +
-      m.inputs.rram_read_bits / static_cast<double>(oy_par);
-  const double rram_writes_per_cs = m.outputs.rram_write_bits * share;
-  cost.rram_cycles = (rram_reads_per_cs + rram_writes_per_cs *
-                                              sys.rram_write_occupancy) /
-                     arch.rram_bandwidth_bits_per_cycle;
-
-  const double buf_cycles =
-      (buffer_cycles(arch.inputs, m.inputs) +
-       buffer_cycles(arch.weights, m.weights) +
-       buffer_cycles(arch.outputs, m.outputs)) *
-      share;
-  cost.latency_cycles =
-      std::max({cost.compute_cycles, cost.rram_cycles, buf_cycles});
-
-  // --- energy (whole system; traffic volumes are per unique bit) ---
-  const double macs = static_cast<double>(conv.k * conv.c * conv.ox * conv.oy *
-                                          conv.fx * conv.fy);
-  cost.mac_energy_pj = macs * arch.mac_energy_pj;
-  cost.buffer_energy_pj = buffer_energy(arch.weights, m.weights) +
-                          buffer_energy(arch.inputs, m.inputs) +
-                          buffer_energy(arch.outputs, m.outputs);
-  const double access_scale = n_cs > 1 ? sys.m3d_access_energy_scale : 1.0;
-  cost.rram_energy_pj =
-      access_scale *
-      ((m.weights.rram_read_bits + m.inputs.rram_read_bits) *
-           arch.rram_read_pj_per_bit +
-       m.outputs.rram_write_bits * arch.rram_write_pj_per_bit);
-
-  const double n = static_cast<double>(n_cs);
-  const double bank_scale =
-      1.0 + sys.extra_bank_idle_fraction * (n - 1.0);
-  const double mem_idle =
-      sys.mem_idle_pj_per_cycle * bank_scale *
-      std::max(0.0, cost.latency_cycles - cost.rram_cycles);
-  const double nm = static_cast<double>(nmax);
-  const double cs_idle =
-      sys.cs_idle_pj_per_cycle *
-      ((n - nm) * cost.latency_cycles +
-       nm * std::max(0.0, cost.latency_cycles - cost.compute_cycles));
-  cost.idle_energy_pj = mem_idle + cs_idle;
-
-  cost.energy_pj = cost.mac_energy_pj + cost.buffer_energy_pj +
-                   cost.rram_energy_pj + cost.idle_energy_pj;
-  return cost;
+  return split;
 }
 
 LayerCost price_vector_layer(const nn::Layer& layer, const Architecture& arch,
@@ -142,27 +134,189 @@ LayerCost price_vector_layer(const nn::Layer& layer, const Architecture& arch,
 
 }  // namespace
 
+double spatial_utilization(const nn::ConvSpec& conv,
+                           const SpatialUnrolling& spatial) {
+  return fill(conv.k, spatial.k) * fill(conv.c, spatial.c) *
+         fill(conv.ox, spatial.ox) * fill(conv.oy, spatial.oy);
+}
+
+LayerCost UnrollingCost::to_layer_cost(const std::string& layer) const {
+  LayerCost cost;
+  cost.layer = layer;
+  if (order >= 0) cost.mapping_order = ConvPricer::kOrders[order];
+  cost.latency_cycles = latency_cycles;
+  cost.compute_cycles = compute_cycles;
+  cost.rram_cycles = rram_cycles;
+  cost.energy_pj = energy_pj;
+  cost.mac_energy_pj = mac_energy_pj;
+  cost.buffer_energy_pj = buffer_energy_pj;
+  cost.rram_energy_pj = rram_energy_pj;
+  cost.idle_energy_pj = idle_energy_pj;
+  cost.utilization = utilization;
+  cost.cs_used = cs_used;
+  return cost;
+}
+
+ConvPricer::OperandTerms ConvPricer::terms(const OperandBuffers& buffers,
+                                           const OperandTraffic& t) {
+  return {t.rram_read_bits, t.rram_write_bits, buffer_cycles(buffers, t),
+          buffer_energy(buffers, t)};
+}
+
+ConvPricer::ConvPricer(const nn::ConvSpec& conv, const Architecture& arch,
+                       const SystemCosts& sys, std::int64_t n_cs)
+    : arch_(arch), sys_(sys) {
+  expects(n_cs >= 1, "need at least one CS");
+  arch.validate();
+  pes_ = arch.spatial.total_pes();
+  n_ = static_cast<double>(n_cs);
+  access_scale_ = n_cs > 1 ? sys.m3d_access_energy_scale : 1.0;
+  bank_scale_ = 1.0 + sys.extra_bank_idle_fraction * (n_ - 1.0);
+  const double wb = static_cast<double>(arch.weight_bits);
+  const double pb = static_cast<double>(arch.psum_bits);
+  volumes_ = conv_volumes(conv, arch);
+  const double macs = volumes_.macs;
+  const double w_bits = volumes_.weight_bits;
+  const double i_bits = volumes_.input_bits;
+  const double o_psum_bits = volumes_.psum_bits;
+  mac_energy_pj_ = macs * arch.mac_energy_pj;
+  taps_ = static_cast<double>(conv.fx * conv.fy);
+  psum_capacity_ = psum_capacity(arch.outputs, pes_);
+
+  // Traffic common to all orders: every MAC reads a weight and writes/reads
+  // a partial sum at the PE; final outputs are written to RRAM once.
+  OperandTraffic outputs;
+  outputs.reg_bits += 2.0 * macs * pb;
+  outputs.rram_write_bits += volumes_.output_bits;
+  out_reg_bits_ = outputs.reg_bits;
+  out_write_bits_ = outputs.rram_write_bits;
+  OperandTraffic weights;
+  weights.reg_bits += macs * wb;
+
+  // A. weight-outer and B. input-outer: weights enter the chip once.
+  OperandTraffic once = weights;
+  once.rram_read_bits += w_bits;
+  weights_once_ = terms(arch.weights, once);
+  // B: inputs fetched once per tap (its psum spill depends on k_outer).
+  OperandTraffic b_inputs;
+  route_reads(arch.inputs, i_bits, i_bits * taps_, i_bits, pes_, b_inputs);
+  b_inputs_ = terms(arch.inputs, b_inputs);
+
+  // C. pixel-tiled: shrink the psum working set; weights re-fetched per
+  // tile.  Nothing here depends on the unrolling beyond the PE count.
+  const double cap = psum_capacity_;
+  const double tiles =
+      cap > 0.0 ? std::max(1.0, std::ceil(o_psum_bits / cap)) : 1.0;
+  weights.rram_read_bits += w_bits * tiles;
+  c_weights_ = terms(arch.weights, weights);
+  OperandTraffic c_inputs;
+  route_reads(arch.inputs, i_bits / tiles, i_bits * taps_, i_bits, pes_,
+              c_inputs);
+  c_inputs_ = terms(arch.inputs, c_inputs);
+  c_outputs_ = terms(arch.outputs, outputs);
+}
+
+UnrollingCost ConvPricer::price(std::int64_t k_outer, std::int64_t c_outer,
+                                double utilization, CsSplit split) const {
+  const double k_tiles = static_cast<double>(k_outer);
+  const double i_bits = volumes_.input_bits;
+  const double o_psum_bits = volumes_.psum_bits;
+  // A: inputs re-fetched once per (k_outer, tap); the per-K-tile psum slice
+  // must stay resident across (c_outer, taps) or spill.
+  OperandTraffic a_inputs_traffic;
+  route_reads(arch_.inputs, i_bits, i_bits * (k_tiles * taps_), i_bits,
+              pes_, a_inputs_traffic);
+  const OperandTerms a_inputs = terms(arch_.inputs, a_inputs_traffic);
+  OperandTraffic a_outputs_traffic{out_reg_bits_, 0.0, 0.0, 0.0,
+                                   out_write_bits_};
+  if (psum_capacity_ < o_psum_bits / k_tiles) {
+    // One read+write round trip per accumulation pass beyond the first.
+    const double passes = static_cast<double>(c_outer) * taps_ - 1.0;
+    a_outputs_traffic.global_bits +=
+        2.0 * std::max(0.0, passes) * o_psum_bits;
+  }
+  const OperandTerms a_outputs = terms(arch_.outputs, a_outputs_traffic);
+  // B: the full-K psums stay resident across passes or spill.
+  OperandTraffic b_outputs_traffic{out_reg_bits_, 0.0, 0.0, 0.0,
+                                   out_write_bits_};
+  if (psum_capacity_ < o_psum_bits) {
+    const double passes =
+        static_cast<double>(c_outer) * taps_ * k_tiles - k_tiles;
+    b_outputs_traffic.global_bits +=
+        2.0 * std::max(0.0, passes) * (o_psum_bits / k_tiles);
+  }
+  const OperandTerms b_outputs = terms(arch_.outputs, b_outputs_traffic);
+
+  const std::int64_t nmax = split.k_par * split.oy_par;
+  const double share = 1.0 / static_cast<double>(nmax);
+  const double nm = static_cast<double>(nmax);
+  const double compute_cycles =
+      volumes_.macs / (static_cast<double>(pes_) * utilization) * share;
+  // RRAM port occupancy per CS: weights split along K (replicated across
+  // the oy_par row groups), inputs split along OY (replicated across the
+  // k_par channel groups), outputs fully split.
+  const double k_groups = static_cast<double>(split.k_par);
+  const double oy_groups = static_cast<double>(split.oy_par);
+
+  UnrollingCost best;
+  double best_edp = std::numeric_limits<double>::infinity();
+  const auto consider = [&](int order, const OperandTerms& w,
+                            const OperandTerms& i, const OperandTerms& o) {
+    UnrollingCost cost;
+    cost.order = order;
+    cost.utilization = utilization;
+    cost.cs_used = nmax;
+    cost.compute_cycles = compute_cycles;
+    const double rram_reads_per_cs =
+        w.rram_read_bits / k_groups + i.rram_read_bits / oy_groups;
+    const double rram_writes_per_cs = o.rram_write_bits * share;
+    cost.rram_cycles = (rram_reads_per_cs + rram_writes_per_cs *
+                                                sys_.rram_write_occupancy) /
+                       arch_.rram_bandwidth_bits_per_cycle;
+    const double buf_cycles = (i.cycles + w.cycles + o.cycles) * share;
+    cost.latency_cycles =
+        std::max({cost.compute_cycles, cost.rram_cycles, buf_cycles});
+
+    // Energy (whole system; traffic volumes are per unique bit).
+    cost.mac_energy_pj = mac_energy_pj_;
+    cost.buffer_energy_pj = w.energy_pj + i.energy_pj + o.energy_pj;
+    cost.rram_energy_pj =
+        access_scale_ * ((w.rram_read_bits + i.rram_read_bits) *
+                             arch_.rram_read_pj_per_bit +
+                         o.rram_write_bits * arch_.rram_write_pj_per_bit);
+    const double mem_idle =
+        sys_.mem_idle_pj_per_cycle * bank_scale_ *
+        std::max(0.0, cost.latency_cycles - cost.rram_cycles);
+    const double cs_idle =
+        sys_.cs_idle_pj_per_cycle *
+        ((n_ - nm) * cost.latency_cycles +
+         nm * std::max(0.0, cost.latency_cycles - cost.compute_cycles));
+    cost.idle_energy_pj = mem_idle + cs_idle;
+    cost.energy_pj = cost.mac_energy_pj + cost.buffer_energy_pj +
+                     cost.rram_energy_pj + cost.idle_energy_pj;
+    if (cost.edp() < best_edp) {
+      best_edp = cost.edp();
+      best = cost;
+    }
+  };
+  consider(0, weights_once_, a_inputs, a_outputs);
+  consider(1, weights_once_, b_inputs_, b_outputs);
+  consider(2, c_weights_, c_inputs_, c_outputs_);
+  return best;
+}
+
 LayerCost price_conv(const nn::ConvSpec& conv, const Architecture& arch,
                      const SystemCosts& sys, std::int64_t n_cs) {
-  expects(n_cs >= 1, "need at least one CS");
-  // Per-thread scratch: the candidate vector ratchets capacity and is fully
-  // rewritten each call, so steady-state enumeration does not reallocate.
-  thread_local std::vector<TemporalMapping> candidates;
-  candidate_mappings(conv, arch, candidates);
-  // Named up front, so "nothing beat +inf" (every EDP overflowed) carries
-  // the layer's name, as a MapCache hit returns it.
-  LayerCost best;
-  best.layer = conv.name;
-  double best_edp = std::numeric_limits<double>::infinity();
-  for (const auto& m : candidates) {
-    LayerCost c = price_candidate(conv, m, arch, sys, n_cs);
-    const double edp = c.latency_cycles * c.energy_pj;
-    if (edp < best_edp) {
-      best_edp = edp;
-      best = std::move(c);
-    }
-  }
-  return best;
+  const ConvPricer pricer(conv, arch, sys, n_cs);
+  const std::int64_t k_outer = ceil_div(conv.k, arch.spatial.k);
+  const CsSplit split =
+      cs_split(n_cs, k_outer, ceil_div(conv.oy, arch.spatial.oy));
+  // Named even when nothing beat +inf (every EDP overflowed), as a MapCache
+  // hit returns it.
+  return pricer
+      .price(k_outer, ceil_div(conv.c, arch.spatial.c),
+             spatial_utilization(conv, arch.spatial), split)
+      .to_layer_cost(conv.name);
 }
 
 LayerCost evaluate_conv(const nn::ConvSpec& conv, const Architecture& arch,

@@ -4,12 +4,11 @@
 // shape under the architecture's own PE-array unrolling, which
 // `evaluate_network` and the spatial search's fixed-dataflow baseline both
 // repeat per layer, and which the persistent store
-// (uld3d/mapper/map_cache_file.hpp) carries across runs.  The search's
-// candidate unrollings bypass the cache and call `price_conv` directly: a
-// probe costs about as much as pricing a layer's three temporal candidates
-// on one thread and twice as much when four threads share the shards, so
-// caching candidates only added ~150 k entries of ~600 B and lock traffic
-// to every searched sweep (DESIGN.md §10).
+// (uld3d/mapper/map_cache_file.hpp) carries across runs.  The search prices
+// its candidate unrollings with ConvPricer's kernel and never probes the
+// cache: a probe costs more than one kernel call, and caching candidates
+// would add ~150 k entries of ~600 B and lock traffic to every searched
+// sweep (DESIGN.md §10, §17).
 //
 // The cache keys on the EXACT content of price_conv's (ConvSpec,
 // Architecture, SystemCosts, n_cs) inputs — every numeric field captured

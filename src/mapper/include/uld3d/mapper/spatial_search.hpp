@@ -1,22 +1,15 @@
 // Joint architecture-mapping search over SPATIAL unrollings — the design
 // freedom ZigZag's title refers to ("enlarging joint architecture-mapping
-// design space exploration").  For a fixed PE budget, enumerate the
+// design space exploration").  For a fixed PE budget, consider the
 // power-of-two (K, C, OX, OY) unrollings, price each layer under each
 // candidate with the temporal mapper, and keep the best.  Comparing the
 // fixed-dataflow cost against the searched cost quantifies how much a
 // reconfigurable array would buy at each design point.
 #pragma once
 
-#include <vector>
-
 #include "uld3d/mapper/cost_model.hpp"
 
 namespace uld3d::mapper {
-
-/// All power-of-two unrollings (k, c, ox, oy) with k*c*ox*oy == total_pes.
-/// `total_pes` must be a power of two.
-[[nodiscard]] std::vector<SpatialUnrolling> enumerate_unrollings(
-    std::int64_t total_pes);
 
 /// Outcome of searching one layer.
 struct SpatialSearchResult {
@@ -33,11 +26,14 @@ struct SpatialSearchResult {
 };
 
 /// Search the best spatial unrolling for `conv` on a variant of `arch`
-/// (buffers and hierarchy unchanged; only the PE-array shape moves).
-/// Candidates are priced best-first by an admissible EDP lower bound until
-/// no remaining bound can beat the incumbent; `best`, `cost` and
-/// `candidates` are bit-identical to pricing every candidate in enumeration
-/// order and keeping the first strictly better one.
+/// (buffers and hierarchy unchanged; only the PE-array shape moves).  The
+/// candidates are the C(e+3, 3) power-of-two unrollings (k, c, ox, oy) of
+/// the 2^e PE budget, numbered with k outermost and ox innermost; the
+/// budget must be a power of two.  Candidates are priced best-first by an
+/// admissible EDP lower bound until no remaining bound can beat the
+/// incumbent; `best`, `cost` and `candidates` are bit-identical to pricing
+/// every candidate with price_conv in that order and keeping the first
+/// strictly better one.
 [[nodiscard]] SpatialSearchResult search_spatial(const nn::ConvSpec& conv,
                                                  const Architecture& arch,
                                                  const SystemCosts& sys,
@@ -53,6 +49,8 @@ struct SearchedNetworkCost {
   }
 };
 
+/// Searches each distinct conv shape (every ConvSpec field but the name)
+/// once and gives each layer of that shape the result under its own name.
 [[nodiscard]] SearchedNetworkCost evaluate_network_with_search(
     const nn::Network& net, const Architecture& arch, const SystemCosts& sys,
     std::int64_t n_cs);

@@ -47,20 +47,21 @@ bool prune_bound_valid(const Architecture& arch, const SystemCosts& sys) {
 struct Entry {
   double lb;           ///< EDP lower bound; -inf means "always price"
   std::int32_t index;  ///< enumeration index, the tie-break
+  std::array<std::uint8_t, 4> exp;  ///< the (k, c, ox, oy) exponents
 };
 
 /// Inverted (lb, index) order: std's heaps pop their largest element, so
 /// this makes the heap pop the smallest bound, then the lowest index.
-bool pops_later(const Entry& a, const Entry& b) {
+constexpr auto pops_later = [](const Entry& a, const Entry& b) {
   return a.lb > b.lb || (a.lb == b.lb && a.index > b.index);
-}
+};
 
 /// Per-exponent tables for one conv dimension: outer[e] = ceil(dim / 2^e)
-/// and fill[e] = dim / (outer[e] * 2^e), temporal_mapping's fill() for an
-/// unrolling of 2^e.
+/// and fill[e] = dim / (outer[e] * 2^e), spatial_utilization's fill for an
+/// unrolling of 2^e.  Entries above `max_exp` are left unset.
 struct AxisTable {
-  std::array<std::int64_t, 64> outer{};
-  std::array<double, 64> fill{};
+  std::array<std::int64_t, 64> outer;
+  std::array<double, 64> fill;
 
   AxisTable(std::int64_t dim, int max_exp) {
     for (int e = 0; e <= max_exp; ++e) {
@@ -72,145 +73,146 @@ struct AxisTable {
   }
 };
 
-/// What the bound needs from price_candidate's (k_par, oy_par)
-/// split: the CSs it occupies, their share, and the RRAM port cycles every
-/// temporal mapping pays at least (each reads the weights and the inputs
-/// once and writes the outputs once).
+/// The CsSplit that price_conv's scan (cost_model.cpp) picks for one
+/// (k exponent, oy exponent) pair, and what the bound needs from it: the
+/// CSs it occupies, their share, and the RRAM port cycles every temporal
+/// mapping pays at least (each reads the weights and the inputs once and
+/// writes the outputs once).
 struct Split {
+  CsSplit cs;
   double nm = 1.0;
   double share = 1.0;
   double rram_lb = 0.0;
 };
 
-/// One entry per candidate of `candidates`, in order.  Every bound term
-/// uses its priced twin's expression tree (cost_model.cpp's price_candidate,
-/// candidate_mappings), so it is at most that term in floating point too.
-std::vector<Entry> bound_candidates(
-    const nn::ConvSpec& conv, const Architecture& arch, const SystemCosts& sys,
-    std::int64_t n_cs, const std::vector<SpatialUnrolling>& candidates) {
-  const int max_exp = std::countr_zero(
-      static_cast<std::uint64_t>(arch.spatial.total_pes()));
-  const AxisTable k_axis(conv.k, max_exp);
-  const AxisTable c_axis(conv.c, max_exp);
-  const AxisTable ox_axis(conv.ox, max_exp);
-  const AxisTable oy_axis(conv.oy, max_exp);
+/// Everything the search reads per candidate, by exponent: the kernel's
+/// inputs (k_outer, c_outer, utilization, split) and the bound.  Every
+/// bound term uses its priced twin's expression tree (ConvPricer::price),
+/// so it is at most that term in floating point too.
+class UnrollingTables {
+ public:
+  UnrollingTables(const nn::ConvSpec& conv, const ConvVolumes& volumes,
+                  const Architecture& arch, const SystemCosts& sys,
+                  std::int64_t n_cs, int max_exp)
+      : k_(conv.k, max_exp),
+        c_(conv.c, max_exp),
+        ox_(conv.ox, max_exp),
+        oy_(conv.oy, max_exp),
+        side_(static_cast<std::size_t>(max_exp + 1)),
+        splits_(side_ * side_),
+        macs_(volumes.macs) {
+    const double wb = static_cast<double>(arch.weight_bits);
+    const double pb = static_cast<double>(arch.psum_bits);
+    const double w_bits = volumes.weight_bits;
+    const double i_bits = volumes.input_bits;
+    const double o_bits = volumes.output_bits;
+    pes_ = static_cast<double>(arch.spatial.total_pes());
+    n_ = static_cast<double>(n_cs);
+    cs_idle_pj_per_cycle_ = sys.cs_idle_pj_per_cycle;
 
-  const double wb = static_cast<double>(arch.weight_bits);
-  const double ab = static_cast<double>(arch.activation_bits);
-  const double pb = static_cast<double>(arch.psum_bits);
-  const double macs = static_cast<double>(conv.k * conv.c * conv.ox * conv.oy *
-                                          conv.fx * conv.fy);
-  const double w_bits =
-      static_cast<double>(conv.k * conv.c * conv.fx * conv.fy) * wb;
-  const double i_bits =
-      static_cast<double>(conv.c * conv.input_x() * conv.input_y()) * ab;
-  const double o_bits = static_cast<double>(conv.k * conv.ox * conv.oy) * ab;
-  const double pes = static_cast<double>(arch.spatial.total_pes());
-  const double n = static_cast<double>(n_cs);
-
-  // The split depends on (min(n_cs, k_outer), oy_outer) only.  For a fixed
-  // oy exponent, price_candidate's k-scan over a larger k_outer
-  // extends the scan over a smaller one, so one scan per oy exponent, with
-  // k exponents taken from large to small, yields every split; n_cs / k is
-  // shared by all of them.
-  const std::int64_t k_scan =
-      std::max<std::int64_t>(0, std::min(n_cs, k_axis.outer[0]));
-  std::vector<std::int64_t> n_over_k(static_cast<std::size_t>(k_scan));
-  for (std::int64_t k = 1; k <= k_scan; ++k) {
-    n_over_k[static_cast<std::size_t>(k - 1)] = n_cs / k;
-  }
-  const auto side = static_cast<std::size_t>(max_exp + 1);
-  std::vector<Split> splits(side * side);
-  for (int eoy = 0; eoy <= max_exp; ++eoy) {
-    std::int64_t k = 0;
-    std::int64_t k_par = 1;
-    std::int64_t oy_par = 1;
-    for (int ek = max_exp - eoy; ek >= 0; --ek) {
-      const std::int64_t k_max = std::min(n_cs, k_axis.outer[ek]);
-      while (k < k_max) {
-        ++k;
-        const std::int64_t oy = std::min(
-            n_over_k[static_cast<std::size_t>(k - 1)], oy_axis.outer[eoy]);
-        if (k * oy >= k_par * oy_par) {
-          k_par = k;
-          oy_par = oy;
-        }
-      }
-      Split& s = splits[static_cast<std::size_t>(ek) * side +
-                        static_cast<std::size_t>(eoy)];
-      s.nm = static_cast<double>(k_par * oy_par);
-      s.share = 1.0 / s.nm;
-      s.rram_lb = (w_bits / static_cast<double>(k_par) +
-                   i_bits / static_cast<double>(oy_par) +
-                   o_bits * s.share * sys.rram_write_occupancy) /
-                  arch.rram_bandwidth_bits_per_cycle;
+    // The split depends on (min(n_cs, k_outer), oy_outer) only.  For a
+    // fixed oy exponent, price_conv's k-scan over a larger k_outer extends
+    // the scan over a smaller one, so one scan per oy exponent, with k
+    // exponents taken from large to small, yields every split; n_cs / k is
+    // shared by all of them.
+    const std::int64_t k_scan =
+        std::max<std::int64_t>(0, std::min(n_cs, k_.outer[0]));
+    std::vector<std::int64_t> n_over_k(static_cast<std::size_t>(k_scan));
+    for (std::int64_t k = 1; k <= k_scan; ++k) {
+      n_over_k[static_cast<std::size_t>(k - 1)] = n_cs / k;
     }
+    for (int eoy = 0; eoy <= max_exp; ++eoy) {
+      std::int64_t k = 0;
+      CsSplit cs;
+      for (int ek = max_exp - eoy; ek >= 0; --ek) {
+        const std::int64_t k_max = std::min(n_cs, k_.outer[ek]);
+        while (k < k_max) {
+          ++k;
+          const std::int64_t oy = std::min(
+              n_over_k[static_cast<std::size_t>(k - 1)], oy_.outer[eoy]);
+          if (k * oy >= cs.k_par * cs.oy_par) {
+            cs = {k, oy};
+          }
+        }
+        Split& s = split(ek, eoy);
+        s.cs = cs;
+        s.nm = static_cast<double>(cs.k_par * cs.oy_par);
+        s.share = 1.0 / s.nm;
+        s.rram_lb = (w_bits / static_cast<double>(cs.k_par) +
+                     i_bits / static_cast<double>(cs.oy_par) +
+                     o_bits * s.share * sys.rram_write_occupancy) /
+                    arch.rram_bandwidth_bits_per_cycle;
+      }
+    }
+
+    // Energy every temporal mapping pays: the MACs, the register traffic
+    // common to all orders, and one RRAM pass over each operand.  Buffer
+    // traffic beyond the registers and memory idle are >= 0 and dropped (a
+    // candidate may be RRAM-bound, leaving no memory idle).
+    const double access_scale = n_cs > 1 ? sys.m3d_access_energy_scale : 1.0;
+    energy_floor_ =
+        macs_ * arch.mac_energy_pj +
+        (macs_ * wb * arch.weights.reg.access_energy_pj_per_bit +
+         2.0 * macs_ * pb * arch.outputs.reg.access_energy_pj_per_bit) +
+        access_scale * ((w_bits + i_bits) * arch.rram_read_pj_per_bit +
+                        o_bits * arch.rram_write_pj_per_bit);
   }
 
-  // Energy every temporal mapping pays: the MACs, the register traffic of
-  // candidate_mappings' `common`, and one RRAM pass over each operand.
-  // Buffer traffic beyond the registers and memory idle are >= 0 and
-  // dropped (a candidate may be RRAM-bound, leaving no memory idle).
-  const double access_scale = n_cs > 1 ? sys.m3d_access_energy_scale : 1.0;
-  const double energy_floor =
-      macs * arch.mac_energy_pj +
-      (macs * wb * arch.weights.reg.access_energy_pj_per_bit +
-       2.0 * macs * pb * arch.outputs.reg.access_energy_pj_per_bit) +
-      access_scale * ((w_bits + i_bits) * arch.rram_read_pj_per_bit +
-                      o_bits * arch.rram_write_pj_per_bit);
-  // Deflated so that no rounding can lift a bound above its EDP.
-  constexpr double kDeflate = 1.0 - 1e-12;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+  /// spatial_utilization's product, in its association.
+  [[nodiscard]] double utilization(int ek, int ec, int eox, int eoy) const {
+    return k_.fill[ek] * c_.fill[ec] * ox_.fill[eox] * oy_.fill[eoy];
+  }
 
-  std::vector<Entry> bounds(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const SpatialUnrolling& s = candidates[i];
-    const int ek = std::countr_zero(static_cast<std::uint64_t>(s.k));
-    const int eoy = std::countr_zero(static_cast<std::uint64_t>(s.oy));
-    const Split& split = splits[static_cast<std::size_t>(ek) * side +
-                                static_cast<std::size_t>(eoy)];
-    // spatial_utilization's product, in its association.
-    const double util =
-        k_axis.fill[ek] *
-        c_axis.fill[std::countr_zero(static_cast<std::uint64_t>(s.c))] *
-        ox_axis.fill[std::countr_zero(static_cast<std::uint64_t>(s.ox))] *
-        oy_axis.fill[eoy];
-    const double compute = macs / (pes * util) * split.share;
-    const double lat = std::max(compute, split.rram_lb);
+  /// The candidate's admissible EDP lower bound, or -inf when it says
+  /// nothing: NaN says nothing, and +inf means every temporal mapping of
+  /// the candidate overflows, which price() reports as its zero-cost
+  /// "nothing beat +inf" result, so both are always priced.
+  [[nodiscard]] double bound(int ek, int ec, int eox, int eoy) const {
+    const Split& s = split(ek, eoy);
+    const double compute = macs_ / (pes_ * utilization(ek, ec, eox, eoy)) *
+                           s.share;
+    const double lat = std::max(compute, s.rram_lb);
     const double cs_idle =
-        sys.cs_idle_pj_per_cycle *
-        ((n - split.nm) * lat +
-         split.nm * std::max(0.0, lat - compute));
-    const double lb = lat * (energy_floor + cs_idle) * kDeflate;
-    // NaN says nothing, and +inf means every temporal mapping of `s`
-    // overflows, which price_conv reports as its zero-cost "nothing beat
-    // +inf" result: price both.
-    bounds[i] = {lb < kInf ? lb : -kInf, static_cast<std::int32_t>(i)};
+        cs_idle_pj_per_cycle_ *
+        ((n_ - s.nm) * lat + s.nm * std::max(0.0, lat - compute));
+    // Deflated so that no rounding can lift a bound above its EDP.
+    constexpr double kDeflate = 1.0 - 1e-12;
+    const double lb = lat * (energy_floor_ + cs_idle) * kDeflate;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    return lb < kInf ? lb : -kInf;
   }
-  return bounds;
-}
+
+  [[nodiscard]] UnrollingCost price(const ConvPricer& pricer,
+                                    const Entry& e) const {
+    const auto [ek, ec, eox, eoy] = e.exp;
+    return pricer.price(k_.outer[ek], c_.outer[ec],
+                        utilization(ek, ec, eox, eoy), split(ek, eoy).cs);
+  }
+
+ private:
+  [[nodiscard]] Split& split(int ek, int eoy) {
+    return splits_[static_cast<std::size_t>(ek) * side_ +
+                   static_cast<std::size_t>(eoy)];
+  }
+  [[nodiscard]] const Split& split(int ek, int eoy) const {
+    return splits_[static_cast<std::size_t>(ek) * side_ +
+                   static_cast<std::size_t>(eoy)];
+  }
+
+  AxisTable k_;
+  AxisTable c_;
+  AxisTable ox_;
+  AxisTable oy_;
+  std::size_t side_;
+  std::vector<Split> splits_;
+  double macs_;
+  double pes_ = 1.0;
+  double n_ = 1.0;
+  double cs_idle_pj_per_cycle_ = 0.0;
+  double energy_floor_ = 0.0;
+};
 
 }  // namespace
-
-std::vector<SpatialUnrolling> enumerate_unrollings(std::int64_t total_pes) {
-  expects(total_pes >= 1 && (total_pes & (total_pes - 1)) == 0,
-          "PE budget must be a power of two");
-  std::vector<SpatialUnrolling> out;
-  // total_pes = 2^e yields C(e+3, 3) = (e+1)(e+2)(e+3)/6 factorizations:
-  // choose exponents for (k, c, ox); oy takes the remainder.
-  std::int64_t e = 0;
-  while ((std::int64_t{1} << e) < total_pes) ++e;
-  out.reserve(static_cast<std::size_t>((e + 1) * (e + 2) * (e + 3) / 6));
-  for (std::int64_t k = 1; k <= total_pes; k *= 2) {
-    for (std::int64_t c = 1; k * c <= total_pes; c *= 2) {
-      for (std::int64_t ox = 1; k * c * ox <= total_pes; ox *= 2) {
-        const std::int64_t oy = total_pes / (k * c * ox);
-        out.push_back({k, c, ox, oy});
-      }
-    }
-  }
-  return out;
-}
 
 double SpatialSearchResult::improvement() const {
   const double searched = cost.latency_cycles * cost.energy_pj;
@@ -227,51 +229,74 @@ SpatialSearchResult search_spatial(const nn::ConvSpec& conv,
   result.fixed_cost = evaluate_conv(conv, arch, sys, n_cs);
   result.best = arch.spatial;
   result.cost = result.fixed_cost;
+  const std::int64_t total_pes = arch.spatial.total_pes();
+  expects(total_pes >= 1 && (total_pes & (total_pes - 1)) == 0,
+          "PE budget must be a power of two");
 
   // Best-first search (DESIGN.md §17): price candidates in (bound, index)
   // order and stop once the next bound cannot beat the incumbent.  The
   // incumbent starts as the fixed dataflow at index -1, and ties go to the
   // lower index, so the winner is the first-of-equals minimum that the
-  // exhaustive strict-< scan in enumeration order picks.
-  const auto candidates = enumerate_unrollings(arch.spatial.total_pes());
+  // exhaustive strict-< scan in enumeration order picks.  The candidates
+  // are the power-of-two unrollings (2^ek, 2^ec, 2^eox, 2^eoy) of the
+  // budget 2^e, walked in (ek, ec, eox) order, which numbers them.  Only
+  // bounds below the fixed EDP enter the heap: the pop loop stops before
+  // any other.
+  const int e = std::countr_zero(static_cast<std::uint64_t>(total_pes));
+  const ConvPricer pricer(conv, arch, sys, n_cs);
+  const UnrollingTables tables(conv, pricer.volumes(), arch, sys, n_cs, e);
   double best_edp =
       result.fixed_cost.latency_cycles * result.fixed_cost.energy_pj;
+  // Without a bound every entry ties at -inf: a plain index-order scan.
+  const bool bounded = std::isfinite(best_edp) && prune_bound_valid(arch, sys);
   std::vector<Entry> heap;
-  if (std::isfinite(best_edp) && prune_bound_valid(arch, sys)) {
-    heap = bound_candidates(conv, arch, sys, n_cs, candidates);
-  } else {
-    // Without a bound every entry ties at -inf: a plain index-order scan.
-    heap.resize(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      heap[i] = {-std::numeric_limits<double>::infinity(),
-                 static_cast<std::int32_t>(i)};
+  heap.reserve(static_cast<std::size_t>((e + 1) * (e + 2) * (e + 3) / 6));
+  std::int32_t index = 0;
+  for (int ek = 0; ek <= e; ++ek) {
+    for (int ec = 0; ec <= e - ek; ++ec) {
+      for (int eox = 0; eox <= e - ek - ec; ++eox, ++index) {
+        const int eoy = e - ek - ec - eox;
+        const double lb = bounded ? tables.bound(ek, ec, eox, eoy)
+                                  : -std::numeric_limits<double>::infinity();
+        if (!bounded || lb < best_edp) {
+          heap.push_back({lb, index,
+                          {static_cast<std::uint8_t>(ek),
+                           static_cast<std::uint8_t>(ec),
+                           static_cast<std::uint8_t>(eox),
+                           static_cast<std::uint8_t>(eoy)}});
+        }
+      }
     }
   }
   std::make_heap(heap.begin(), heap.end(), pops_later);
 
-  Architecture variant = arch;  // only `spatial` changes per candidate
-  std::int32_t best_index = -1;
+  Entry best{0.0, -1, {}};  // the incumbent; index -1 is the fixed dataflow
+  UnrollingCost best_cost;
   std::size_t priced = 0;
   for (auto end = heap.end(); end != heap.begin(); --end) {
     std::pop_heap(heap.begin(), end, pops_later);
     const Entry next = *(end - 1);
     if (next.lb > best_edp ||
-        (next.lb == best_edp && next.index > best_index)) {
+        (next.lb == best_edp && next.index > best.index)) {
       break;  // every remaining (lb, index) is at least `next`'s
     }
-    variant.spatial = candidates[static_cast<std::size_t>(next.index)];
-    LayerCost cost = price_conv(conv, variant, sys, n_cs);
+    const UnrollingCost cost = tables.price(pricer, next);
     ++priced;
-    const double edp = cost.latency_cycles * cost.energy_pj;
-    if (edp < best_edp || (edp == best_edp && next.index < best_index)) {
+    const double edp = cost.edp();
+    if (edp < best_edp || (edp == best_edp && next.index < best.index)) {
       best_edp = edp;
-      best_index = next.index;
-      result.best = variant.spatial;
-      result.cost = std::move(cost);
+      best = next;
+      best_cost = cost;
     }
   }
-  result.candidates = candidates.size();
-  result.lb_pruned = candidates.size() - priced;
+  if (best.index >= 0) {
+    const auto [ek, ec, eox, eoy] = best.exp;
+    result.best = {std::int64_t{1} << ek, std::int64_t{1} << ec,
+                   std::int64_t{1} << eox, std::int64_t{1} << eoy};
+    result.cost = best_cost.to_layer_cost(conv.name);
+  }
+  result.candidates = static_cast<std::size_t>(index);
+  result.lb_pruned = result.candidates - priced;
   if (metrics_enabled()) {
     MetricsRegistry& registry = MetricsRegistry::instance();
     registry.counter("mapper.spatial.searches").add();
@@ -294,32 +319,46 @@ SearchedNetworkCost evaluate_network_with_search(const nn::Network& net,
   out.searched.network = net.name();
   out.searched.architecture = arch.name + " + spatial search";
   out.searched.n_cs = n_cs;
-  // Per-layer fan-out into pre-sized slots (each layer task runs its own
-  // serial best-first search), then a serial in-order accumulation so the
-  // double sums are bit-identical to the serial loop.
+  // One search per distinct conv shape (the first layer of each shape
+  // holds its slot), fanned out into pre-sized slots; then a serial
+  // in-order accumulation, so the double sums are bit-identical to the
+  // serial loop.
   const auto& layers = net.layers();
   out.searched.layers.reserve(layers.size());
+  const auto same_shape = [](const nn::ConvSpec& a, const nn::ConvSpec& b) {
+    return a.k == b.k && a.c == b.c && a.ox == b.ox && a.oy == b.oy &&
+           a.fx == b.fx && a.fy == b.fy && a.stride == b.stride;
+  };
+  std::vector<std::size_t> slot(layers.size());  // the shape's first layer
+  std::vector<std::size_t> distinct;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    if (!layers[i].is_conv()) continue;
+    const auto it = std::find_if(
+        distinct.begin(), distinct.end(), [&](std::size_t first) {
+          return same_shape(layers[first].conv(), layers[i].conv());
+        });
+    slot[i] = it != distinct.end() ? *it : distinct.emplace_back(i);
+  }
   std::vector<std::optional<SpatialSearchResult>> searched(layers.size());
   const int jobs =
       FaultInjector::instance().armed() ? 1 : parallel::jobs();
   parallel::parallel_for_indexed(
-      layers.size(),
-      [&](std::size_t i) {
-        if (layers[i].is_conv()) {
-          searched[i] = search_spatial(layers[i].conv(), arch, sys, n_cs);
-        }
+      distinct.size(),
+      [&](std::size_t d) {
+        const std::size_t i = distinct[d];
+        searched[i] = search_spatial(layers[i].conv(), arch, sys, n_cs);
       },
       {.jobs = jobs});
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (searched[i].has_value()) {
-      const SpatialSearchResult& r = *searched[i];
-      out.searched.latency_cycles += r.cost.latency_cycles;
-      out.searched.energy_pj += r.cost.energy_pj;
-      out.searched.layers.push_back(r.cost);
+    if (layers[i].is_conv()) {
+      LayerCost cost = searched[slot[i]]->cost;
+      cost.layer = layers[i].conv().name;
+      out.searched.latency_cycles += cost.latency_cycles;
+      out.searched.energy_pj += cost.energy_pj;
+      out.searched.layers.push_back(std::move(cost));
     } else {
       // Vector layers are dataflow-independent: reuse the fixed cost.
-      const LayerCost& fixed =
-          out.fixed.layers[out.searched.layers.size()];
+      const LayerCost& fixed = out.fixed.layers[i];
       out.searched.latency_cycles += fixed.latency_cycles;
       out.searched.energy_pj += fixed.energy_pj;
       out.searched.layers.push_back(fixed);

@@ -39,6 +39,10 @@ check 3 "$cli" compare --config "$tmpdir/bad_range.ini"
 printf '[study]\ncapacity_mb = oops\n' > "$tmpdir/bad_value.ini"
 check 3 "$cli" compare --config "$tmpdir/bad_value.ini"
 
+# a PE count whose product overflows 64 bits is refused, not priced
+printf '[arch]\nspatial_k = 4294967296\nspatial_c = 4294967296\n' > "$tmpdir/pe_overflow.ini"
+check 3 "$cli" arch --config "$tmpdir/pe_overflow.ini"
+
 # unknown-key typo: warning by default, fatal under --strict
 printf '[study]\ncapcity_mb = 64\n' > "$tmpdir/typo.ini"
 check 0 "$cli" compare --config "$tmpdir/typo.ini"

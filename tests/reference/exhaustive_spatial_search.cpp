@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "price_conv.hpp"
+
 namespace uld3d::mapper::reference {
 
 SpatialSearchResult exhaustive_spatial_search(const nn::ConvSpec& conv,
@@ -9,7 +11,7 @@ SpatialSearchResult exhaustive_spatial_search(const nn::ConvSpec& conv,
                                               const SystemCosts& sys,
                                               std::int64_t n_cs) {
   SpatialSearchResult result;
-  result.fixed_cost = evaluate_conv(conv, arch, sys, n_cs);
+  result.fixed_cost = reference::price_conv(conv, arch, sys, n_cs);
   result.best = arch.spatial;
   result.cost = result.fixed_cost;
   double best_edp =
@@ -19,7 +21,7 @@ SpatialSearchResult exhaustive_spatial_search(const nn::ConvSpec& conv,
     ++result.candidates;
     Architecture variant = arch;
     variant.spatial = s;
-    LayerCost cost = price_conv(conv, variant, sys, n_cs);
+    LayerCost cost = reference::price_conv(conv, variant, sys, n_cs);
     const double edp = cost.latency_cycles * cost.energy_pj;
     if (edp < best_edp) {  // strict: the first of equal EDPs wins
       best_edp = edp;

@@ -1,4 +1,8 @@
-// Greedy temporal-mapping search (the ZigZag-style [13] mapping engine).
+// The seed's conv pricing, kept verbatim as the oracle that
+// mapper::price_conv and the spatial search's kernel (cost_model.cpp) must
+// reproduce bit for bit: candidate_mappings derives the three temporal
+// mappings of one unrolling, price_candidate prices each one, and
+// price_conv keeps the first strictly cheaper EDP.
 //
 // For one convolution on one architecture the mapper enumerates three
 // canonical weight-stationary loop orders and keeps the cheapest:
@@ -12,16 +16,18 @@
 //                      partial-sum tile fits on chip; weights re-fetched once
 //                      per pixel tile.
 // Each candidate yields per-level traffic volumes; the cost model prices
-// them.  This captures the buffer-capacity / reuse trade-offs that ZigZag
-// explores, at the granularity the paper's Fig. 7 comparison needs.
+// them.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "uld3d/mapper/architecture.hpp"
+#include "uld3d/mapper/cost_model.hpp"
 #include "uld3d/nn/layer.hpp"
 
-namespace uld3d::mapper {
+namespace uld3d::mapper::reference {
 
 /// Traffic volumes (bits) one operand moves at each hierarchy level for one
 /// full layer execution on ONE computing sub-system.
@@ -51,10 +57,8 @@ struct TemporalMapping {
     const nn::ConvSpec& conv, const Architecture& arch);
 
 /// Allocation-reusing variant: clears `out` and fills it with the same
-/// candidates.  Callers that price many layers (price_conv, the spatial
-/// search) keep one thread-local vector so steady-state enumeration does not
-/// touch the heap (the strings still allocate on first use per slot; the
-/// vector's spine never reallocates after the first call).
+/// candidates (reference::price_conv keeps one thread-local vector, so
+/// pricing many unrollings does not reallocate its spine).
 void candidate_mappings(const nn::ConvSpec& conv, const Architecture& arch,
                         std::vector<TemporalMapping>& out);
 
@@ -62,4 +66,17 @@ void candidate_mappings(const nn::ConvSpec& conv, const Architecture& arch,
 [[nodiscard]] double spatial_utilization(const nn::ConvSpec& conv,
                                          const SpatialUnrolling& spatial);
 
-}  // namespace uld3d::mapper
+/// Price every candidate mapping on `n_cs` CSs and keep the first strictly
+/// cheaper EDP; a layer whose every EDP overflows gets the zero-cost
+/// "nothing beat +inf" result, named.
+[[nodiscard]] LayerCost price_conv(const nn::ConvSpec& conv,
+                                   const Architecture& arch,
+                                   const SystemCosts& sys, std::int64_t n_cs);
+
+/// All power-of-two unrollings (k, c, ox, oy) with k*c*ox*oy == total_pes,
+/// in the order the spatial search numbers them.  `total_pes` must be a
+/// power of two.
+[[nodiscard]] std::vector<SpatialUnrolling> enumerate_unrollings(
+    std::int64_t total_pes);
+
+}  // namespace uld3d::mapper::reference

@@ -9,7 +9,7 @@ namespace {
 
 TEST(ChipSummary, DerivedFlowInputIsConsistent) {
   const CaseStudy study;
-  const auto input = derive_flow_input(study, nn::make_resnet18(), true);
+  const auto input = derive_flow_input(study, true);
   EXPECT_DOUBLE_EQ(input.rram_capacity_bits, study.capacity_bits());
   EXPECT_GT(input.cs_logic_area_um2, 0.0);
   EXPECT_GT(input.cs_sram_area_um2, 0.0);
@@ -23,7 +23,7 @@ TEST(ChipSummary, DerivedFlowInputIsConsistent) {
 TEST(ChipSummary, DerivedPowersArePaperScale) {
   // A 20 MHz 130 nm edge accelerator burns milliwatts, not watts.
   const CaseStudy study;
-  const auto input = derive_flow_input(study, nn::make_resnet18(), true);
+  const auto input = derive_flow_input(study, true);
   const double total = input.cs_dynamic_mw_each * 8.0 +
                        input.mem_periph_dynamic_mw +
                        input.mem_cell_access_mw + input.cnfet_selector_mw;

@@ -90,7 +90,7 @@ TEST(CrossModel, PaperEq2MatchesPlacerCapacity) {
   // Eq. 2's N (area arithmetic) and the placer's achieved CS count (the
   // geometric reality) must agree for the case study.
   const accel::CaseStudy study;
-  const auto input = accel::derive_flow_input(study, nn::make_resnet18(), true);
+  const auto input = accel::derive_flow_input(study, true);
   const phys::M3dFlow flow;
   const auto r2 = flow.run_design(input, false, 1);
   const auto r3 = flow.run_design(input, true, study.m3d_cs_count(),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "uld3d/nn/zoo.hpp"
+#include "uld3d/util/check.hpp"
 #include "uld3d/util/units.hpp"
 
 namespace uld3d::io {
@@ -76,6 +77,18 @@ TEST(StudyConfig, ArchDefaultsAreUsable) {
   const auto arch = architecture_from_config(Config::parse("[arch]\n"));
   EXPECT_NO_THROW(arch.validate());
   EXPECT_EQ(arch.spatial.total_pes(), 256);
+}
+
+TEST(StudyConfig, ArchPeCountOverflowIsRefused) {
+  // 2^32 x 2^32 PEs overflows total_pes(); 3037000499^2 fits in 64 bits,
+  // but its gate count (x 600) does not.
+  for (const char* side : {"4294967296", "3037000500", "3037000499"}) {
+    const std::string ini = std::string("[arch]\nspatial_k = ") + side +
+                            "\nspatial_c = " + side + "\n";
+    EXPECT_THROW((void)architecture_from_config(Config::parse(ini)),
+                 PreconditionError)
+        << side;
+  }
 }
 
 }  // namespace

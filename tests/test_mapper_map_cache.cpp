@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "uld3d/mapper/cost_model.hpp"
 #include "uld3d/mapper/spatial_search.hpp"
@@ -184,39 +186,54 @@ TEST_F(MapCacheTest, ClearDropsEntriesButKeepsCounters) {
 }
 
 TEST_F(MapCacheTest, SearchedNetworkIdenticalAcrossJobsAndCacheModes) {
-  // The full searched-network pipeline — per-layer fan-out, per-unrolling
+  // The full searched-network pipeline — per-shape dedup, per-layer
   // fan-out, cost memoization — must be invisible in the numbers: any jobs
   // count, cache on or off, the totals and every per-layer cost match the
-  // serial cache-off run bitwise.
-  const nn::Network net = nn::make_alexnet();
+  // serial cache-off run bitwise, and every conv layer's cost is the one a
+  // direct search of that layer returns, under its own name.  AlexNet's
+  // conv shapes are all distinct; ResNet-18 repeats them (21 convs, 12
+  // shapes), so its dedup copies results between layers.
   const auto arch = make_table2_architecture(1);
-
-  MapCache::instance().set_enabled(false);
-  parallel::set_jobs(1);
-  const SearchedNetworkCost ref =
-      evaluate_network_with_search(net, arch, {}, 4);
-
-  struct Mode {
-    bool cache;
-    int jobs;
-  };
-  for (const Mode mode : {Mode{true, 1}, Mode{false, 8}, Mode{true, 8}}) {
-    MapCache::instance().set_enabled(mode.cache);
-    MapCache::instance().clear();
-    parallel::set_jobs(mode.jobs);
-    const SearchedNetworkCost got =
+  for (const nn::Network& net : {nn::make_alexnet(), nn::make_resnet18()}) {
+    MapCache::instance().set_enabled(false);
+    parallel::set_jobs(1);
+    const SearchedNetworkCost ref =
         evaluate_network_with_search(net, arch, {}, 4);
-    EXPECT_TRUE(bits_equal(got.fixed.latency_cycles, ref.fixed.latency_cycles))
-        << "cache=" << mode.cache << " jobs=" << mode.jobs;
-    EXPECT_TRUE(bits_equal(got.fixed.energy_pj, ref.fixed.energy_pj));
-    EXPECT_TRUE(
-        bits_equal(got.searched.latency_cycles, ref.searched.latency_cycles))
-        << "cache=" << mode.cache << " jobs=" << mode.jobs;
-    EXPECT_TRUE(bits_equal(got.searched.energy_pj, ref.searched.energy_pj))
-        << "cache=" << mode.cache << " jobs=" << mode.jobs;
-    ASSERT_EQ(got.searched.layers.size(), ref.searched.layers.size());
-    for (std::size_t i = 0; i < ref.searched.layers.size(); ++i) {
-      expect_costs_identical(got.searched.layers[i], ref.searched.layers[i]);
+    // One search_spatial call per conv layer, outside the dedup.
+    std::vector<LayerCost> direct(net.size());
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      if (net.layer(i).is_conv()) {
+        direct[i] = search_spatial(net.layer(i).conv(), arch, {}, 4).cost;
+      }
+    }
+
+    struct Mode {
+      bool cache;
+      int jobs;
+    };
+    for (const Mode mode : {Mode{false, 1}, Mode{true, 1}, Mode{false, 8},
+                            Mode{true, 8}}) {
+      SCOPED_TRACE(net.name() + " cache=" + std::to_string(mode.cache) +
+                   " jobs=" + std::to_string(mode.jobs));
+      MapCache::instance().set_enabled(mode.cache);
+      MapCache::instance().clear();
+      parallel::set_jobs(mode.jobs);
+      const SearchedNetworkCost got =
+          evaluate_network_with_search(net, arch, {}, 4);
+      EXPECT_TRUE(
+          bits_equal(got.fixed.latency_cycles, ref.fixed.latency_cycles));
+      EXPECT_TRUE(bits_equal(got.fixed.energy_pj, ref.fixed.energy_pj));
+      EXPECT_TRUE(bits_equal(got.searched.latency_cycles,
+                             ref.searched.latency_cycles));
+      EXPECT_TRUE(bits_equal(got.searched.energy_pj, ref.searched.energy_pj));
+      ASSERT_EQ(got.searched.layers.size(), ref.searched.layers.size());
+      for (std::size_t i = 0; i < ref.searched.layers.size(); ++i) {
+        expect_costs_identical(got.searched.layers[i], ref.searched.layers[i]);
+        if (net.layer(i).is_conv()) {
+          EXPECT_EQ(got.searched.layers[i].layer, net.layer(i).conv().name);
+          expect_costs_identical(got.searched.layers[i], direct[i]);
+        }
+      }
     }
   }
 }

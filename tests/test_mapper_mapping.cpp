@@ -1,12 +1,16 @@
-#include "uld3d/mapper/temporal_mapping.hpp"
-
+// The seed's temporal mappings (tests/reference/price_conv.hpp), which the
+// pricing kernel must reproduce, and the production spatial_utilization.
 #include <gtest/gtest.h>
 
+#include "reference/price_conv.hpp"
+#include "uld3d/mapper/cost_model.hpp"
 #include "uld3d/mapper/table2.hpp"
 #include "uld3d/nn/layer.hpp"
 
 namespace uld3d::mapper {
 namespace {
+
+using reference::candidate_mappings;
 
 nn::ConvSpec conv(std::int64_t k, std::int64_t c, std::int64_t ox,
                   std::int64_t fx, std::int64_t stride = 1) {

@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "reference/exhaustive_spatial_search.hpp"
+#include "reference/price_conv.hpp"
 #include "uld3d/mapper/table2.hpp"
 #include "uld3d/nn/zoo.hpp"
 #include "uld3d/util/check.hpp"
@@ -25,17 +27,11 @@ bool bits_equal(double a, double b) {
 
 nn::ConvSpec conv(std::int64_t k, std::int64_t c, std::int64_t ox,
                   std::int64_t fx) {
-  nn::ConvSpec s;
-  s.name = "c";
-  s.k = k;
-  s.c = c;
-  s.ox = ox;
-  s.oy = ox;
-  s.fx = fx;
-  s.fy = fx;
-  s.stride = 1;
-  return s;
+  return {.name = "c", .k = k, .c = c, .ox = ox, .oy = ox, .fx = fx,
+          .fy = fx, .stride = 1};
 }
+
+using reference::enumerate_unrollings;
 
 TEST(Enumerate, CountsCompositionsOfTheExponent) {
   // 2^n has C(n+3, 3) ordered power-of-two factorizations into 4 factors.
@@ -65,6 +61,13 @@ TEST(SpatialSearch, NeverWorseThanFixedDataflow) {
     EXPECT_GE(r.improvement(), 1.0 - 1e-9) << layer.name;
     EXPECT_EQ(r.candidates, 286u);
   }
+}
+
+TEST(SpatialSearch, RejectsNonPowerOfTwoBudget) {
+  Architecture arch = make_table2_architecture(3);
+  arch.spatial = {24, 32, 1, 1};
+  const nn::ConvSpec layer = conv(96, 3, 55, 11);
+  EXPECT_THROW((void)search_spatial(layer, arch, {}, 1), PreconditionError);
 }
 
 TEST(SpatialSearch, SmallChannelLayerPrefersSpatialUnrolling) {
@@ -184,56 +187,72 @@ double random_cost(Rng& rng, double typical) {
   return typical * std::pow(10.0, 6.0 * rng.uniform() - 3.0);
 }
 
-TEST(SpatialPruneTest, RandomizedDifferentialAgainstExhaustiveOracle) {
-  // Random conv shapes, all six Table II architectures, 1-64 CSs and random
-  // non-negative system costs; every tenth case also takes one of three
-  // denormal/overflow (RRAM bandwidth, MAC energy) extremes.
+/// One randomized pricing input: a conv shape, a Table II architecture, a
+/// CS count and system costs.
+struct RandomCase {
+  nn::ConvSpec conv;
+  int arch_index = 1;
+  Architecture arch;
+  std::int64_t n_cs = 1;
+  SystemCosts sys;
+};
+
+/// Random conv shapes, all six Table II architectures, 1-64 CSs and random
+/// non-negative system costs; when `extreme`, also one of three
+/// denormal/overflow (RRAM bandwidth, MAC energy) extremes.
+RandomCase random_case(Rng& rng, bool extreme) {
   struct Extreme {
     double rram_bw;
     double mac_energy;
   };
   constexpr Extreme kExtremes[] = {
       {1e300, 1e-310}, {5e-324, 1e308}, {1e-300, 1e300}};
+  RandomCase r;
+  nn::ConvSpec& c = r.conv;
+  c.name = "random";
+  c.k = static_cast<std::int64_t>(1 + rng.below(1024));
+  c.c = static_cast<std::int64_t>(1 + rng.below(1024));
+  c.ox = static_cast<std::int64_t>(1 + rng.below(224));
+  c.oy = rng.below(2) == 0 ? c.ox
+                           : static_cast<std::int64_t>(1 + rng.below(224));
+  c.fx = static_cast<std::int64_t>(1 + rng.below(11));
+  c.fy = rng.below(2) == 0 ? c.fx
+                           : static_cast<std::int64_t>(1 + rng.below(11));
+  c.stride = static_cast<std::int64_t>(1 + rng.below(4));
+  r.arch_index = static_cast<int>(1 + rng.below(6));
+  r.arch = make_table2_architecture(r.arch_index);
+  r.n_cs = static_cast<std::int64_t>(1 + rng.below(64));
+  r.sys.mem_idle_pj_per_cycle = random_cost(rng, 10.0);
+  r.sys.extra_bank_idle_fraction = random_cost(rng, 0.3);
+  r.sys.cs_idle_pj_per_cycle = random_cost(rng, 2.0);
+  r.sys.m3d_access_energy_scale = random_cost(rng, 0.97);
+  r.sys.rram_write_occupancy = random_cost(rng, 4.0);
+  if (extreme) {
+    const Extreme& e = kExtremes[rng.below(3)];
+    r.arch.rram_bandwidth_bits_per_cycle = e.rram_bw;
+    r.arch.mac_energy_pj = e.mac_energy;
+  }
+  return r;
+}
+
+TEST(SpatialPruneTest, RandomizedDifferentialAgainstExhaustiveOracle) {
+  // Every tenth case takes one of the extremes.
   constexpr int kCases = 12000;
   Rng rng(20261017);
   int mismatches = 0;
   std::size_t candidates = 0;
   std::size_t skipped = 0;
   for (int i = 0; i < kCases; ++i) {
-    nn::ConvSpec c;
-    c.name = "random";
-    c.k = static_cast<std::int64_t>(1 + rng.below(1024));
-    c.c = static_cast<std::int64_t>(1 + rng.below(1024));
-    c.ox = static_cast<std::int64_t>(1 + rng.below(224));
-    c.oy = rng.below(2) == 0 ? c.ox
-                             : static_cast<std::int64_t>(1 + rng.below(224));
-    c.fx = static_cast<std::int64_t>(1 + rng.below(11));
-    c.fy = rng.below(2) == 0 ? c.fx
-                             : static_cast<std::int64_t>(1 + rng.below(11));
-    c.stride = static_cast<std::int64_t>(1 + rng.below(4));
-    const int arch_index = static_cast<int>(1 + rng.below(6));
-    Architecture arch = make_table2_architecture(arch_index);
-    const auto n_cs = static_cast<std::int64_t>(1 + rng.below(64));
-    SystemCosts sys;
-    sys.mem_idle_pj_per_cycle = random_cost(rng, 10.0);
-    sys.extra_bank_idle_fraction = random_cost(rng, 0.3);
-    sys.cs_idle_pj_per_cycle = random_cost(rng, 2.0);
-    sys.m3d_access_energy_scale = random_cost(rng, 0.97);
-    sys.rram_write_occupancy = random_cost(rng, 4.0);
-    if (i % 10 == 0) {
-      const Extreme& e = kExtremes[rng.below(3)];
-      arch.rram_bandwidth_bits_per_cycle = e.rram_bw;
-      arch.mac_energy_pj = e.mac_energy;
-    }
-
-    const SpatialSearchResult got = search_spatial(c, arch, sys, n_cs);
+    const RandomCase r = random_case(rng, i % 10 == 0);
+    const nn::ConvSpec& c = r.conv;
+    const SpatialSearchResult got = search_spatial(c, r.arch, r.sys, r.n_cs);
     const SpatialSearchResult want =
-        reference::exhaustive_spatial_search(c, arch, sys, n_cs);
+        reference::exhaustive_spatial_search(c, r.arch, r.sys, r.n_cs);
     if (!same_result(got, want)) {
-      ADD_FAILURE() << "case " << i << ": arch " << arch_index << ", conv "
+      ADD_FAILURE() << "case " << i << ": arch " << r.arch_index << ", conv "
                     << c.k << "x" << c.c << "x" << c.ox << "x" << c.oy
                     << " f " << c.fx << "x" << c.fy << " s" << c.stride
-                    << ", n_cs " << n_cs << ": best (" << got.best.k << ","
+                    << ", n_cs " << r.n_cs << ": best (" << got.best.k << ","
                     << got.best.c << "," << got.best.ox << "," << got.best.oy
                     << ") vs (" << want.best.k << "," << want.best.c << ","
                     << want.best.ox << "," << want.best.oy << "), EDP "
@@ -247,6 +266,47 @@ TEST(SpatialPruneTest, RandomizedDifferentialAgainstExhaustiveOracle) {
   EXPECT_EQ(mismatches, 0);
   // The bound must do real work, not just stay admissible.
   EXPECT_GT(skipped, candidates / 2);
+}
+
+TEST(PricingKernelTest, EveryUnrollingBitEqualToSeedPricing) {
+  // price_conv runs the kernel once; the seed's candidate_mappings +
+  // price_candidate + strict-< loop (tests/reference/price_conv.cpp) must
+  // agree with it field for field on every candidate unrolling of the
+  // search, not only on winners, plus one unrolling that is not a power of
+  // two.  Every tenth case takes one of the extremes.
+  constexpr int kCases = 1500;
+  Rng rng(20261018);
+  int mismatches = 0;
+  int overflowed = 0;
+  for (int i = 0; i < kCases && mismatches < 10; ++i) {
+    const RandomCase r = random_case(rng, i % 10 == 0);
+    std::vector<SpatialUnrolling> unrollings =
+        enumerate_unrollings(r.arch.spatial.total_pes());
+    unrollings.push_back({static_cast<std::int64_t>(1 + rng.below(48)),
+                          static_cast<std::int64_t>(1 + rng.below(48)),
+                          static_cast<std::int64_t>(1 + rng.below(7)),
+                          static_cast<std::int64_t>(1 + rng.below(7))});
+    Architecture variant = r.arch;
+    for (const SpatialUnrolling& s : unrollings) {
+      variant.spatial = s;
+      const LayerCost got = price_conv(r.conv, variant, r.sys, r.n_cs);
+      const LayerCost want =
+          reference::price_conv(r.conv, variant, r.sys, r.n_cs);
+      if (want.mapping_order.empty()) ++overflowed;
+      if (!costs_identical(got, want)) {
+        ADD_FAILURE() << "case " << i << ", arch " << r.arch_index
+                      << ", unrolling (" << s.k << "," << s.c << "," << s.ox
+                      << "," << s.oy << "): " << got.mapping_order << " vs "
+                      << want.mapping_order << ", EDP "
+                      << got.latency_cycles * got.energy_pj << " vs "
+                      << want.latency_cycles * want.energy_pj;
+        if (++mismatches == 10) break;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // The extremes must reach the "nothing beat +inf" result.
+  EXPECT_GT(overflowed, 0);
 }
 }  // namespace
 }  // namespace uld3d::mapper
