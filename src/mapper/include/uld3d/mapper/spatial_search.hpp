@@ -17,9 +17,10 @@ struct SpatialSearchResult {
   LayerCost cost;               ///< cost under the best unrolling
   LayerCost fixed_cost;         ///< cost under the architecture's own unrolling
   std::size_t candidates = 0;   ///< unrollings considered (priced + skipped)
-  /// Candidates skipped without being priced: the search stopped before
-  /// reaching them because their admissible EDP lower bound could not beat
-  /// the incumbent (DESIGN.md §17).  The winner is provably unaffected.
+  /// Candidates the best-first pass skipped without pricing: the search
+  /// stopped before reaching them because their admissible EDP lower bound
+  /// could not beat the incumbent (DESIGN.md §17).  The winner is provably
+  /// unaffected.  A walk for an overflowed zero EDP may price some later.
   std::size_t lb_pruned = 0;
   /// EDP of the fixed dataflow divided by EDP of the searched best (>= 1).
   [[nodiscard]] double improvement() const;

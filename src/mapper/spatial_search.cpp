@@ -289,6 +289,29 @@ SpatialSearchResult search_spatial(const nn::ConvSpec& conv,
       best_cost = cost;
     }
   }
+  if (best_edp == 0.0 && best.index > 0) {
+    // An EDP of exactly 0 is an overflowed "nothing beat +inf" result whose
+    // finite bound did not hold, so a lower index left unpriced may be one
+    // too.  The exhaustive scan keeps the first in index order: price the
+    // lower indices in that order, and the first zero ends the walk.
+    std::int32_t i = 0;
+    for (int ek = 0; ek <= e && i < best.index; ++ek) {
+      for (int ec = 0; ec <= e - ek && i < best.index; ++ec) {
+        for (int eox = 0; eox <= e - ek - ec && i < best.index; ++eox, ++i) {
+          const Entry lower{0.0, i,
+                            {static_cast<std::uint8_t>(ek),
+                             static_cast<std::uint8_t>(ec),
+                             static_cast<std::uint8_t>(eox),
+                             static_cast<std::uint8_t>(e - ek - ec - eox)}};
+          const UnrollingCost cost = tables.price(pricer, lower);
+          if (cost.edp() == 0.0) {
+            best = lower;
+            best_cost = cost;
+          }
+        }
+      }
+    }
+  }
   if (best.index >= 0) {
     const auto [ek, ec, eox, eoy] = best.exp;
     result.best = {std::int64_t{1} << ek, std::int64_t{1} << ec,

@@ -142,10 +142,9 @@ std::optional<Rect> Floorplan::place_macro_anywhere(const Macro& macro) {
       const auto [x0, x1] = c.columns[static_cast<std::size_t>(c.bx)];
       std::int64_t blocker = -1;
       for (std::size_t g = 0; g < grids_.size() && blocker < 0; ++g) {
-        const OccupancyIndex& index = grids_[g].index;
-        if ((blocked >> g & 1U) != 0 &&
-            !index.rect_clear(x0, rows.y0, x1, rows.y1)) {
-          blocker = index.rightmost_occupied(x0, rows.y0, x1, rows.y1);
+        if ((blocked >> g & 1U) != 0) {
+          blocker = grids_[g].index.rightmost_occupied(x0, rows.y0, x1,
+                                                       rows.y1);
         }
       }
       if (blocker < 0) {

@@ -74,9 +74,8 @@ class Floorplan {
   /// The grid-bin window `rect` covers (clamped to the grid).
   [[nodiscard]] BinSpan bin_span(const Rect& rect) const;
 
-  /// The tier's occupancy, for scans that query it directly (a scan that
-  /// marks nothing takes it once instead of re-resolving the tier for every
-  /// query).
+  /// The tier's occupancy, for a caller that marks nothing while it queries
+  /// (Placer::place snapshots it once per placement).
   [[nodiscard]] const OccupancyIndex& occupancy_index(
       tech::TierKind tier) const;
 

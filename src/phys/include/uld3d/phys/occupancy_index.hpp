@@ -3,16 +3,22 @@
 // The phys flow's hot side is occupancy *queries*: the macro scan and the
 // placer's legal-run tables ask "is this rectangle free?" against a tier's
 // occupancy, and the anneal asks "does this rectangle overlap a placed
-// sibling?" for each of its moves.  Two structures answer them:
+// sibling?" for each of its moves.  Three structures answer them:
 //
-//  * OccupancyIndex — one tier's occupancy, held as a summed-area table (2D
-//    prefix sum of occupied bins) plus a per-row "previous occupied column"
-//    table.  A rectangle query is four lookups (O(1)); a blocked scan learns
-//    the rightmost occupied column inside its window in O(rows) and can jump
-//    its x cursor past the whole blocking run instead of advancing one bin.
-//    It is built empty and every `mark` updates both tables in place with
-//    exact integer arithmetic, so the index never needs a rebuild and const
-//    queries write nothing (they are safe to run concurrently).
+//  * OccupancyIndex — one tier's occupancy, one bit per bin, each bin row a
+//    run of 64-bit words, plus a running occupied count.  A mark, a
+//    rectangle query and a rightmost-occupied query are word scans over the
+//    window's rows, O(window); a blocked scan learns the rightmost occupied
+//    column inside its window and can jump its x cursor past the whole
+//    blocking run instead of advancing one bin.  Const queries write
+//    nothing (they are safe to run concurrently).
+//
+//  * OccupancySnapshot — an immutable summed-area table (2D prefix sum of
+//    occupied bins) plus a per-row "previous occupied column" table, built
+//    from an index in one O(grid) pass.  A rectangle query is four lookups
+//    (O(1)) and a rightmost-occupied query O(rows).  Placer::place marks
+//    nothing until it commits, so it takes one snapshot per tier and runs
+//    every query of the placement against it.
 //
 //  * RectBuckets — a uniform-bucket spatial index over placed rectangles,
 //    replacing the anneal's O(placed) sibling-overlap loop.  Queries test
@@ -23,11 +29,12 @@
 // The naive scans these structures replace are kept in
 // tests/reference/naive_placement as the oracle of the differential tests.
 //
-// Neither class is safe for concurrent mutation; each thread owns its
+// None of the classes is safe for concurrent mutation; each thread owns its
 // Floorplan/Placer state (the chip_summary fan-out builds one flow per
 // task).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -45,19 +52,13 @@ class OccupancyIndex {
 
   /// Occupy every bin of [bx0, bx1) x [by0, by1).  The window must be
   /// clear (PreconditionError otherwise): callers test it first, and a
-  /// clear window is what makes the in-place update exact.
+  /// clear window is what keeps the running occupied count exact.
   void mark(std::int64_t bx0, std::int64_t by0, std::int64_t bx1,
             std::int64_t by1);
 
-  /// Number of occupied bins in [bx0, bx1) x [by0, by1).
-  [[nodiscard]] std::int64_t count(std::int64_t bx0, std::int64_t by0,
-                                   std::int64_t bx1, std::int64_t by1) const;
-
   /// True when the window holds no occupied bin.
   [[nodiscard]] bool rect_clear(std::int64_t bx0, std::int64_t by0,
-                                std::int64_t bx1, std::int64_t by1) const {
-    return count(bx0, by0, bx1, by1) == 0;
-  }
+                                std::int64_t bx1, std::int64_t by1) const;
 
   /// Largest occupied column in [bx0, bx1) over rows [by0, by1), or -1 when
   /// the window is clear.  A left-to-right scan whose window is blocked can
@@ -69,13 +70,42 @@ class OccupancyIndex {
                                                 std::int64_t by1) const;
 
   /// Occupied bins in the whole grid (O(1)).
-  [[nodiscard]] std::int64_t occupied_bins() const;
+  [[nodiscard]] std::int64_t occupied_bins() const { return occupied_; }
 
  private:
-  /// Clamp the window to the grid; false when nothing of it remains.
-  bool clamp_window(std::int64_t& bx0, std::int64_t& by0, std::int64_t& bx1,
-                    std::int64_t& by1) const;
+  friend class OccupancySnapshot;
 
+  /// Index into bits_ of word w of row y.
+  [[nodiscard]] std::size_t word(std::int64_t y, std::int64_t w) const {
+    return static_cast<std::size_t>(y * words_ + w);
+  }
+
+  std::int64_t nx_ = 0;
+  std::int64_t ny_ = 0;
+  std::int64_t words_ = 0;  ///< 64-bit words per row, ceil(nx / 64)
+  /// ny * words_; bit x % 64 of bits_[y * words_ + x / 64] is bin (x, y).
+  std::vector<std::uint64_t> bits_;
+  std::int64_t occupied_ = 0;
+};
+
+/// An immutable copy of one OccupancyIndex that answers rectangle queries
+/// in O(1) and rightmost-occupied queries in O(rows), with the index's
+/// clamping and answers.  It does not follow later marks of the index.
+class OccupancySnapshot {
+ public:
+  explicit OccupancySnapshot(const OccupancyIndex& index);
+
+  /// True when the window holds no occupied bin.
+  [[nodiscard]] bool rect_clear(std::int64_t bx0, std::int64_t by0,
+                                std::int64_t bx1, std::int64_t by1) const;
+
+  /// As OccupancyIndex::rightmost_occupied.
+  [[nodiscard]] std::int64_t rightmost_occupied(std::int64_t bx0,
+                                                std::int64_t by0,
+                                                std::int64_t bx1,
+                                                std::int64_t by1) const;
+
+ private:
   std::int64_t nx_ = 0;
   std::int64_t ny_ = 0;
   /// (nx+1) * (ny+1) inclusive prefix sums; sat_[(y+1)*(nx+1) + (x+1)] is

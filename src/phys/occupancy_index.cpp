@@ -1,84 +1,145 @@
 #include "uld3d/phys/occupancy_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "uld3d/util/check.hpp"
 
 namespace uld3d::phys {
 
-OccupancyIndex::OccupancyIndex(std::int64_t nx, std::int64_t ny)
-    : nx_(nx), ny_(ny) {
-  expects(nx >= 0 && ny >= 0, "grid dimensions must be non-negative");
-  sat_.assign(static_cast<std::size_t>((nx + 1) * (ny + 1)), 0);
-  prev_occ_.assign(static_cast<std::size_t>(nx * ny), -1);
+namespace {
+
+constexpr std::int64_t kWordBits = 64;
+constexpr std::uint64_t kAll = ~std::uint64_t{0};
+
+/// Clamp the window to an nx x ny grid; false when nothing of it remains.
+bool clamp_window(std::int64_t nx, std::int64_t ny, std::int64_t& bx0,
+                  std::int64_t& by0, std::int64_t& bx1, std::int64_t& by1) {
+  bx0 = std::clamp<std::int64_t>(bx0, 0, nx);
+  bx1 = std::clamp<std::int64_t>(bx1, 0, nx);
+  by0 = std::clamp<std::int64_t>(by0, 0, ny);
+  by1 = std::clamp<std::int64_t>(by1, 0, ny);
+  return bx0 < bx1 && by0 < by1;
 }
 
-bool OccupancyIndex::clamp_window(std::int64_t& bx0, std::int64_t& by0,
-                                  std::int64_t& bx1, std::int64_t& by1) const {
-  bx0 = std::clamp<std::int64_t>(bx0, 0, nx_);
-  bx1 = std::clamp<std::int64_t>(bx1, 0, nx_);
-  by0 = std::clamp<std::int64_t>(by0, 0, ny_);
-  by1 = std::clamp<std::int64_t>(by1, 0, ny_);
-  return bx0 < bx1 && by0 < by1;
+/// The words w0..w1 of a row that hold columns [bx0, bx1) (non-empty), and
+/// each word's mask of those columns.
+struct WordSpan {
+  std::int64_t w0;
+  std::int64_t w1;
+  std::uint64_t first;  ///< columns >= bx0 of word w0
+  std::uint64_t last;   ///< columns < bx1 of word w1
+
+  WordSpan(std::int64_t bx0, std::int64_t bx1)
+      : w0(bx0 / kWordBits),
+        w1((bx1 - 1) / kWordBits),
+        first(kAll << (bx0 % kWordBits)),
+        last(kAll >> (kWordBits - 1 - (bx1 - 1) % kWordBits)) {}
+
+  [[nodiscard]] std::uint64_t mask(std::int64_t w) const {
+    return (w == w0 ? first : kAll) & (w == w1 ? last : kAll);
+  }
+};
+
+}  // namespace
+
+OccupancyIndex::OccupancyIndex(std::int64_t nx, std::int64_t ny)
+    : nx_(nx), ny_(ny), words_((nx + kWordBits - 1) / kWordBits) {
+  expects(nx >= 0 && ny >= 0, "grid dimensions must be non-negative");
+  bits_.assign(static_cast<std::size_t>(words_ * ny), 0);
 }
 
 void OccupancyIndex::mark(std::int64_t bx0, std::int64_t by0,
                           std::int64_t bx1, std::int64_t by1) {
-  if (!clamp_window(bx0, by0, bx1, by1)) return;
+  if (!clamp_window(nx_, ny_, bx0, by0, bx1, by1)) return;
   expects(rect_clear(bx0, by0, bx1, by1), "marked window must be clear");
-  // The prefix sum of [0, x] x [0, y] gains the bins the window shares
-  // with it, (min(y+1, by1) - by0) * (min(x+1, bx1) - bx0): the window was
-  // clear, so every one of them is newly occupied.
-  const std::int64_t stride = nx_ + 1;
-  for (std::int64_t y = by0 + 1; y <= ny_; ++y) {
-    std::uint32_t* row = sat_.data() + static_cast<std::size_t>(y * stride);
-    const auto rows = static_cast<std::uint32_t>(std::min(y, by1) - by0);
-    for (std::int64_t x = bx0 + 1; x < bx1; ++x) {
-      row[x] += rows * static_cast<std::uint32_t>(x - bx0);
-    }
-    const auto full = rows * static_cast<std::uint32_t>(bx1 - bx0);
-    for (std::int64_t x = bx1; x <= nx_; ++x) row[x] += full;
-  }
-  // In the window's rows, a window column is its own previous-occupied
-  // column, and a column to its right sees at least bx1 - 1.  The table is
-  // non-decreasing along a row, so the raise stops at the first column
-  // that already sees an occupied bin past the window.
-  const auto last = static_cast<std::int32_t>(bx1 - 1);
+  const WordSpan span(bx0, bx1);
   for (std::int64_t y = by0; y < by1; ++y) {
-    std::int32_t* row = prev_occ_.data() + static_cast<std::size_t>(y * nx_);
-    for (std::int64_t x = bx0; x < bx1; ++x) {
-      row[x] = static_cast<std::int32_t>(x);
+    for (std::int64_t w = span.w0; w <= span.w1; ++w) {
+      bits_[word(y, w)] |= span.mask(w);
     }
-    for (std::int64_t x = bx1; x < nx_ && row[x] < last; ++x) row[x] = last;
   }
+  occupied_ += (bx1 - bx0) * (by1 - by0);
 }
 
-std::int64_t OccupancyIndex::count(std::int64_t bx0, std::int64_t by0,
-                                   std::int64_t bx1, std::int64_t by1) const {
-  if (!clamp_window(bx0, by0, bx1, by1)) return 0;
-  const std::int64_t stride = nx_ + 1;
-  const auto at = [&](std::int64_t y, std::int64_t x) -> std::int64_t {
-    return sat_[static_cast<std::size_t>(y * stride + x)];
-  };
-  return at(by1, bx1) - at(by0, bx1) - at(by1, bx0) + at(by0, bx0);
+bool OccupancyIndex::rect_clear(std::int64_t bx0, std::int64_t by0,
+                                std::int64_t bx1, std::int64_t by1) const {
+  if (!clamp_window(nx_, ny_, bx0, by0, bx1, by1)) return true;
+  const WordSpan span(bx0, bx1);
+  for (std::int64_t y = by0; y < by1; ++y) {
+    for (std::int64_t w = span.w0; w <= span.w1; ++w) {
+      if ((bits_[word(y, w)] & span.mask(w)) != 0) return false;
+    }
+  }
+  return true;
 }
 
 std::int64_t OccupancyIndex::rightmost_occupied(std::int64_t bx0,
                                                 std::int64_t by0,
                                                 std::int64_t bx1,
                                                 std::int64_t by1) const {
-  if (!clamp_window(bx0, by0, bx1, by1)) return -1;
+  if (!clamp_window(nx_, ny_, bx0, by0, bx1, by1)) return -1;
+  std::int64_t rightmost = -1;
+  for (std::int64_t y = by0; y < by1; ++y) {
+    // Only columns right of the best so far can raise it.
+    const std::int64_t lo = std::max(bx0, rightmost + 1);
+    if (lo == bx1) break;
+    const WordSpan span(lo, bx1);
+    for (std::int64_t w = span.w1; w >= span.w0; --w) {
+      const std::uint64_t hit = bits_[word(y, w)] & span.mask(w);
+      if (hit != 0) {
+        rightmost = w * kWordBits + kWordBits - 1 - std::countl_zero(hit);
+        break;
+      }
+    }
+  }
+  return rightmost;
+}
+
+OccupancySnapshot::OccupancySnapshot(const OccupancyIndex& index)
+    : nx_(index.nx_),
+      ny_(index.ny_),
+      sat_(static_cast<std::size_t>((nx_ + 1) * (ny_ + 1)), 0),
+      prev_occ_(static_cast<std::size_t>(nx_ * ny_)) {
+  const std::int64_t stride = nx_ + 1;
+  for (std::int64_t y = 0; y < ny_; ++y) {
+    std::uint32_t run = 0;  // occupied bins of [0, x] in row y
+    std::int32_t last = -1;
+    for (std::int64_t x = 0; x < nx_; ++x) {
+      if ((index.bits_[index.word(y, x / kWordBits)] >> (x % kWordBits) &
+           1U) != 0) {
+        ++run;
+        last = static_cast<std::int32_t>(x);
+      }
+      const auto at = static_cast<std::size_t>((y + 1) * stride + x + 1);
+      sat_[at] = sat_[at - static_cast<std::size_t>(stride)] + run;
+      prev_occ_[static_cast<std::size_t>(y * nx_ + x)] = last;
+    }
+  }
+}
+
+bool OccupancySnapshot::rect_clear(std::int64_t bx0, std::int64_t by0,
+                                   std::int64_t bx1, std::int64_t by1) const {
+  if (!clamp_window(nx_, ny_, bx0, by0, bx1, by1)) return true;
+  const std::int64_t stride = nx_ + 1;
+  const auto at = [&](std::int64_t y, std::int64_t x) -> std::int64_t {
+    return sat_[static_cast<std::size_t>(y * stride + x)];
+  };
+  return at(by1, bx1) - at(by0, bx1) - at(by1, bx0) + at(by0, bx0) == 0;
+}
+
+std::int64_t OccupancySnapshot::rightmost_occupied(std::int64_t bx0,
+                                                   std::int64_t by0,
+                                                   std::int64_t bx1,
+                                                   std::int64_t by1) const {
+  if (!clamp_window(nx_, ny_, bx0, by0, bx1, by1)) return -1;
   std::int64_t rightmost = -1;
   for (std::int64_t y = by0; y < by1; ++y) {
     const std::int32_t p = prev_occ_[static_cast<std::size_t>(y * nx_ + bx1 - 1)];
     if (p >= bx0 && p > rightmost) rightmost = p;
   }
   return rightmost;
-}
-
-std::int64_t OccupancyIndex::occupied_bins() const {
-  return sat_.back();
 }
 
 RectBuckets::RectBuckets(double width_um, double height_um,

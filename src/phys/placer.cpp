@@ -4,14 +4,12 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <iterator>
 #include <limits>
 #include <numeric>
-#include <tuple>
 #include <utility>
 
 #include "uld3d/util/check.hpp"
@@ -122,15 +120,6 @@ struct ShapeTables {
   std::array<Aspect, kNumAspects> aspects;
 };
 
-/// A candidate's place in scan order: aspect (kAspects order), row
-/// (bottom-up), column (left to right).
-struct ScanPos {
-  std::size_t a = 0;
-  std::size_t j = 0;
-  std::size_t i = 0;
-  auto operator<=>(const ScanPos&) const = default;
-};
-
 /// Columns [begin, end) of one scan row.
 struct Run {
   std::size_t begin = 0;
@@ -165,10 +154,22 @@ struct RunTable {
     Runs runs;
     std::size_t seen = kUnbuilt;
   };
+  /// Rows [j0, j1) and columns [i0, i1) of one aspect that a committed
+  /// sibling overlaps.
+  struct Reach {
+    std::size_t j0;
+    std::size_t j1;
+    std::size_t i0;
+    std::size_t i1;
+  };
   const ShapeTables* shape = nullptr;
   tech::TierKind tier{};
+  const OccupancySnapshot* occupancy = nullptr;  ///< the tier's snapshot
   std::array<std::size_t, kNumAspects> inside_cols{};
   std::array<std::vector<Row>, kNumAspects> rows;
+  /// Per aspect, the reach of the committed siblings in commit order, as
+  /// far as a row has caught up.
+  std::array<std::vector<Reach>, kNumAspects> reach;
 };
 
 /// The candidates of `axis` whose extent overlaps [lo, hi) as
@@ -248,11 +249,24 @@ PlacementResult Placer::place(Floorplan& fp,
     return t;
   };
 
+  // Nothing is marked in the floorplan until the commit at the end, so each
+  // tier placed on is snapshotted once, at first use, and every tier query
+  // of the placement runs against the snapshot.
+  std::deque<std::pair<tech::TierKind, OccupancySnapshot>> snapshots;
+  const auto snapshot_for =
+      [&](tech::TierKind tier) -> const OccupancySnapshot& {
+    for (const auto& [kind, snapshot] : snapshots) {
+      if (kind == tier) return snapshot;
+    }
+    return snapshots
+        .emplace_back(tier, OccupancySnapshot(fp.occupancy_index(tier)))
+        .second;
+  };
+
   // Legal-run tables, one per (scan tables, tier), built a row at a time on
   // first use; a row catches up with the siblings committed since its last
   // use when it is used again.  The constructive and shelf passes test
-  // legality through them alone.  Nothing is marked in the floorplan while
-  // placing, so a row's tier runs never change.
+  // legality through them alone, and a row's tier runs never change.
   std::vector<RunTable> run_tables;
   std::vector<Rect> committed;  // bin-expanded, in commit order
   const auto runs_for = [&](const ShapeTables& shape,
@@ -263,6 +277,7 @@ PlacementResult Placer::place(Floorplan& fp,
     RunTable& t = run_tables.emplace_back();
     t.shape = &shape;
     t.tier = tier;
+    t.occupancy = &snapshot_for(tier);
     const auto inside = [](const AxisCandidate& c) { return c.inside; };
     for (std::size_t a = 0; a < kNumAspects; ++a) {
       const ShapeTables::Aspect& tab = shape.aspects[a];
@@ -281,7 +296,7 @@ PlacementResult Placer::place(Floorplan& fp,
     const AxisCandidate& row = tab.ys[j];
     RunTable::Row& r = t.rows[a][j];
     if (r.seen == RunTable::kUnbuilt) {
-      const OccupancyIndex& index = fp.occupancy_index(t.tier);
+      const OccupancySnapshot& index = *t.occupancy;
       const AxisIter cols = tab.xs.begin();
       const AxisIter cols_end =
           cols + static_cast<std::ptrdiff_t>(t.inside_cols[a]);
@@ -325,41 +340,35 @@ PlacementResult Placer::place(Floorplan& fp,
       }
       r.seen = 0;
     }
-    // Rect::overlaps tests each axis on its own: a sibling that reaches
-    // this row removes one range of its columns.
+    // Rect::overlaps tests each axis on its own: a sibling reaches one
+    // range of rows and removes one range of columns from each of them.
+    std::vector<RunTable::Reach>& reach = t.reach[a];
     for (; r.seen < committed.size() && !r.runs.empty(); ++r.seen) {
-      const Rect& q = committed[r.seen];
-      if (q.y0 < row.q1 && row.q0 < q.y1) {
-        const auto [c0, c1] = overlapping(tab.xs, q.x0, q.x1);
-        cut_runs(r.runs, c0, c1);
+      if (r.seen == reach.size()) {
+        const Rect& q = committed[r.seen];
+        const auto [j0, j1] = overlapping(tab.ys, q.y0, q.y1);
+        const auto [i0, i1] = overlapping(tab.xs, q.x0, q.x1);
+        reach.push_back({j0, j1, i0, i1});
+      }
+      const RunTable::Reach& sibling = reach[r.seen];
+      if (sibling.j0 <= j && j < sibling.j1) {
+        cut_runs(r.runs, sibling.i0, sibling.i1);
       }
     }
     return r.runs;
   };
 
   // Best legal (position, shape) by anchor HPWL plus distortion penalty:
-  // the least cost, and among equal costs the first in scan order.  Rows
-  // with a legal candidate are visited best-first under a lower bound on
-  // every cost in the row (DESIGN.md §12 has the exactness argument).
+  // the least cost, and among equal costs the first in scan order.  Every
+  // row gets a lower bound on the costs in it, and rows whose bound cannot
+  // beat the best found are never built (DESIGN.md §12 has the exactness
+  // argument).
   struct Anchor {
     double weight;
     double x;
     double y;
   };
-  /// A row to visit.  `i` is the row's cheapest legal column when `bound`
-  /// is that column's exact price, and kUnpriced when the row is scanned.
-  struct RowKey {
-    double bound;
-    std::size_t a;
-    std::size_t j;
-    std::size_t i;
-  };
-  constexpr std::size_t kUnpriced = std::numeric_limits<std::size_t>::max();
-  const auto later = [](const RowKey& l, const RowKey& r) {
-    return std::tie(l.bound, l.a, l.j) > std::tie(r.bound, r.a, r.j);
-  };
   std::vector<Anchor> anchors;
-  std::vector<RowKey> row_heap;
   const auto try_place = [&](std::size_t bi, double scan_step,
                              double penalty_weight) -> Rect {
     const SoftBlock& block = blocks[bi];
@@ -444,17 +453,34 @@ PlacementResult Placer::place(Floorplan& fp,
       return {cost, i};
     };
 
-    // A row with a legal candidate gets a bound: with at most one anchor
-    // the exact price of its cheapest legal candidate, which visiting the
-    // row then takes; otherwise one below every price in the row, which
-    // visiting the row then scans.
-    const bool exact = bounded && anchors.size() <= 1;
-    row_heap.clear();
+    // Each term w * (|dx| + |dy|) rounds to at least w * |dy|, and rounding
+    // keeps the sums in order, so no candidate of row j costs less.  -inf
+    // bounds every cost, NaN included.
+    const auto row_bound = [&](std::size_t a, std::size_t j) {
+      constexpr double kNoBound = -std::numeric_limits<double>::infinity();
+      if (!bounded) return kNoBound;
+      double bound = 0.0;
+      for (const Anchor& anchor : anchors) {
+        bound += anchor.weight *
+                 std::abs(shape.aspects[a].ys[j].centre - anchor.y);
+      }
+      bound += distortion_penalty[a];
+      return std::isnan(bound) ? kNoBound : bound;
+    };
+    // Rows go in scan order and only a strictly cheaper candidate replaces
+    // the best, which keeps the first of equals.  A row whose bound is not
+    // below the best price so far holds nothing cheaper and, coming later,
+    // loses every tie: it is skipped unbuilt.  With at most one anchor a
+    // row's cheapest legal candidate is found without pricing the row;
+    // otherwise every legal column is priced.
+    const bool one_anchor = bounded && anchors.size() <= 1;
+    double best_cost = std::numeric_limits<double>::infinity();
+    Rect best{};
     for (std::size_t a = 0; a < kNumAspects; ++a) {
       const ShapeTables::Aspect& tab = shape.aspects[a];
       // Columns before `split` lie left of the anchor.
       std::size_t split = 0;
-      if (exact && !anchors.empty()) {
+      if (one_anchor && !anchors.empty()) {
         split = static_cast<std::size_t>(
             std::partition_point(tab.xs.begin(), tab.xs.end(),
                                  [&](const AxisCandidate& c) {
@@ -463,68 +489,27 @@ PlacementResult Placer::place(Floorplan& fp,
             tab.xs.begin());
       }
       for (std::size_t j = 0; j < legal.rows[a].size(); ++j) {
+        if (row_bound(a, j) >= best_cost) continue;
         const Runs& runs = legal_runs(legal, a, j);
         if (runs.empty()) continue;
-        if (exact) {
+        const AxisCandidate& row = tab.ys[j];
+        if (one_anchor) {
           const auto [cost, i] = cheapest(runs, a, j, split);
-          if (!std::isnan(cost)) row_heap.push_back({cost, a, j, i});
+          if (cost < best_cost) {
+            best_cost = cost;
+            best = Rect::at(tab.xs[i].pos, row.pos, tab.w, tab.h);
+          }
           continue;
         }
-        // Each term w * (|dx| + |dy|) rounds to at least w * |dy|, and
-        // rounding keeps the sums in order, so no candidate of the row
-        // costs less.  -inf bounds every cost, NaN included.
-        double bound = -std::numeric_limits<double>::infinity();
-        if (bounded) {
-          bound = 0.0;
-          for (const Anchor& anchor : anchors) {
-            bound += anchor.weight * std::abs(tab.ys[j].centre - anchor.y);
+        for (const Run& run : runs) {
+          for (std::size_t i = run.begin; i < run.end; ++i) {
+            c_scanned.add();
+            const double cost = price(tab.xs[i], row, a);
+            if (cost < best_cost) {
+              best_cost = cost;
+              best = Rect::at(tab.xs[i].pos, row.pos, tab.w, tab.h);
+            }
           }
-          bound += distortion_penalty[a];
-          if (std::isnan(bound)) {
-            bound = -std::numeric_limits<double>::infinity();
-          }
-        }
-        row_heap.push_back({bound, a, j, kUnpriced});
-      }
-    }
-    std::make_heap(row_heap.begin(), row_heap.end(), later);
-
-    double best_cost = std::numeric_limits<double>::infinity();
-    Rect best{};
-    // Until a candidate wins, the first scan position stands in for the
-    // incumbent: nothing precedes it, so no cost of +inf (which a strict
-    // `<` never takes) can win a tie against it.
-    ScanPos incumbent{};
-    while (!row_heap.empty()) {
-      std::pop_heap(row_heap.begin(), row_heap.end(), later);
-      const RowKey r = row_heap.back();
-      row_heap.pop_back();
-      // No candidate costs less than its row's bound and rows come in
-      // (bound, aspect, row) order: once a bound passes the best cost, or
-      // ties it in a row after the incumbent's, no later row can win.
-      if (r.bound > best_cost ||
-          (r.bound == best_cost &&
-           std::tie(r.a, r.j) > std::tie(incumbent.a, incumbent.j))) {
-        break;
-      }
-      const ShapeTables::Aspect& tab = shape.aspects[r.a];
-      const AxisCandidate& row = tab.ys[r.j];
-      const auto consider = [&](double cost, std::size_t i) {
-        if (cost < best_cost ||
-            (cost == best_cost && ScanPos{r.a, r.j, i} < incumbent)) {
-          best_cost = cost;
-          best = Rect::at(tab.xs[i].pos, row.pos, tab.w, tab.h);
-          incumbent = {r.a, r.j, i};
-        }
-      };
-      if (r.i != kUnpriced) {
-        consider(r.bound, r.i);
-        continue;
-      }
-      for (const Run& run : legal_runs(legal, r.a, r.j)) {
-        for (std::size_t i = run.begin; i < run.end; ++i) {
-          c_scanned.add();
-          consider(price(tab.xs[i], row, r.a), i);
         }
       }
     }
@@ -613,7 +598,10 @@ PlacementResult Placer::place(Floorplan& fp,
     const Rect q = bin_expand(candidate, bin);
     if (!inside_die(fp, q)) continue;
     c_legal.add();
-    if (!fp.region_free(block.tier, q) || buckets.overlaps_any(q, bi)) {
+    const BinSpan span = fp.bin_span(q);
+    if (!snapshot_for(block.tier).rect_clear(span.x0, span.y0, span.x1,
+                                             span.y1) ||
+        buckets.overlaps_any(q, bi)) {
       continue;
     }
     const double old_cost = block_cost(block, rects[bi], fixed);

@@ -180,6 +180,55 @@ TEST(SpatialPruneTest, InvalidBoundPricesEveryCandidate) {
       r, reference::exhaustive_spatial_search(layer, arch, sys, 1)));
 }
 
+TEST(SpatialPruneTest, OverflowedZeroTakesTheFirstZeroInIndexOrder) {
+  // A huge memory-idle cost makes some candidates overflow in every loop
+  // order although their bound is finite: each prices as the zero-cost
+  // "nothing beat +inf" result (DESIGN.md §17, "Overflow corner").
+  // The exhaustive scan keeps the first of them in index order, and so
+  // must the search, over the six Table II architectures x n_cs x K x C x
+  // OX = OY x F.
+  SystemCosts sys;
+  sys.mem_idle_pj_per_cycle = 1e295;
+  int cases = 0;
+  int zeros = 0;
+  int mismatches = 0;
+  for (int arch_index = 1; arch_index <= 6; ++arch_index) {
+    const auto arch = make_table2_architecture(arch_index);
+    for (const std::int64_t n_cs : {1, 2, 4, 8, 16, 32}) {
+      for (const std::int64_t k : {16, 64, 256}) {
+        for (const std::int64_t c : {3, 64, 256}) {
+          for (const std::int64_t ox : {7, 28}) {
+            for (const std::int64_t f : {1, 3}) {
+              ++cases;
+              const nn::ConvSpec layer = conv(k, c, ox, f);
+              const SpatialSearchResult got =
+                  search_spatial(layer, arch, sys, n_cs);
+              const SpatialSearchResult want =
+                  reference::exhaustive_spatial_search(layer, arch, sys, n_cs);
+              if (want.cost.latency_cycles * want.cost.energy_pj == 0.0) {
+                ++zeros;
+              }
+              if (!same_result(got, want) && ++mismatches <= 10) {
+                ADD_FAILURE()
+                    << "arch " << arch_index << ", K " << k << ", C " << c
+                    << ", OX " << ox << ", F " << f << ", n_cs " << n_cs
+                    << ": best (" << got.best.k << "," << got.best.c << ","
+                    << got.best.ox << "," << got.best.oy << ") vs ("
+                    << want.best.k << "," << want.best.c << ","
+                    << want.best.ox << "," << want.best.oy << ")";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(cases, 1296);
+  // The sweep reaches the overflowed zero.
+  EXPECT_GT(zeros, 12) << cases;
+}
+
 /// 0 one time in eight; otherwise log-uniform over six decades around
 /// `typical`.
 double random_cost(Rng& rng, double typical) {

@@ -1,10 +1,12 @@
 // Tests for the placement engine's acceleration structures.
 //
-// The occupancy index is the floorplan's only occupancy state and is never
-// rebuilt, so it is checked against a byte grid kept by the test through
-// long random sequences of marks and queries.  The spatial buckets are
-// checked against a linear scan, and the floorplan's run-skipping scans
-// against the naive oracles in tests/reference.
+// The occupancy index is the floorplan's only occupancy state, so it is
+// checked against a byte grid kept by the test through long random
+// sequences of marks and queries, on grids whose rows end on, before and
+// after 64-bit word edges; the placer's snapshot of it is checked against
+// the same byte grid.  The spatial buckets are checked against a linear
+// scan, and the floorplan's run-skipping scans against the naive oracles in
+// tests/reference.
 #include "uld3d/phys/occupancy_index.hpp"
 
 #include <gtest/gtest.h>
@@ -87,27 +89,43 @@ class ByteGrid {
   std::vector<std::uint8_t> bins_;
 };
 
+/// A random window of an nx x ny grid: usually at most 13 bins a side, one
+/// time in four as wide as the grid, so that windows start, end and cross
+/// 64-bit word edges.  Windows hang off every edge now and then to exercise
+/// the clamping.
+struct WindowDraw {
+  Rng& rng;
+  std::int64_t nx;
+  std::int64_t ny;
+
+  std::int64_t draw(std::int64_t bound) {
+    return static_cast<std::int64_t>(
+        rng.below(static_cast<std::uint64_t>(bound)));
+  }
+  void operator()(std::int64_t& bx0, std::int64_t& by0, std::int64_t& bx1,
+                  std::int64_t& by1) {
+    bx0 = draw(nx + 8) - 4;
+    by0 = draw(ny + 8) - 4;
+    bx1 = bx0 + draw(rng.below(4) == 0 ? nx + 8 : 14);
+    by1 = by0 + draw(14);
+  }
+};
+
+/// Grids of widths on, just before and just after one and two 64-bit word
+/// edges, beside narrow, tall and empty ones.
+constexpr std::int64_t kDims[][2] = {
+    {57, 43}, {1, 1},   {64, 3},    {3, 64},   {0, 5},   {63, 9},  {64, 17},
+    {65, 11}, {127, 7}, {128, 13}, {129, 5}, {200, 29}};
+
 TEST(OccupancyIndex, MatchesByteGridOnRandomMarkQuerySequences) {
-  // An index built empty and only ever updated in place must answer every
-  // query as the byte grid beside it does.  Marks cover clear windows only,
-  // as the floorplan's do; nothing rebuilds the index.
+  // An index built empty and only ever marked must answer every query as
+  // the byte grid beside it does.  Marks cover clear windows only, as the
+  // floorplan's do.
   Rng rng(0xace);
-  const std::int64_t dims[][2] = {{57, 43}, {1, 1}, {64, 3}, {3, 64}, {0, 5}};
-  for (const auto& [nx, ny] : dims) {
+  for (const auto& [nx, ny] : kDims) {
     OccupancyIndex index(nx, ny);
     ByteGrid grid(nx, ny);
-    // Windows hang off every edge now and then to exercise the clamping.
-    const auto draw = [&](std::int64_t bound) {
-      return static_cast<std::int64_t>(
-          rng.below(static_cast<std::uint64_t>(bound)));
-    };
-    const auto random_window = [&](std::int64_t& bx0, std::int64_t& by0,
-                                   std::int64_t& bx1, std::int64_t& by1) {
-      bx0 = draw(nx + 8) - 4;
-      by0 = draw(ny + 8) - 4;
-      bx1 = bx0 + draw(14);
-      by1 = by0 + draw(14);
-    };
+    WindowDraw random_window{rng, nx, ny};
     std::int64_t marks = 0;
     for (int op = 0; op < 4000; ++op) {
       std::int64_t bx0 = 0, by0 = 0, bx1 = 0, by1 = 0;
@@ -120,10 +138,8 @@ TEST(OccupancyIndex, MatchesByteGridOnRandomMarkQuerySequences) {
         }
         continue;
       }
-      const std::int64_t expected = grid.count(bx0, by0, bx1, by1);
-      ASSERT_EQ(index.count(bx0, by0, bx1, by1), expected)
-          << nx << "x" << ny << " op " << op;
-      ASSERT_EQ(index.rect_clear(bx0, by0, bx1, by1), expected == 0)
+      ASSERT_EQ(index.rect_clear(bx0, by0, bx1, by1),
+                grid.count(bx0, by0, bx1, by1) == 0)
           << nx << "x" << ny << " op " << op;
       ASSERT_EQ(index.rightmost_occupied(bx0, by0, bx1, by1),
                 grid.rightmost(bx0, by0, bx1, by1))
@@ -131,10 +147,58 @@ TEST(OccupancyIndex, MatchesByteGridOnRandomMarkQuerySequences) {
       ASSERT_EQ(index.occupied_bins(), grid.count(0, 0, nx, ny))
           << nx << "x" << ny << " op " << op;
     }
-    if (nx == 57) {
-      EXPECT_GT(marks, 100);  // the sequence filled the grid
+    if (nx == 57 || nx == 200) {
+      EXPECT_GT(marks, 100) << nx << "x" << ny;  // the sequence filled it
     }
   }
+}
+
+TEST(OccupancySnapshot, MatchesByteGridOnRandomWindowsOverRandomOccupancy) {
+  // The placer queries a snapshot of each tier: it must answer every
+  // window as the byte grid does, over fills from nearly empty to nearly
+  // full, and keep answering for the occupancy it was taken from after the
+  // index is marked again.
+  Rng rng(0x5a7);
+  std::int64_t blocked = 0;
+  std::int64_t clear = 0;
+  for (const auto& [nx, ny] : kDims) {
+    for (const int fill : {2, 40, 400}) {
+      OccupancyIndex index(nx, ny);
+      ByteGrid grid(nx, ny);
+      WindowDraw random_window{rng, nx, ny};
+      std::int64_t bx0 = 0, by0 = 0, bx1 = 0, by1 = 0;
+      for (int m = 0; m < fill; ++m) {
+        random_window(bx0, by0, bx1, by1);
+        if (grid.count(bx0, by0, bx1, by1) == 0) {
+          index.mark(bx0, by0, bx1, by1);
+          grid.mark(bx0, by0, bx1, by1);
+        }
+      }
+      const OccupancySnapshot snapshot(index);
+      // Later marks change the index, not the snapshot.
+      ByteGrid later = grid;
+      for (int m = 0; m < 20; ++m) {
+        random_window(bx0, by0, bx1, by1);
+        if (later.count(bx0, by0, bx1, by1) == 0) {
+          index.mark(bx0, by0, bx1, by1);
+          later.mark(bx0, by0, bx1, by1);
+        }
+      }
+      for (int q = 0; q < 1500; ++q) {
+        random_window(bx0, by0, bx1, by1);
+        const bool want_clear = grid.count(bx0, by0, bx1, by1) == 0;
+        ASSERT_EQ(snapshot.rect_clear(bx0, by0, bx1, by1), want_clear)
+            << nx << "x" << ny << " fill " << fill << " query " << q;
+        ASSERT_EQ(snapshot.rightmost_occupied(bx0, by0, bx1, by1),
+                  grid.rightmost(bx0, by0, bx1, by1))
+            << nx << "x" << ny << " fill " << fill << " query " << q;
+        ++(want_clear ? clear : blocked);
+      }
+    }
+  }
+  // Both answers are exercised.
+  EXPECT_GT(blocked, 10000) << clear;
+  EXPECT_GT(clear, 10000) << blocked;
 }
 
 TEST(OccupancyIndex, MarkingAnOccupiedWindowIsAPreconditionError) {
@@ -142,9 +206,13 @@ TEST(OccupancyIndex, MarkingAnOccupiedWindowIsAPreconditionError) {
   index.mark(2, 2, 5, 5);
   EXPECT_THROW(index.mark(4, 4, 6, 6), PreconditionError);
   EXPECT_THROW(index.mark(-3, -3, 20, 20), PreconditionError);
-  // A refused mark changes nothing.
+  // A refused mark changes nothing: [2, 5) x [2, 5) is all that is
+  // occupied.
   EXPECT_EQ(index.occupied_bins(), 9);
-  EXPECT_EQ(index.count(4, 4, 6, 6), 1);
+  EXPECT_EQ(index.rightmost_occupied(0, 0, 8, 8), 4);
+  EXPECT_TRUE(index.rect_clear(0, 0, 8, 2));
+  EXPECT_TRUE(index.rect_clear(0, 5, 8, 8));
+  EXPECT_TRUE(index.rect_clear(0, 0, 2, 8));
   EXPECT_EQ(index.rightmost_occupied(0, 3, 8, 4), 4);
   // Windows that touch the occupied one only at an edge are clear, and
   // empty or off-grid windows mark nothing.
