@@ -7,10 +7,10 @@
 // so the kernels emit the same BENCH_*.json artifact as the reproduction
 // suites.  Fast kernels time a fixed inner-loop batch and report ns/op as
 // named timing values; the instrumentation-overhead numbers keep their
-// contract:
-// a *disabled* counter add or trace span must stay in the
-// single-relaxed-load-plus-branch cost class.
+// contract: a *disabled* counter add or trace span must stay in the
+// relaxed-load-plus-branch cost class.
 #include <cstdint>
+#include <filesystem>
 #include <iostream>
 
 #include "uld3d/accel/case_study.hpp"
@@ -104,10 +104,11 @@ int main(int argc, char** argv) {
   }
 
   // --- instrumentation overhead ---------------------------------------------
-  // The contract is zero-cost-when-disabled: a disabled counter add or span
-  // is a single relaxed atomic load plus a branch.  The Disabled timings
-  // quantify the tax the instrumented kernels above pay by default; the
-  // Enabled timings bound the cost when --profile / --trace is on.
+  // The contract is zero-cost-when-disabled: a disabled counter add is one
+  // relaxed atomic load plus a branch, a span with no sink armed a few of
+  // them.  The Disabled timings quantify the tax the instrumented kernels
+  // above pay by default; the Enabled timings bound the cost when
+  // --profile / --trace is on.
   Counter& counter = MetricsRegistry::instance().counter("bench.overhead.counter");
 
   MetricsRegistry::set_enabled(false);
@@ -127,9 +128,8 @@ int main(int argc, char** argv) {
   MetricsRegistry::set_enabled(false);
   MetricsRegistry::instance().reset_values();
 
-  // Note: since the flight recorder landed, a "disabled" TraceSpan still
-  // writes one always-on flightrec begin/end record pair (~two ring pushes),
-  // so trace_span_disabled_ns_per_op bounds flightrec span cost too.
+  // Timed before the flight recorder is armed (below), so no sink is armed:
+  // no ring write, no clock read, no string copy.
   TraceRecorder::instance().set_enabled(false);
   h.time("trace_span_disabled_64k", [&] {
     for (std::int64_t i = 0; i < kSpanOps; ++i) {
@@ -171,10 +171,23 @@ int main(int argc, char** argv) {
   });
   sink.close();
 
-  // The flight recorder has no disabled state — its whole point is being
-  // there when a crash happens — so these pin its absolute cost: a ring
-  // record is a relaxed fetch_add plus a fixed-size slot fill, targeted at
-  // the single-digit-ns class.
+  // Metrics on, everything else off — the same unarmed state as the plain
+  // simulate_resnet18 above, so their ratio is the cost of counting alone.
+  MetricsRegistry::set_enabled(true);
+  h.time("simulate_resnet18_instrumented",
+         [&] { return sim::simulate_network(resnet18, cfg3d); });
+  MetricsRegistry::set_enabled(false);
+  MetricsRegistry::instance().reset_values();
+
+  // The flight recorder records only while a postmortem dump is armed (the
+  // CLI arms one for every sweep), so arm it — the dump is written only on
+  // a crash — and pin the armed record cost: a relaxed fetch_add plus a
+  // fixed-size slot fill, targeted at the single-digit-ns class.  Arming
+  // cannot be undone, so these two kernels run last.
+  flightrec::install_postmortem(
+      (std::filesystem::temp_directory_path() /
+       "bench_perf_kernels.postmortem.json")
+          .string());
   h.time("flightrec_event_1m", [&] {
     for (std::int64_t i = 0; i < kCounterOps; ++i) {
       flightrec::event("bench.overhead.flightrec",
@@ -189,12 +202,6 @@ int main(int argc, char** argv) {
       bench::do_not_optimize(i);
     }
   });
-
-  MetricsRegistry::set_enabled(true);
-  h.time("simulate_resnet18_instrumented",
-         [&] { return sim::simulate_network(resnet18, cfg3d); });
-  MetricsRegistry::set_enabled(false);
-  MetricsRegistry::instance().reset_values();
 
   // --- named values: per-op overheads + a model-fidelity anchor -------------
   // The overhead numbers come from the wall clock, so they are recorded as

@@ -8,7 +8,6 @@
 #include "uld3d/util/fault.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/parallel.hpp"
-#include "uld3d/util/telemetry.hpp"
 #include "uld3d/util/trace.hpp"
 
 namespace uld3d::dse {
@@ -44,9 +43,7 @@ std::vector<Sensitivity> analyze_sensitivity(
   MetricsRegistry& registry = MetricsRegistry::instance();
   Counter& m_params = registry.counter("dse.sensitivity.params");
   Counter& m_failed = registry.counter("dse.sensitivity.failed");
-  Histogram& m_param_us = registry.histogram("dse.sensitivity.param_us");
-  TraceSpan analysis_span("dse.sensitivity", "dse");
-  StageTimer analysis_stage("dse.sensitivity");
+  TraceSpan analysis_span("dse.sensitivity", "dse", TraceSpan::kStage);
   // The baseline evaluation is always serial and fail-fast — without it no
   // elasticity is defined.
   const double base_objective = objective(baseline);
@@ -67,7 +64,6 @@ std::vector<Sensitivity> analyze_sensitivity(
     s.parameter = names[i];
     s.baseline_value = baseline[i];
     TraceSpan param_span(names[i], "dse");
-    ScopedTimer param_timer(m_param_us);
     m_params.add();
     try {
       std::vector<double> params = baseline;

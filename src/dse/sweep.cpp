@@ -209,7 +209,6 @@ struct PointMetrics {
   Counter& ok;
   Counter& failed;
   Counter& skipped;
-  Histogram& point_us;
 };
 
 PointMetrics& point_metrics() {
@@ -217,8 +216,7 @@ PointMetrics& point_metrics() {
   static PointMetrics m{r.counter("dse.sweep.points"),
                         r.counter("dse.sweep.ok"),
                         r.counter("dse.sweep.failed"),
-                        r.counter("dse.sweep.skipped"),
-                        r.histogram("dse.sweep.point_us")};
+                        r.counter("dse.sweep.skipped")};
   return m;
 }
 
@@ -287,11 +285,9 @@ SweepRow evaluate_sweep_point(
   std::optional<std::vector<double>> metrics;
   try {
     TraceSpan point_span("dse.sweep.point", "dse");
-    // Always-on breadcrumb: the postmortem dump pins which grid index was
-    // in flight on each worker (also the ULD3D_CRASH_AT injection point
-    // the fatal-path tests target).
+    // Breadcrumb for an armed postmortem dump: it pins which grid index
+    // was in flight on each worker.
     flightrec::event("dse.point", grid_index);
-    ScopedTimer point_timer(m.point_us);
     m.points.add();
     fault_site("dse.sweep.point");
     metrics = evaluate(row.params);
@@ -337,15 +333,12 @@ SweepRow alias_sweep_point(const Grid& grid, std::size_t grid_index,
   SweepRow row;
   row.grid_index = grid_index;
   row.params = grid.point(grid_index);
-  {
-    // Same breadcrumb and counters as a real evaluation; the recorded
-    // duration is just the fan-out copy, which is what the point cost.
-    flightrec::event("dse.point", grid_index);
-    ScopedTimer point_timer(m.point_us);
-    m.points.add();
-    row.metrics = representative.metrics;
-    row.failure = representative.failure;
-  }
+  // Same breadcrumb and counters as a real evaluation; the point_done
+  // duration is just the fan-out copy, which is what the point cost.
+  flightrec::event("dse.point", grid_index);
+  m.points.add();
+  row.metrics = representative.metrics;
+  row.failure = representative.failure;
   record_point(row, started);
   return row;
 }
@@ -371,10 +364,9 @@ SweepResult run_sweep(
   MetricsRegistry& registry = MetricsRegistry::instance();
   registry.counter("dse.sweep.runs").add();
   registry.gauge("dse.sweep.grid_size").set(static_cast<double>(grid_size));
-  TraceSpan sweep_span("dse.sweep", "dse");
-  // Stage-level resource attribution for the whole sweep: wall + thread CPU
-  // + alloc/RSS, feeding the stage event and the stage.dse.sweep.* metrics.
-  StageTimer sweep_stage("dse.sweep");
+  // A stage span: besides the trace and the ring, it feeds the stage event
+  // and the stage.dse.sweep.* metrics (wall + thread CPU + alloc/RSS).
+  TraceSpan sweep_span("dse.sweep", "dse", TraceSpan::kStage);
   const bool timed = metrics_enabled();
   const auto sweep_start = timed ? Clock::now() : Clock::time_point{};
 

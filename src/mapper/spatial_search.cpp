@@ -12,7 +12,6 @@
 #include "uld3d/util/math.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/parallel.hpp"
-#include "uld3d/util/telemetry.hpp"
 #include "uld3d/util/trace.hpp"
 
 namespace uld3d::mapper {
@@ -223,8 +222,7 @@ double SpatialSearchResult::improvement() const {
 SpatialSearchResult search_spatial(const nn::ConvSpec& conv,
                                    const Architecture& arch,
                                    const SystemCosts& sys, std::int64_t n_cs) {
-  TraceSpan search_span("mapper.spatial_search", "mapper");
-  StageTimer search_stage("mapper.spatial_search");
+  TraceSpan search_span("mapper.spatial_search", "mapper", TraceSpan::kStage);
   SpatialSearchResult result;
   result.fixed_cost = evaluate_conv(conv, arch, sys, n_cs);
   result.best = arch.spatial;

@@ -8,7 +8,6 @@
 #include "uld3d/util/log.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/rng.hpp"
-#include "uld3d/util/telemetry.hpp"
 #include "uld3d/util/trace.hpp"
 
 namespace uld3d::phys {
@@ -71,9 +70,7 @@ DesignReport M3dFlow::run_design_once(const FlowInput& input, bool m3d,
   DesignReport report;
   report.name = m3d ? "M3D" : "2D";
   TraceSpan design_span(m3d ? "phys.flow.design_m3d" : "phys.flow.design_2d",
-                        "phys");
-  StageTimer design_stage(m3d ? "phys.flow.design_m3d"
-                              : "phys.flow.design_2d");
+                        "phys", TraceSpan::kStage);
   MetricsRegistry::instance().counter("phys.flow.designs").add();
   const DesignAreas areas = compute_areas(input, m3d, cs_count);
   const std::int64_t banks = m3d ? cs_count : 1;

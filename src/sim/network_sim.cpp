@@ -7,7 +7,6 @@
 #include "uld3d/util/fault.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/status.hpp"
-#include "uld3d/util/telemetry.hpp"
 #include "uld3d/util/trace.hpp"
 
 namespace uld3d::sim {
@@ -17,8 +16,7 @@ NetworkResult simulate_network(const nn::Network& net,
   MetricsRegistry& registry = MetricsRegistry::instance();
   Counter& m_layers = registry.counter("sim.network.layers");
   registry.counter("sim.network.runs").add();
-  TraceSpan network_span("sim.network", "sim");
-  StageTimer network_stage("sim.network");
+  TraceSpan network_span("sim.network", "sim", TraceSpan::kStage);
 
   NetworkResult result;
   result.network = net.name();

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -78,44 +77,7 @@ std::uint32_t acquire_thread_slot() {
 }
 
 // ---------------------------------------------------------------------------
-// ULD3D_CRASH_AT test hook: `ULD3D_CRASH_AT=<name>[:N]` raises SIGSEGV on
-// the Nth record whose name matches — the deterministic crash injector the
-// fatal-path tests use.  raise() (not a wild store) keeps the injection
-// clean under ASan.  Three-state lazy env parse so the armed/unarmed check
-// on the hot path is a single relaxed load.
-std::atomic<int> g_crash_state{0};  // 0 = env unread, 1 = unarmed, 2 = armed
-char g_crash_name[kNameBytes] = {};
-std::uint64_t g_crash_target = 1;
-std::atomic<std::uint64_t> g_crash_hits{0};
-
-int crash_hook_init() {
-  int state = 1;
-  if (const char* spec = std::getenv("ULD3D_CRASH_AT"); spec && *spec) {
-    std::string_view s(spec);
-    if (const auto colon = s.rfind(':'); colon != std::string_view::npos) {
-      const std::uint64_t n = std::strtoull(spec + colon + 1, nullptr, 10);
-      g_crash_target = n > 0 ? n : 1;
-      s = s.substr(0, colon);
-    }
-    copy_name(g_crash_name, sizeof g_crash_name, s);
-    state = 2;
-  }
-  g_crash_state.store(state, std::memory_order_relaxed);
-  return state;
-}
-
-inline void crash_hook(std::string_view name) {
-  int state = g_crash_state.load(std::memory_order_relaxed);
-  if (state == 0) state = crash_hook_init();
-  if (state != 2 || name != std::string_view(g_crash_name)) return;
-  if (g_crash_hits.fetch_add(1, std::memory_order_relaxed) + 1 ==
-      g_crash_target) {
-    std::raise(SIGSEGV);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Recording (the single-digit-ns path)
+// Recording (only while armed; the single-digit-ns path)
 
 // The one slot claim per thread lives in thread_id(); everything else must
 // route through it so the id reported to trace/postmortem consumers is the
@@ -124,6 +86,15 @@ inline ThreadRing* this_thread_ring() {
   const std::uint32_t id = thread_id();
   if (id == kOverflowThreadId) return nullptr;
   return &g_rings[id];
+}
+
+// The ring a record goes to: none while disarmed, and none (counted as a
+// drop) for a thread that arrived after every slot was claimed.
+inline ThreadRing* recording_ring() {
+  if (!postmortem_installed()) return nullptr;
+  ThreadRing* ring = this_thread_ring();
+  if (ring == nullptr) g_dropped.fetch_add(1, std::memory_order_relaxed);
+  return ring;
 }
 
 inline void push(ThreadRing& ring, std::uint8_t type, std::string_view name,
@@ -139,32 +110,27 @@ inline void push(ThreadRing& ring, std::uint8_t type, std::string_view name,
 
 }  // namespace
 
+std::atomic<bool> detail::g_armed{false};
+
 std::uint32_t thread_id() {
   thread_local const std::uint32_t id = acquire_thread_slot();
   return id;
 }
 
 void span_begin(std::string_view name) {
-  ThreadRing* ring = this_thread_ring();
-  if (ring == nullptr) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  ThreadRing* ring = recording_ring();
+  if (ring == nullptr) return;
   const std::uint32_t depth = ring->depth.load(std::memory_order_relaxed);
   if (depth < kMaxSpanDepth) {
     copy_name(ring->stack[depth], kNameBytes, name);
   }
   ring->depth.store(depth + 1, std::memory_order_relaxed);
   push(*ring, kTypeSpanBegin, name, depth);
-  crash_hook(name);
 }
 
 void span_end() {
-  ThreadRing* ring = this_thread_ring();
-  if (ring == nullptr) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  ThreadRing* ring = recording_ring();
+  if (ring == nullptr) return;
   const std::uint32_t depth = ring->depth.load(std::memory_order_relaxed);
   const char* name = "";
   if (depth > 0) {
@@ -175,13 +141,9 @@ void span_end() {
 }
 
 void event(std::string_view name, std::uint64_t arg) {
-  ThreadRing* ring = this_thread_ring();
-  if (ring == nullptr) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  ThreadRing* ring = recording_ring();
+  if (ring == nullptr) return;
   push(*ring, kTypeEvent, name, arg);
-  crash_hook(name);
 }
 
 void set_thread_name(const char* name) {
@@ -219,7 +181,6 @@ constexpr std::size_t kPathBytes = 512;
 constexpr std::size_t kHeaderBytes = 8192;
 constexpr std::size_t kMaxMetricHandles = 16;
 
-std::atomic<bool> g_installed{false};
 std::atomic<int> g_dump_claimed{0};
 char g_path[kPathBytes] = {};
 // Pre-formatted JSON prefix: `{"schema": ..., "run": ..., "provenance": {...}`
@@ -457,20 +418,16 @@ bool install_postmortem(const std::string& path) {
     std::set_terminate(terminate_handler);
     g_handlers_installed = true;
   }
-  g_installed.store(true, std::memory_order_release);
+  detail::g_armed.store(true, std::memory_order_release);
   return true;
 }
 
-bool postmortem_installed() {
-  return g_installed.load(std::memory_order_acquire);
-}
-
 const char* postmortem_path() {
-  return postmortem_installed() ? g_path : "";
+  return detail::g_armed.load(std::memory_order_acquire) ? g_path : "";
 }
 
 bool write_postmortem(const char* reason, int signal_number) {
-  if (!postmortem_installed()) return false;
+  if (!detail::g_armed.load(std::memory_order_acquire)) return false;
   const int fd = ::open(g_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
   {

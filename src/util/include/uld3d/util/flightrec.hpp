@@ -1,15 +1,15 @@
-// Flight recorder: an always-on, lock-free per-thread ring buffer of recent
-// span begin/end and event records, plus an async-signal-safe postmortem
-// dumper (DESIGN.md §15).
+// Flight recorder: a lock-free per-thread ring buffer of recent span
+// begin/end and event records, plus an async-signal-safe postmortem dumper
+// (DESIGN.md §15).
 //
-// Unlike metrics/trace/telemetry — which are opt-in and gated behind a single
-// relaxed atomic when disabled — the flight recorder is *always on*: every
-// TraceSpan constructor/destructor and every flightrec::event() call lands a
-// record regardless of which observability surfaces are armed.  The budget is
-// therefore the record cost itself, single-digit ns (~9 ns/record measured;
-// pinned by bench_perf_kernels' flightrec_event_ns_per_op):
-// one thread-local read, one relaxed fetch_add on a global sequence counter,
-// a ≤38-byte name copy into a fixed slot, and a relaxed store.  There are no
+// Only the postmortem dump reads the ring, so the ring records only while a
+// dump is armed: install_postmortem() is the switch, and arming is one-way.
+// Before it, span_begin/span_end/event return after one relaxed load, and a
+// TraceSpan does not call them at all.  While armed, the budget is the
+// record cost itself, single-digit ns (pinned by bench_perf_kernels'
+// flightrec_event_ns_per_op and flightrec_span_pair_ns_per_op): one
+// thread-local read, one relaxed fetch_add on a global sequence counter, a
+// ≤38-byte name copy into a fixed slot, and a relaxed store.  There are no
 // clock reads (too slow for the budget), no allocation, and no locks.
 //
 // On a fatal signal (SIGSEGV/SIGABRT/SIGBUS/SIGFPE) or std::terminate,
@@ -19,12 +19,17 @@
 // atomic loads, and write(2).  See flightrec.cpp for the signal-safety rules.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace uld3d::flightrec {
+
+namespace detail {
+extern std::atomic<bool> g_armed;
+}  // namespace detail
 
 /// Maximum number of threads with their own ring.  Threads beyond this drop
 /// their records (counted in records_dropped()) rather than contend.
@@ -42,14 +47,16 @@ inline constexpr std::size_t kNameBytes = 40;
 /// were claimed.
 inline constexpr std::uint32_t kOverflowThreadId = 0xffffffffu;
 
-/// Record a span entry.  Called by every TraceSpan constructor (even when
-/// tracing is disabled) — keep it on the single-digit-ns budget.
+/// Record a span entry (only while armed).  A TraceSpan calls it when it
+/// opens with the dumper armed — keep it on the single-digit-ns budget.
 void span_begin(std::string_view name);
 
-/// Record a span exit, popping the per-thread active-span stack.
+/// Record a span exit (only while armed), popping the per-thread
+/// active-span stack.
 void span_end();
 
-/// Record a point event with an optional argument (e.g. a sweep grid index).
+/// Record a point event with an optional argument (e.g. a sweep grid
+/// index), only while armed.
 void event(std::string_view name, std::uint64_t arg = 0);
 
 /// Dense id of the calling thread's ring slot (assigned on first use, stable
@@ -72,15 +79,19 @@ void set_thread_name(const char* name);
 /// Records dropped because more than kMaxThreads threads recorded.
 [[nodiscard]] std::uint64_t records_dropped();
 
-/// Arm the postmortem dumper: pre-format the JSON header (RunId, shard,
-/// provenance) for the *current* run context, capture signal-safe metric
-/// handles, and install the fatal-signal + std::terminate hooks (handlers
-/// are installed once; the header/path refresh on every call).  Returns
-/// false if `path` is too long for the pre-formatted buffer.
+/// Arm the postmortem dumper, and with it the ring: pre-format the JSON
+/// header (RunId, shard, provenance) for the *current* run context, capture
+/// signal-safe metric handles, and install the fatal-signal +
+/// std::terminate hooks (handlers are installed once; the header/path
+/// refresh on every call).  Returns false, arming nothing new, if `path` is
+/// too long for the pre-formatted buffer.
 bool install_postmortem(const std::string& path);
 
-/// True once install_postmortem() has armed the dumper.
-[[nodiscard]] bool postmortem_installed();
+/// True once install_postmortem() has armed the dumper (and the ring).
+/// One relaxed load: TraceSpan tests it on every open.
+[[nodiscard]] inline bool postmortem_installed() {
+  return detail::g_armed.load(std::memory_order_relaxed);
+}
 
 /// The path the next dump will be written to ("" when not installed).
 [[nodiscard]] const char* postmortem_path();

@@ -1,6 +1,7 @@
-// Process-wide metrics registry: named counters, gauges, and fixed-bucket
-// histograms, cheap enough for inner loops and safe to update from multiple
-// threads.
+// Process-wide metrics registry: named counters and gauges, cheap enough
+// for inner loops and safe to update from multiple threads.  Timed
+// intervals are TraceSpan's job (util/trace.hpp); a stage-kind span folds
+// its durations into `stage.<name>.*` counters here.
 //
 // Instrumentation sites obtain a handle once (a registry lookup under a
 // mutex) and then update it lock-free:
@@ -20,13 +21,11 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "uld3d/util/export.hpp"  // re-exports json_escape (its home moved there)
@@ -89,47 +88,7 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: bucket upper bounds are set at registration and
-/// never change, so observation is a short scan plus relaxed atomic adds.
-/// An implicit overflow bucket catches values above the last bound.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  void observe(double value);
-
-  [[nodiscard]] const std::vector<double>& upper_bounds() const {
-    return upper_bounds_;
-  }
-  /// Count per bucket; one extra trailing entry for the overflow bucket.
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double mean() const;
-
-  /// Bucket-interpolated quantile estimate (Prometheus-style): find the
-  /// bucket holding the q*count-th observation and interpolate linearly
-  /// inside it.  Accuracy is bounded by the bucket width; observations in
-  /// the overflow bucket clamp to the last finite bound.  q in [0, 1];
-  /// returns 0 when the histogram is empty.
-  [[nodiscard]] double quantile(double q) const;
-
-  void reset();
-
- private:
-  std::vector<double> upper_bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds + overflow
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-enum class MetricKind { kCounter, kGauge, kHistogram };
+enum class MetricKind { kCounter, kGauge };
 
 [[nodiscard]] const char* metric_kind_name(MetricKind kind);
 
@@ -137,13 +96,7 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  double value = 0.0;           ///< counter/gauge value; histogram mean
-  std::uint64_t count = 0;      ///< histogram observation count
-  double sum = 0.0;             ///< histogram observation sum
-  double p50 = 0.0;             ///< histogram interpolated median
-  double p95 = 0.0;             ///< histogram interpolated 95th percentile
-  double p99 = 0.0;             ///< histogram interpolated 99th percentile
-  std::vector<std::pair<double, std::uint64_t>> buckets;  ///< le -> count
+  double value = 0.0;
 };
 
 /// The process-wide registry.  Series are registered on first lookup and
@@ -160,11 +113,8 @@ class MetricsRegistry {
   /// (looking it up as a different kind throws PreconditionError).
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Default bounds suit microsecond-scale durations (1us .. 10s).
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_bounds = {});
 
-  /// Zero every value; registered series (and histogram bounds) survive.
+  /// Zero every value; registered series survive.
   void reset_values();
 
   /// Consistent-enough view for exporting (each series is read atomically;
@@ -185,31 +135,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-/// RAII timer feeding elapsed *microseconds* into a histogram on scope
-/// exit.  Free when metrics are disabled (no clock read).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& histogram) {
-    if (!metrics_enabled()) return;
-    histogram_ = &histogram;
-    start_ = std::chrono::steady_clock::now();
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    if (histogram_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    histogram_->observe(
-        std::chrono::duration<double, std::micro>(elapsed).count());
-  }
-
- private:
-  Histogram* histogram_ = nullptr;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 // json_escape used to be declared here; it now lives in util/export.hpp

@@ -1,7 +1,7 @@
 // Per-stage resource attribution primitives (DESIGN.md §15).
 //
-// StageTimer/TraceSpan sample these at entry and exit so stage telemetry
-// events, trace summaries, and the metrics export can attribute CPU time,
+// TraceSpan samples these at entry and exit so stage telemetry events,
+// trace summaries, and the metrics export can attribute CPU time,
 // allocation volume, and RSS high-water to individual pipeline stages —
 // not just wall-clock time, which on a loaded pool says little about who
 // is actually hungry.
@@ -25,8 +25,8 @@
 
 namespace uld3d {
 
-/// A point-in-time resource reading for the calling thread; StageTimer and
-/// TraceSpan store differences of these (rss_hwm_kb excepted — see above).
+/// A point-in-time resource reading for the calling thread; a stage span
+/// reports differences of these (rss_hwm_kb excepted — see above).
 struct ResourceSample {
   double cpu_us = 0.0;
   std::uint64_t alloc_bytes = 0;
@@ -45,8 +45,5 @@ struct ResourceSample {
 /// ULD3D_ALLOC_STATS environment variable ("" or "0" = off).
 [[nodiscard]] bool alloc_stats_enabled();
 void set_alloc_stats_enabled(bool enabled);
-
-/// One call bundling all three readings.
-[[nodiscard]] ResourceSample sample_thread_resources();
 
 }  // namespace uld3d

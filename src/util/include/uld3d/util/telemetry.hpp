@@ -49,7 +49,6 @@
 #include <utility>
 #include <vector>
 
-#include "uld3d/util/metrics.hpp"   // metrics_enabled (StageTimer gate)
 #include "uld3d/util/resource.hpp"  // ResourceSample (stage attribution)
 
 namespace uld3d {
@@ -249,48 +248,9 @@ class EventSink {
 /// Fold one completed stage into the metrics registry as
 /// `stage.<name>.calls/.wall_us/.cpu_us/.alloc_bytes` counters plus a
 /// `stage.<name>.rss_hwm_kb` gauge.  No-op when metrics are disabled.
+/// A stage-kind TraceSpan (util/trace.hpp) calls it at scope end.
 void record_stage_metrics(std::string_view name, double dur_us,
                           const ResourceSample& resources);
-
-/// RAII stage timer: emits a `stage` event with the scope's wall-clock
-/// duration plus resource attribution (thread CPU time, allocation delta,
-/// RSS high-water — util/resource.hpp), and feeds the same numbers into
-/// the metrics export.  Free when both telemetry and metrics are disabled
-/// (no clock read, no copy) — the same shape as TraceSpan.
-class StageTimer {
- public:
-  explicit StageTimer(std::string_view name) {
-    if (!EventSink::enabled() && !metrics_enabled()) return;
-    name_.assign(name);
-    start_ = std::chrono::steady_clock::now();
-    start_resources_ = sample_thread_resources();
-    active_ = true;
-  }
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
-  ~StageTimer() {
-    if (!active_) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    const double dur_us =
-        std::chrono::duration<double, std::micro>(elapsed).count();
-    const ResourceSample end = sample_thread_resources();
-    ResourceSample delta;
-    delta.cpu_us = end.cpu_us - start_resources_.cpu_us;
-    delta.alloc_bytes = end.alloc_bytes - start_resources_.alloc_bytes;
-    // RSS high-water is a process-wide monotone; the stage reports where it
-    // stood at stage end, not a delta (deltas of a high-water mislead).
-    delta.rss_hwm_kb = end.rss_hwm_kb;
-    EventSink::instance().emit_stage(name_, dur_us, delta);
-    record_stage_metrics(name_, dur_us, delta);
-  }
-
- private:
-  std::string name_;
-  std::chrono::steady_clock::time_point start_{};
-  ResourceSample start_resources_{};
-  bool active_ = false;
-};
 
 /// Turn the live progress display on (the CLI's `--progress`).  Off by
 /// default so library users and byte-compared CLI runs see no extra stderr.

@@ -1,20 +1,25 @@
-// Scoped-timer tracing with Chrome trace_event export.
+// Timed intervals: `TraceSpan`, the one RAII span the library times a scope
+// with, and the Chrome trace_event recorder it feeds.
 //
-// An RAII `TraceSpan` records one wall-clock span into the process-wide
-// `TraceRecorder`; spans nest naturally because inner scopes close first.
-// The recorded timeline exports as Chrome `trace_event` JSON — load it in
-// chrome://tracing or https://ui.perfetto.dev — or aggregates into a
-// per-span-name summary table for end-of-run reports.
+// A span feeds each observability sink that is armed when it opens:
+//  - the trace recorder (`--trace`, `ULD3D_TRACE`, `--profile`): one
+//    complete event into a bounded buffer, exported as Chrome `trace_event`
+//    JSON (chrome://tracing, https://ui.perfetto.dev) or aggregated per name
+//    by `summary_table()`;
+//  - the flight-recorder ring (util/flightrec.hpp), once install_postmortem
+//    has run: a begin/end record pair;
+//  - a *stage* span alone — one of the coarse pipeline stages — also feeds
+//    the `stage` event (util/telemetry.hpp, when an events file is open) and
+//    the `stage.<name>.*` metrics (when metrics are enabled).
+// Spans nest naturally because inner scopes close first.
 //
-//   TraceSpan sweep("dse.sweep", "dse");
+//   TraceSpan sweep("dse.sweep", "dse", TraceSpan::kStage);
 //   for (...) { TraceSpan point("dse.sweep.point", "dse"); evaluate(...); }
 //   TraceRecorder::instance().write_chrome_trace("trace.json");
 //
-// Like util/metrics and util/fault, tracing is disabled by default; a
-// disabled span costs the always-on flight-recorder record (~5 ns, see
-// util/flightrec.hpp) plus one relaxed atomic-bool load — no clock read,
-// no string copy, no allocation.  `ULD3D_TRACE=<file>` (or the CLI's
-// `--trace <file>`) enables recording; the event buffer is bounded
+// With no sink armed a span costs a few relaxed atomic-bool loads and a
+// branch — no ring write, no clock read, no string copy (bench_perf_kernels
+// pins trace_span_disabled_ns_per_op).  The trace buffer is bounded
 // (`set_capacity`), dropping and counting further events rather than
 // growing without limit.
 #pragma once
@@ -23,12 +28,15 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "uld3d/util/flightrec.hpp"
+#include "uld3d/util/metrics.hpp"
 #include "uld3d/util/table.hpp"
+#include "uld3d/util/telemetry.hpp"
 
 namespace uld3d {
 
@@ -100,36 +108,49 @@ class TraceRecorder {
   std::string env_path_;
 };
 
-/// RAII span.  Both arguments are only copied when tracing is enabled, so
-/// passing `layer.name()` in a hot loop is free in the disabled case.
+/// RAII span.  Which sinks it feeds is fixed when it opens; the name and
+/// category are copied only for the trace and stage sinks, so passing
+/// `layer.name()` in a hot loop is free while they are off.
 class TraceSpan {
  public:
-  explicit TraceSpan(std::string_view name, std::string_view category = "uld3d") {
-    // The flight recorder sees every span regardless of whether tracing is
-    // armed — it is the always-on forensic layer (util/flightrec.hpp), and
-    // its ~5 ns record is the whole cost of a disabled span now.
-    flightrec::span_begin(name);
-    if (!TraceRecorder::enabled()) return;
-    begin(name, category);
+  /// A stage span is one of the pipeline stages the `stage` events and
+  /// `stage.<name>.*` metrics report (DESIGN.md §14).  Each call site fixes
+  /// its kind.
+  enum Kind { kPlain, kStage };
+
+  explicit TraceSpan(std::string_view name, std::string_view category = "uld3d",
+                     Kind kind = kPlain)
+      : sinks_((flightrec::postmortem_installed() ? kToRing : 0u) |
+               (TraceRecorder::enabled() ? kToTrace : 0u) |
+               (kind == kStage && (telemetry_enabled() || metrics_enabled())
+                    ? kToStage
+                    : 0u)) {
+    if (sinks_ != 0) begin(name, category);
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   ~TraceSpan() {
-    flightrec::span_end();
-    if (active_) finish();
+    if (sinks_ != 0) finish();
   }
 
  private:
+  enum Sink : unsigned { kToRing = 1, kToTrace = 2, kToStage = 4 };
+
+  /// The opening sample the trace and stage sinks time the span from.
+  struct Start {
+    std::string name;
+    std::string category;
+    double us = 0.0;
+    double cpu_us = 0.0;
+    std::uint64_t alloc_bytes = 0;
+  };
+
   void begin(std::string_view name, std::string_view category);
   void finish();
 
-  std::string name_;
-  std::string category_;
-  double start_us_ = 0.0;
-  double start_cpu_us_ = 0.0;
-  std::uint64_t start_alloc_ = 0;
-  bool active_ = false;
+  const unsigned sinks_;
+  std::optional<Start> start_;  ///< engaged only for the trace/stage sinks
 };
 
 }  // namespace uld3d

@@ -1,9 +1,7 @@
 #include "uld3d/util/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "uld3d/util/check.hpp"
@@ -27,89 +25,12 @@ std::string format_number(double value) {
   return os.str();
 }
 
-/// Relaxed add for pre-C++20-fetch_add-on-double toolchains.
-void atomic_add(std::atomic<double>& target, double delta) {
-  double observed = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(observed, observed + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : upper_bounds_(std::move(upper_bounds)),
-      buckets_(upper_bounds_.size() + 1) {
-  expects(std::is_sorted(upper_bounds_.begin(), upper_bounds_.end()),
-          "histogram bucket bounds must be sorted ascending");
-  expects(std::adjacent_find(upper_bounds_.begin(), upper_bounds_.end()) ==
-              upper_bounds_.end(),
-          "histogram bucket bounds must be distinct");
-}
-
-void Histogram::observe(double value) {
-  if (!metrics_enabled()) return;
-  std::size_t bucket = upper_bounds_.size();  // overflow by default
-  for (std::size_t i = 0; i < upper_bounds_.size(); ++i) {
-    if (value <= upper_bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(sum_, value);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> counts;
-  counts.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    counts.push_back(b.load(std::memory_order_relaxed));
-  }
-  return counts;
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
-double Histogram::quantile(double q) const {
-  expects(q >= 0.0 && q <= 1.0, "quantile q must be in [0, 1]");
-  const std::uint64_t n = count();
-  if (n == 0 || upper_bounds_.empty()) return 0.0;
-  const double rank = q * static_cast<double>(n);
-  const auto counts = bucket_counts();
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const double in_bucket = static_cast<double>(counts[i]);
-    if (cumulative + in_bucket < rank && i + 1 < counts.size()) {
-      cumulative += in_bucket;
-      continue;
-    }
-    // Overflow bucket has no upper edge — clamp to the last finite bound
-    // (the same convention Prometheus' histogram_quantile uses).
-    if (i >= upper_bounds_.size()) return upper_bounds_.back();
-    const double upper = upper_bounds_[i];
-    const double lower = i == 0 ? std::min(0.0, upper) : upper_bounds_[i - 1];
-    if (in_bucket <= 0.0) return upper;
-    return lower + (upper - lower) * (rank - cumulative) / in_bucket;
-  }
-  return upper_bounds_.back();
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
 
 const char* metric_kind_name(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter: return "counter";
     case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
   }
   return "?";
 }
@@ -122,7 +43,7 @@ MetricsRegistry& MetricsRegistry::instance() {
 Counter& MetricsRegistry::counter(const std::string& name) {
   expects(!name.empty(), "metric name required");
   std::lock_guard<std::mutex> lock(mutex_);
-  expects(gauges_.count(name) == 0 && histograms_.count(name) == 0,
+  expects(gauges_.count(name) == 0,
           "metric already registered with a different kind: " + name);
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
@@ -132,44 +53,23 @@ Counter& MetricsRegistry::counter(const std::string& name) {
 Gauge& MetricsRegistry::gauge(const std::string& name) {
   expects(!name.empty(), "metric name required");
   std::lock_guard<std::mutex> lock(mutex_);
-  expects(counters_.count(name) == 0 && histograms_.count(name) == 0,
+  expects(counters_.count(name) == 0,
           "metric already registered with a different kind: " + name);
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upper_bounds) {
-  expects(!name.empty(), "metric name required");
-  if (upper_bounds.empty()) {
-    // Microsecond-scale durations: 1us .. 10s, decades.
-    upper_bounds = {1.0, 10.0, 100.0, 1.0e3, 1.0e4, 1.0e5, 1.0e6, 1.0e7};
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  expects(counters_.count(name) == 0 && gauges_.count(name) == 0,
-          "metric already registered with a different kind: " + name);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    // Construct before inserting: a throwing constructor (bad bounds) must
-    // not leave a null slot behind for snapshot()/reset_values() to trip on.
-    auto histogram = std::make_unique<Histogram>(std::move(upper_bounds));
-    it = histograms_.emplace(name, std::move(histogram)).first;
-  }
-  return *it->second;
-}
-
 void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MetricSample> samples;
-  samples.reserve(counters_.size() + gauges_.size() + histograms_.size());
+  samples.reserve(counters_.size() + gauges_.size());
   for (const auto& [name, c] : counters_) {
     MetricSample s;
     s.name = name;
@@ -184,25 +84,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     s.value = g->value();
     samples.push_back(std::move(s));
   }
-  for (const auto& [name, h] : histograms_) {
-    MetricSample s;
-    s.name = name;
-    s.kind = MetricKind::kHistogram;
-    s.count = h->count();
-    s.sum = h->sum();
-    s.value = h->mean();
-    s.p50 = h->quantile(0.50);
-    s.p95 = h->quantile(0.95);
-    s.p99 = h->quantile(0.99);
-    const auto counts = h->bucket_counts();
-    const auto& bounds = h->upper_bounds();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      s.buckets.emplace_back(bounds[i], counts[i]);
-    }
-    s.buckets.emplace_back(std::numeric_limits<double>::infinity(),
-                           counts.back());
-    samples.push_back(std::move(s));
-  }
   std::sort(samples.begin(), samples.end(),
             [](const MetricSample& a, const MetricSample& b) {
               return a.name < b.name;
@@ -211,18 +92,9 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 }
 
 Table MetricsRegistry::to_table() const {
-  Table table({"Metric", "Kind", "Value", "Count", "Mean", "p50", "p95",
-               "p99"});
+  Table table({"Metric", "Kind", "Value"});
   for (const auto& s : snapshot()) {
-    if (s.kind == MetricKind::kHistogram) {
-      table.add_row({s.name, metric_kind_name(s.kind), format_number(s.sum),
-                     std::to_string(s.count), format_number(s.value),
-                     format_number(s.p50), format_number(s.p95),
-                     format_number(s.p99)});
-    } else {
-      table.add_row({s.name, metric_kind_name(s.kind), format_number(s.value),
-                     "-", "-", "-", "-", "-"});
-    }
+    table.add_row({s.name, metric_kind_name(s.kind), format_number(s.value)});
   }
   return table;
 }
@@ -240,39 +112,17 @@ std::string MetricsRegistry::to_json() const {
     if (!first) os << ",";
     first = false;
     os << "\n    {\"name\": \"" << json_escape(s.name) << "\", \"kind\": \""
-       << metric_kind_name(s.kind) << "\"";
-    if (s.kind == MetricKind::kHistogram) {
-      os << ", \"count\": " << s.count << ", \"sum\": " << format_number(s.sum)
-         << ", \"p50\": " << format_number(s.p50)
-         << ", \"p95\": " << format_number(s.p95)
-         << ", \"p99\": " << format_number(s.p99) << ", \"buckets\": [";
-      for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-        if (i > 0) os << ", ";
-        os << "{\"le\": ";
-        if (std::isinf(s.buckets[i].first)) {
-          os << "\"+Inf\"";
-        } else {
-          os << format_number(s.buckets[i].first);
-        }
-        os << ", \"count\": " << s.buckets[i].second << "}";
-      }
-      os << "]";
-    } else {
-      os << ", \"value\": " << format_number(s.value);
-    }
-    os << "}";
+       << metric_kind_name(s.kind)
+       << "\", \"value\": " << format_number(s.value) << "}";
   }
   os << "\n  ]\n}\n";
   return os.str();
 }
 
 std::string MetricsRegistry::to_csv() const {
-  Table table({"name", "kind", "value", "count", "sum", "p50", "p95", "p99"});
+  Table table({"name", "kind", "value"});
   for (const auto& s : snapshot()) {
-    table.add_row({s.name, metric_kind_name(s.kind), format_number(s.value),
-                   std::to_string(s.count), format_number(s.sum),
-                   format_number(s.p50), format_number(s.p95),
-                   format_number(s.p99)});
+    table.add_row({s.name, metric_kind_name(s.kind), format_number(s.value)});
   }
   return table.to_csv();
 }

@@ -6,8 +6,6 @@
 #include <ctime>
 #include <new>
 
-#include "uld3d/util/provenance.hpp"  // peak_rss_kb
-
 namespace uld3d {
 namespace {
 
@@ -78,10 +76,6 @@ double thread_cpu_time_us() {
 #else
   return 0.0;
 #endif
-}
-
-ResourceSample sample_thread_resources() {
-  return {thread_cpu_time_us(), thread_alloc_bytes(), peak_rss_kb()};
 }
 
 }  // namespace uld3d

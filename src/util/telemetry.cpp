@@ -10,6 +10,7 @@
 
 #include "uld3d/util/export.hpp"
 #include "uld3d/util/log.hpp"
+#include "uld3d/util/metrics.hpp"
 #include "uld3d/util/parallel.hpp"
 #include "uld3d/util/provenance.hpp"
 

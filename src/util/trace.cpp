@@ -9,9 +9,8 @@
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/checkpoint.hpp"
 #include "uld3d/util/log.hpp"
-#include "uld3d/util/metrics.hpp"  // json_escape
+#include "uld3d/util/provenance.hpp"  // peak_rss_kb
 #include "uld3d/util/resource.hpp"
-#include "uld3d/util/telemetry.hpp"
 
 namespace uld3d {
 
@@ -187,29 +186,48 @@ Table TraceRecorder::summary_table() const {
 }
 
 void TraceSpan::begin(std::string_view name, std::string_view category) {
-  name_.assign(name);
-  category_.assign(category);
-  start_us_ = TraceRecorder::instance().now_us();
-  start_cpu_us_ = thread_cpu_time_us();
-  start_alloc_ = thread_alloc_bytes();
-  active_ = true;
+  if ((sinks_ & kToRing) != 0) flightrec::span_begin(name);
+  if ((sinks_ & (kToTrace | kToStage)) == 0) return;
+  Start& start = start_.emplace();
+  start.name.assign(name);
+  if ((sinks_ & kToTrace) != 0) start.category.assign(category);
+  start.us = TraceRecorder::instance().now_us();
+  start.cpu_us = thread_cpu_time_us();
+  start.alloc_bytes = thread_alloc_bytes();
 }
 
 void TraceSpan::finish() {
-  TraceRecorder& recorder = TraceRecorder::instance();
-  // A span that was open when tracing stopped still records: its timestamps
-  // are valid and dropping it would truncate the outermost scopes.
-  TraceEvent event;
-  event.name = std::move(name_);
-  event.category = std::move(category_);
-  event.ts_us = start_us_;
-  event.dur_us = recorder.now_us() - start_us_;
-  // Trace tids are flight-recorder thread ids, so the Chrome trace, the
-  // thread_name metadata, and the postmortem dump all agree on identity.
-  event.tid = flightrec::thread_id();
-  event.cpu_us = thread_cpu_time_us() - start_cpu_us_;
-  event.alloc_bytes = thread_alloc_bytes() - start_alloc_;
-  recorder.record(std::move(event));
+  if (start_.has_value()) {
+    // One end sample feeds every sink.  A span that was open when its sink
+    // was switched off still reports: its timestamps are valid, and
+    // dropping it would truncate the outermost scopes.
+    Start& start = *start_;
+    TraceRecorder& recorder = TraceRecorder::instance();
+    const double dur_us = recorder.now_us() - start.us;
+    const double cpu_us = thread_cpu_time_us() - start.cpu_us;
+    const std::uint64_t alloc_bytes = thread_alloc_bytes() - start.alloc_bytes;
+    if ((sinks_ & kToStage) != 0) {
+      // RSS high-water is a process-wide monotone; the stage reports where
+      // it stood at stage end, not a delta (deltas of a high-water mislead).
+      const ResourceSample resources{cpu_us, alloc_bytes, peak_rss_kb()};
+      EventSink::instance().emit_stage(start.name, dur_us, resources);
+      record_stage_metrics(start.name, dur_us, resources);
+    }
+    if ((sinks_ & kToTrace) != 0) {
+      TraceEvent event;
+      event.name = std::move(start.name);
+      event.category = std::move(start.category);
+      event.ts_us = start.us;
+      event.dur_us = dur_us;
+      // Trace tids are flight-recorder thread ids, so the Chrome trace, the
+      // thread_name metadata, and the postmortem dump agree on identity.
+      event.tid = flightrec::thread_id();
+      event.cpu_us = cpu_us;
+      event.alloc_bytes = alloc_bytes;
+      recorder.record(std::move(event));
+    }
+  }
+  if ((sinks_ & kToRing) != 0) flightrec::span_end();
 }
 
 }  // namespace uld3d

@@ -53,7 +53,7 @@ fi
 csv="$tmpdir/metrics.csv"
 "$cli" sweep --keep-going --metrics "$csv" >/dev/null 2>&1 \
   || fail "sweep --metrics csv failed"
-head -n 1 "$csv" | grep -q '^name,kind,value,count,sum,p50,p95,p99$' \
+head -n 1 "$csv" | grep -q '^name,kind,value$' \
   || fail "metrics CSV header wrong: $(head -n 1 "$csv")"
 
 # --profile: summary tables land on stdout.

@@ -106,10 +106,10 @@ TEST(CaseStudy, RunProducesFullComparison) {
 TEST(CaseStudy, InvalidConfigurationThrows) {
   CaseStudy bad;
   bad.rram_capacity_mb = 0.0;
-  EXPECT_THROW(bad.area_model(), PreconditionError);
+  EXPECT_THROW(static_cast<void>(bad.area_model()), PreconditionError);
   CaseStudy bad2;
   bad2.baseline_mem_density_handicap = 0.5;
-  EXPECT_THROW(bad2.area_model(), PreconditionError);
+  EXPECT_THROW(static_cast<void>(bad2.area_model()), PreconditionError);
 }
 
 }  // namespace

@@ -54,13 +54,15 @@ TEST(AreaModel, UsableFractionShrinksN) {
 
 TEST(AreaModel, UsableFractionValidated) {
   const AreaModel a = model(10.0, 70.0);
-  EXPECT_THROW(a.m3d_parallel_cs(0.0), PreconditionError);
-  EXPECT_THROW(a.m3d_parallel_cs(1.5), PreconditionError);
+  EXPECT_THROW(static_cast<void>(a.m3d_parallel_cs(0.0)), PreconditionError);
+  EXPECT_THROW(static_cast<void>(a.m3d_parallel_cs(1.5)), PreconditionError);
 }
 
 TEST(AreaModel, ValidationRejectsBadAreas) {
-  EXPECT_THROW(model(0.0, 1.0).gamma_cells(), PreconditionError);
-  EXPECT_THROW(model(1.0, -1.0).gamma_cells(), PreconditionError);
+  EXPECT_THROW(static_cast<void>(model(0.0, 1.0).gamma_cells()),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(model(1.0, -1.0).gamma_cells()),
+               PreconditionError);
 }
 
 class CapacityScaling : public ::testing::TestWithParam<double> {};

@@ -139,16 +139,17 @@ TEST(CombineResults, SumsAndRecomputes) {
 }
 
 TEST(CombineResults, EmptyThrows) {
-  EXPECT_THROW(combine_results({}), PreconditionError);
+  EXPECT_THROW(static_cast<void>(combine_results({})), PreconditionError);
 }
 
 TEST(Validation, RejectsBadChips) {
   const WorkloadPoint w = synthetic_workload(1.0, 1.0e6, 1);
   Chip2d bad = chip2d();
   bad.bandwidth_bits_per_cycle = 0.0;
-  EXPECT_THROW(execution_time_2d(w, bad), PreconditionError);
+  EXPECT_THROW(static_cast<void>(execution_time_2d(w, bad)), PreconditionError);
   Chip3d bad3 = chip3d(0);
-  EXPECT_THROW(execution_time_3d(w, chip2d(), bad3), PreconditionError);
+  EXPECT_THROW(static_cast<void>(execution_time_3d(w, chip2d(), bad3)),
+               PreconditionError);
 }
 
 }  // namespace

@@ -72,14 +72,14 @@ TEST(Folding, WireDominatedDesignGainsMore) {
 TEST(Folding, Validation) {
   FoldingInputs bad;
   bad.tiers = 0;
-  EXPECT_THROW(evaluate_folding(bad), PreconditionError);
+  EXPECT_THROW(static_cast<void>(evaluate_folding(bad)), PreconditionError);
   FoldingInputs bad2;
   bad2.wire_energy_fraction = 1.0;
-  EXPECT_THROW(evaluate_folding(bad2), PreconditionError);
+  EXPECT_THROW(static_cast<void>(evaluate_folding(bad2)), PreconditionError);
   FoldingInputs bad3;
   bad3.wire_energy_fraction = 0.7;
   bad3.buffer_energy_fraction = 0.4;  // sums past 1
-  EXPECT_THROW(evaluate_folding(bad3), PreconditionError);
+  EXPECT_THROW(static_cast<void>(evaluate_folding(bad3)), PreconditionError);
 }
 
 }  // namespace

@@ -39,7 +39,8 @@ TEST(MultiTier, PairsIncludePeripheralsFromYTwo) {
 }
 
 TEST(MultiTier, RejectsZeroPairs) {
-  EXPECT_THROW(multi_tier_parallel_cs(area(), 0), PreconditionError);
+  EXPECT_THROW(static_cast<void>(multi_tier_parallel_cs(area(), 0)),
+               PreconditionError);
 }
 
 TEST(MultiTier, BenefitGrowsThenPlateausAtWorkloadBound) {

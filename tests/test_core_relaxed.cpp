@@ -57,7 +57,7 @@ TEST(RelaxedDesignPoint, M3dAlwaysHostsAtLeastAsMany) {
 }
 
 TEST(RelaxedDesignPoint, RejectsShrinkage) {
-  EXPECT_THROW(relaxed_design_point(paper_like_area(), 0.9),
+  EXPECT_THROW(static_cast<void>(relaxed_design_point(paper_like_area(), 0.9)),
                PreconditionError);
 }
 

@@ -90,13 +90,16 @@ TEST(Gables, Validation) {
   EXPECT_THROW(soc.add_ip({roof(), 0.0}), PreconditionError);
   EXPECT_THROW(soc.add_ip({roof(), 1.5}), PreconditionError);
   const WorkloadPoint w = synthetic_workload(1.0, 1.0, 1);
-  EXPECT_THROW(GablesSoc(1.0).execution_time_cycles(w), PreconditionError);
+  EXPECT_THROW(static_cast<void>(GablesSoc(1.0).execution_time_cycles(w)),
+               PreconditionError);
 }
 
 TEST(Roofline, Validation) {
   const Roofline bad{0.0, 1.0};
-  EXPECT_THROW(bad.attainable_ops_per_cycle(1.0), PreconditionError);
-  EXPECT_THROW(roof().attainable_ops_per_cycle(-1.0), PreconditionError);
+  EXPECT_THROW(static_cast<void>(bad.attainable_ops_per_cycle(1.0)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(roof().attainable_ops_per_cycle(-1.0)),
+               PreconditionError);
 }
 
 }  // namespace

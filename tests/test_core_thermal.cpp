@@ -75,9 +75,11 @@ TEST(Thermal, Validation) {
   ThermalStack stack(1.0);
   EXPECT_THROW(stack.add_tier({-0.1, 1.0}), PreconditionError);
   EXPECT_THROW(stack.add_tier({0.1, -1.0}), PreconditionError);
-  EXPECT_THROW(ThermalStack::max_tier_pairs(1.0, {0.5, 1.0}, 0.0),
+  EXPECT_THROW(static_cast<void>(
+                   ThermalStack::max_tier_pairs(1.0, {0.5, 1.0}, 0.0)),
                PreconditionError);
-  EXPECT_THROW(ThermalStack::max_tier_pairs(1.0, {0.5, 0.0}, 60.0),
+  EXPECT_THROW(static_cast<void>(
+                   ThermalStack::max_tier_pairs(1.0, {0.5, 0.0}, 60.0)),
                PreconditionError);
 }
 

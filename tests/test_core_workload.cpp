@@ -134,9 +134,12 @@ TEST(SyntheticWorkload, IntensityRoundTrips) {
 }
 
 TEST(SyntheticWorkload, Validation) {
-  EXPECT_THROW(synthetic_workload(0.0, 1.0, 1), PreconditionError);
-  EXPECT_THROW(synthetic_workload(1.0, 0.0, 1), PreconditionError);
-  EXPECT_THROW(synthetic_workload(1.0, 1.0, 0), PreconditionError);
+  EXPECT_THROW(static_cast<void>(synthetic_workload(0.0, 1.0, 1)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(synthetic_workload(1.0, 0.0, 1)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(synthetic_workload(1.0, 1.0, 0)),
+               PreconditionError);
 }
 
 }  // namespace

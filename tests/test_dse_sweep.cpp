@@ -66,7 +66,8 @@ TEST(Sweep, MetricIndexValidates) {
         return std::vector<double>{0.0};
       });
   EXPECT_EQ(result.metric_index("m"), 0u);
-  EXPECT_THROW(result.metric_index("nope"), PreconditionError);
+  EXPECT_THROW(static_cast<void>(result.metric_index("nope")),
+               PreconditionError);
 }
 
 TEST(Sweep, WrongMetricCountRejected) {
@@ -134,7 +135,7 @@ TEST(Sweep, EmptyGridYieldsEmptyResultWithMetricNames) {
   EXPECT_TRUE(result.pareto_front("edp", "speedup").empty());
   EXPECT_TRUE(result.failure_summary().empty());
   EXPECT_EQ(result.to_table().row_count(), 0u);
-  EXPECT_THROW(result.best("edp"), PreconditionError);
+  EXPECT_THROW(static_cast<void>(result.best("edp")), PreconditionError);
 }
 
 TEST(Sweep, EmptyMetricsRejected) {

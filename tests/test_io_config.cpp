@@ -52,9 +52,10 @@ TEST(Config, BooleanSpellings) {
 
 TEST(Config, BadValuesThrow) {
   const Config c = Config::parse("[s]\nx = not_a_number\n");
-  EXPECT_THROW(c.get_double("s", "x", 0.0), Error);
-  EXPECT_THROW(c.get_int("s", "x", 0), Error);
-  EXPECT_THROW(c.get_bool("s", "x", false), PreconditionError);
+  EXPECT_THROW(static_cast<void>(c.get_double("s", "x", 0.0)), Error);
+  EXPECT_THROW(static_cast<void>(c.get_int("s", "x", 0)), Error);
+  EXPECT_THROW(static_cast<void>(c.get_bool("s", "x", false)),
+               PreconditionError);
 }
 
 TEST(Config, MalformedLinesThrow) {

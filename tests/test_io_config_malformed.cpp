@@ -36,7 +36,7 @@ TEST(ConfigMalformed, NonUtf8BytesInsideValuesAreStoredVerbatim) {
   // getters reject them with a structured failure.
   const Config c = Config::parse("[s]\nx = \xc3\x28\xff\n");
   EXPECT_TRUE(c.has("s", "x"));
-  EXPECT_THROW(c.get_double("s", "x", 0.0), StatusError);
+  EXPECT_THROW(static_cast<void>(c.get_double("s", "x", 0.0)), StatusError);
 }
 
 TEST(ConfigMalformed, DuplicateSectionsMergeLastKeyWins) {
@@ -50,7 +50,7 @@ TEST(ConfigMalformed, DuplicateSectionsMergeLastKeyWins) {
 TEST(ConfigMalformed, TrailingGarbageIsDistinctFromNotANumber) {
   const Config c = Config::parse("[s]\nx = 12abc\ny = abc\n");
   try {
-    c.get_double("s", "x", 0.0);
+    static_cast<void>(c.get_double("s", "x", 0.0));
     FAIL() << "expected StatusError";
   } catch (const StatusError& error) {
     EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
@@ -58,7 +58,7 @@ TEST(ConfigMalformed, TrailingGarbageIsDistinctFromNotANumber) {
               std::string::npos);
   }
   try {
-    c.get_double("s", "y", 0.0);
+    static_cast<void>(c.get_double("s", "y", 0.0));
     FAIL() << "expected StatusError";
   } catch (const StatusError& error) {
     EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
@@ -71,14 +71,14 @@ TEST(ConfigMalformed, HugeNumbersReportOverflowExplicitly) {
   const Config c = Config::parse(
       "[s]\nbig_double = 1e999\nbig_int = 99999999999999999999999\n");
   try {
-    c.get_double("s", "big_double", 0.0);
+    static_cast<void>(c.get_double("s", "big_double", 0.0));
     FAIL() << "expected StatusError";
   } catch (const StatusError& error) {
     EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
     EXPECT_NE(std::string(error.what()).find("overflow"), std::string::npos);
   }
   try {
-    c.get_int("s", "big_int", 0);
+    static_cast<void>(c.get_int("s", "big_int", 0));
     FAIL() << "expected StatusError";
   } catch (const StatusError& error) {
     EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
@@ -88,8 +88,9 @@ TEST(ConfigMalformed, HugeNumbersReportOverflowExplicitly) {
 
 TEST(ConfigMalformed, IntTrailingGarbageAndFloatsRejected) {
   const Config c = Config::parse("[s]\nx = 12.5\ny = 7 seven\n");
-  EXPECT_THROW(c.get_int("s", "x", 0), StatusError);  // "." is trailing
-  EXPECT_THROW(c.get_int("s", "y", 0), StatusError);
+  EXPECT_THROW(static_cast<void>(c.get_int("s", "x", 0)),
+               StatusError);  // "." is trailing
+  EXPECT_THROW(static_cast<void>(c.get_int("s", "y", 0)), StatusError);
 }
 
 TEST(StudyConfigValidate, CleanConfigsPass) {

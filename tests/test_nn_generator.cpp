@@ -32,7 +32,9 @@ TEST(Generator, RespectsChannelCap) {
     for (const auto& l : net.layers()) {
       if (l.is_conv()) {
         EXPECT_LE(l.conv().k, 1000) << l.name();  // classifier may exceed
-        if (l.name() != "FC") EXPECT_LE(l.conv().k, 64) << l.name();
+        if (l.name() != "FC") {
+          EXPECT_LE(l.conv().k, 64) << l.name();
+        }
       }
     }
   }

@@ -64,10 +64,10 @@ TEST(Layer, EltwiseCountsTwoInputOperands) {
 
 TEST(Layer, AccessorsEnforceKind) {
   const Layer conv = make_conv("c", 1, 1, 1, 1, 1, 1);
-  EXPECT_THROW(conv.pool(), PreconditionError);
-  EXPECT_THROW(conv.eltwise(), PreconditionError);
+  EXPECT_THROW(static_cast<void>(conv.pool()), PreconditionError);
+  EXPECT_THROW(static_cast<void>(conv.eltwise()), PreconditionError);
   const Layer pool = make_pool("p", 1, 1, 1, 1, 1, 1);
-  EXPECT_THROW(pool.conv(), PreconditionError);
+  EXPECT_THROW(static_cast<void>(pool.conv()), PreconditionError);
 }
 
 TEST(Layer, RejectsNonPositiveDimensions) {
@@ -79,8 +79,8 @@ TEST(Layer, RejectsNonPositiveDimensions) {
 
 TEST(Layer, RejectsNonPositivePrecision) {
   const Layer conv = make_conv("c", 1, 1, 1, 1, 1, 1);
-  EXPECT_THROW(conv.weight_bits(0), PreconditionError);
-  EXPECT_THROW(conv.input_bits(-1), PreconditionError);
+  EXPECT_THROW(static_cast<void>(conv.weight_bits(0)), PreconditionError);
+  EXPECT_THROW(static_cast<void>(conv.input_bits(-1)), PreconditionError);
 }
 
 TEST(Layer, NamePreserved) {

@@ -40,7 +40,7 @@ TEST(Network, LayerAccessByIndex) {
   EXPECT_EQ(net.size(), 3u);
   EXPECT_EQ(net.layer(0).name(), "c1");
   EXPECT_EQ(net.layer(2).name(), "fc");
-  EXPECT_THROW(net.layer(3), PreconditionError);
+  EXPECT_THROW(static_cast<void>(net.layer(3)), PreconditionError);
 }
 
 TEST(Network, PeakActivationIsMaxOverLayers) {

@@ -94,7 +94,7 @@ TEST(Floorplan, FreeAreaTracksAllocations) {
 
 TEST(Floorplan, MetalTiersHaveNoPlacementGrid) {
   const Floorplan fp = make_fp();
-  EXPECT_THROW(fp.free_area_um2(tech::TierKind::kBeolMetal),
+  EXPECT_THROW(static_cast<void>(fp.free_area_um2(tech::TierKind::kBeolMetal)),
                PreconditionError);
 }
 

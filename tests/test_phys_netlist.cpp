@@ -42,7 +42,7 @@ TEST(Netlist, AreaLeakageAndGeRollUps) {
 TEST(Netlist, UnknownTypeThrowsOnRollup) {
   Netlist n;
   n.add_cell("u0", "NOT_A_CELL");
-  EXPECT_THROW(n.area_um2(lib()), PreconditionError);
+  EXPECT_THROW(static_cast<void>(n.area_um2(lib())), PreconditionError);
 }
 
 TEST(Netlist, NetValidation) {
@@ -62,7 +62,7 @@ TEST(Netlist, HpwlMatchesHandComputation) {
 
 TEST(Netlist, HpwlRequiresAllPositions) {
   const Netlist n = tiny();
-  EXPECT_THROW(n.hpwl_um({{0.0, 0.0}}), PreconditionError);
+  EXPECT_THROW(static_cast<void>(n.hpwl_um({{0.0, 0.0}})), PreconditionError);
 }
 
 TEST(Netlist, RowMajorPlacementStaysInRegion) {

@@ -72,7 +72,8 @@ TEST(Power, Validation) {
   EXPECT_THROW(m.add({"bad", tech::TierKind::kSiCmosFeol,
                       Rect::at(0, 0, 1, 1), -1.0}),
                PreconditionError);
-  EXPECT_THROW(m.peak_density_mw_per_mm2(0.0, 1.0), PreconditionError);
+  EXPECT_THROW(static_cast<void>(m.peak_density_mw_per_mm2(0.0, 1.0)),
+               PreconditionError);
 }
 
 }  // namespace

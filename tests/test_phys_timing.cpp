@@ -64,14 +64,17 @@ TEST(Timing, DerateAndUncertaintyApplied) {
 }
 
 TEST(Timing, Validation) {
-  EXPECT_THROW(estimate_timing(lib(), {}, -1.0, 1500.0, 20.0),
+  EXPECT_THROW(static_cast<void>(
+                   estimate_timing(lib(), {}, -1.0, 1500.0, 20.0)),
                PreconditionError);
-  EXPECT_THROW(estimate_timing(lib(), {}, 0.0, 0.0, 20.0), PreconditionError);
-  EXPECT_THROW(estimate_timing(lib(), {}, 0.0, 1500.0, 0.0),
+  EXPECT_THROW(static_cast<void>(estimate_timing(lib(), {}, 0.0, 0.0, 20.0)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(estimate_timing(lib(), {}, 0.0, 1500.0, 0.0)),
                PreconditionError);
   TimingParams bad;
   bad.logic_depth = 0;
-  EXPECT_THROW(estimate_timing(lib(), bad, 0.0, 1500.0, 20.0),
+  EXPECT_THROW(static_cast<void>(
+                   estimate_timing(lib(), bad, 0.0, 1500.0, 20.0)),
                PreconditionError);
 }
 

@@ -56,13 +56,16 @@ TEST(Wirelength, BufferCountLinearInLength) {
 
 TEST(Wirelength, Validation) {
   const WirelengthParams p;
-  EXPECT_THROW(donath_average_wirelength_um(0, 1.0, p), PreconditionError);
-  EXPECT_THROW(donath_average_wirelength_um(10, 0.0, p), PreconditionError);
-  EXPECT_THROW(folding_scale(0), PreconditionError);
-  EXPECT_THROW(estimate_buffers(-1.0, p), PreconditionError);
+  EXPECT_THROW(static_cast<void>(donath_average_wirelength_um(0, 1.0, p)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(donath_average_wirelength_um(10, 0.0, p)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(folding_scale(0)), PreconditionError);
+  EXPECT_THROW(static_cast<void>(estimate_buffers(-1.0, p)), PreconditionError);
   WirelengthParams bad;
   bad.rent_exponent = 1.0;
-  EXPECT_THROW(donath_average_wirelength_um(10, 1.0, bad), PreconditionError);
+  EXPECT_THROW(static_cast<void>(donath_average_wirelength_um(10, 1.0, bad)),
+               PreconditionError);
 }
 
 }  // namespace

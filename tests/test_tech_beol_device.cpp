@@ -64,7 +64,8 @@ TEST(BeolDevice, WeakerDevicesGrowTheM3dCell) {
 TEST(BeolDevice, InvalidDriveRejected) {
   BeolDeviceTechnology bad = make_cnfet();
   bad.drive_ratio_vs_si = 0.0;
-  EXPECT_THROW(bad.width_relaxation_for_iso_drive(), PreconditionError);
+  EXPECT_THROW(static_cast<void>(bad.width_relaxation_for_iso_drive()),
+               PreconditionError);
   EXPECT_THROW(pdk_with_beol_device(FoundryM3dPdk::make_130nm(), bad),
                PreconditionError);
 }

@@ -81,9 +81,9 @@ TEST(NodeScaling, ViaPitchCaseTwoSurvivesProjection) {
 }
 
 TEST(NodeScaling, RejectsNonsenseNodes) {
-  EXPECT_THROW(NodeScaling::to(0.0), PreconditionError);
-  EXPECT_THROW(NodeScaling::to(-5.0), PreconditionError);
-  EXPECT_THROW(NodeScaling::to(2000.0), PreconditionError);
+  EXPECT_THROW(static_cast<void>(NodeScaling::to(0.0)), PreconditionError);
+  EXPECT_THROW(static_cast<void>(NodeScaling::to(-5.0)), PreconditionError);
+  EXPECT_THROW(static_cast<void>(NodeScaling::to(2000.0)), PreconditionError);
 }
 
 }  // namespace

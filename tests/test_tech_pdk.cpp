@@ -110,8 +110,10 @@ TEST(Pdk, InvalidParametersThrow) {
   const auto pdk = FoundryM3dPdk::make_130nm();
   EXPECT_THROW(pdk.with_fet_width_relaxation(0.9), PreconditionError);
   EXPECT_THROW(pdk.with_ilv_pitch_scale(0.0), PreconditionError);
-  EXPECT_THROW(pdk.rram_macro(0.0, 1, false), PreconditionError);
-  EXPECT_THROW(pdk.rram_macro(100.0, 0, false), PreconditionError);
+  EXPECT_THROW(static_cast<void>(pdk.rram_macro(0.0, 1, false)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(pdk.rram_macro(100.0, 0, false)),
+               PreconditionError);
 }
 
 class FetWidthSweep : public ::testing::TestWithParam<double> {};

@@ -49,7 +49,7 @@ TEST(TierStack, FindMissingKindReturnsNullopt) {
 
 TEST(TierStack, AtOutOfRangeThrows) {
   const TierStack empty;
-  EXPECT_THROW(empty.at(0), PreconditionError);
+  EXPECT_THROW(static_cast<void>(empty.at(0)), PreconditionError);
 }
 
 TEST(TierStack, ThermalResistanceAccumulatesUpward) {
@@ -72,8 +72,10 @@ TEST(TierStack, ThermalResistanceScalesInverselyWithArea) {
 
 TEST(TierStack, ThermalRejectsBadInputs) {
   const TierStack stack = TierStack::make_m3d_130nm();
-  EXPECT_THROW(stack.thermal_resistance_to_sink(99, 10.0), PreconditionError);
-  EXPECT_THROW(stack.thermal_resistance_to_sink(0, 0.0), PreconditionError);
+  EXPECT_THROW(static_cast<void>(stack.thermal_resistance_to_sink(99, 10.0)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(stack.thermal_resistance_to_sink(0, 0.0)),
+               PreconditionError);
 }
 
 TEST(TierStack, PushGrowsStack) {

@@ -5,8 +5,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "uld3d/util/jsonv.hpp"
 #include "uld3d/util/parallel.hpp"
@@ -16,10 +18,13 @@
 namespace uld3d {
 namespace {
 
-// The flight recorder is process-global and always on: rings accumulate
-// records across every test in this binary.  Tests therefore assert on
-// *relative* state (depth deltas, "contains a record named X") rather than
-// absolute ring contents, and use unique record names as markers.
+// The flight recorder is process-global and records only once
+// install_postmortem() has armed it, which no test can undo: rings
+// accumulate records across every later test in this binary.  Tests
+// therefore arm it before recording and assert on *relative* state (depth
+// deltas, "contains a record named X") rather than absolute ring contents,
+// using unique record names as markers.  A test of the disarmed state runs
+// in a freshly started copy of this binary (see in_fresh_process).
 
 std::string temp_postmortem_path(const char* tag) {
   return testing::TempDir() + "flightrec_" + tag + ".postmortem.json";
@@ -32,6 +37,46 @@ const JsonValue* own_thread(const JsonValue& doc) {
     if (static_cast<std::uint32_t>(t.at("id").as_number()) == id) return &t;
   }
   return nullptr;
+}
+
+/// Arm the recorder; re-arming an armed one only refreshes the dump path.
+void arm() {
+  ASSERT_TRUE(flightrec::install_postmortem(temp_postmortem_path("armed")));
+}
+
+/// Run `record` in a freshly started copy of this test binary, whose
+/// recorder has never been armed, and expect it to exit 0.  gtest's
+/// threadsafe death-test style re-executes the binary up to this call, so
+/// the caller computes inputs before it and checks the child's dump after.
+template <typename Record>
+void in_fresh_process(Record record) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        record();
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
+}
+
+/// The thread that wrote a parsed postmortem.
+const JsonValue* dumping_thread(const JsonValue& doc) {
+  for (const JsonValue& t : doc.at("threads").as_array()) {
+    if (t.at("dumping").as_bool()) return &t;
+  }
+  return nullptr;
+}
+
+/// Names of `thread`'s ring records of the given type.
+std::vector<std::string> record_names(const JsonValue& thread,
+                                      const std::string& type) {
+  std::vector<std::string> names;
+  for (const JsonValue& r : thread.at("records").as_array()) {
+    if (r.string_or("type", "") == type) {
+      names.push_back(r.string_or("name", ""));
+    }
+  }
+  return names;
 }
 
 /// Dump to a fresh temp file and parse it back.
@@ -73,6 +118,7 @@ TEST(FlightRecTest, InstallArmsAndRefreshesThePath) {
 }
 
 TEST(FlightRecTest, PostmortemNamesActiveSpansInNestingOrder) {
+  arm();
   flightrec::span_begin("flightrec.outer");
   flightrec::span_begin("flightrec.inner");
   flightrec::event("flightrec.probe", 42);
@@ -114,6 +160,7 @@ TEST(FlightRecTest, PostmortemNamesActiveSpansInNestingOrder) {
 }
 
 TEST(FlightRecTest, RingRetainsExactlyTheLastRecords) {
+  arm();
   for (std::uint64_t i = 0; i < flightrec::kRingCapacity + 32; ++i) {
     flightrec::event("flightrec.ring", i);
   }
@@ -134,23 +181,45 @@ TEST(FlightRecTest, RingRetainsExactlyTheLastRecords) {
   }
 }
 
-TEST(FlightRecTest, RecordsEvenWhenTracingIsDisabled) {
-  TraceRecorder::instance().set_enabled(false);
-  {
-    TraceSpan span("flightrec.alwayson", "test");
-  }
-  const JsonValue doc = dump_and_parse("alwayson");
-  const JsonValue* self = own_thread(doc);
+TEST(FlightRecTest, RecordsOnlyWhileArmed) {
+  const std::string path = temp_postmortem_path("only_armed");
+  in_fresh_process([&] {
+    TraceRecorder::instance().set_enabled(false);
+    { TraceSpan span("flightrec.unarmed", "test"); }
+    flightrec::event("flightrec.unarmed");
+    if (!flightrec::install_postmortem(path)) std::exit(1);
+    { TraceSpan span("flightrec.armed", "test"); }
+    flightrec::event("flightrec.armed");
+    if (!flightrec::write_postmortem("test")) std::exit(1);
+  });
+  const JsonValue doc = json_parse_file(path);
+  std::remove(path.c_str());
+  const JsonValue* self = dumping_thread(doc);
   ASSERT_NE(self, nullptr);
-  bool saw_begin = false;
-  bool saw_end = false;
-  for (const JsonValue& r : self->at("records").as_array()) {
-    if (r.string_or("name", "") != "flightrec.alwayson") continue;
-    if (r.string_or("type", "") == "span_begin") saw_begin = true;
-    if (r.string_or("type", "") == "span_end") saw_end = true;
-  }
-  EXPECT_TRUE(saw_begin);
-  EXPECT_TRUE(saw_end);
+  // Nothing before arming; after it, a span with tracing off leaves its
+  // begin/end pair.
+  const std::vector<std::string> armed_only = {"flightrec.armed"};
+  EXPECT_EQ(record_names(*self, "span_begin"), armed_only);
+  EXPECT_EQ(record_names(*self, "span_end"), armed_only);
+  EXPECT_EQ(record_names(*self, "event"), armed_only);
+}
+
+TEST(FlightRecTest, SpanOpenedBeforeArmingWritesNoUnmatchedEnd) {
+  const std::string path = temp_postmortem_path("straddling");
+  in_fresh_process([&] {
+    {
+      TraceSpan straddling("flightrec.straddling", "test");
+      if (!flightrec::install_postmortem(path)) std::exit(1);
+    }
+    if (!flightrec::write_postmortem("test")) std::exit(1);
+  });
+  const JsonValue doc = json_parse_file(path);
+  std::remove(path.c_str());
+  const JsonValue* self = dumping_thread(doc);
+  ASSERT_NE(self, nullptr);
+  EXPECT_EQ(self->number_or("span_depth", -1.0), 0.0);
+  EXPECT_TRUE(self->at("active_spans").as_array().empty());
+  EXPECT_TRUE(self->at("records").as_array().empty());
 }
 
 TEST(FlightRecTest, PoolWorkersAreNamed) {

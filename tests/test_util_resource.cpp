@@ -9,7 +9,9 @@
 
 #include "uld3d/util/jsonv.hpp"
 #include "uld3d/util/metrics.hpp"
+#include "uld3d/util/provenance.hpp"
 #include "uld3d/util/telemetry.hpp"
+#include "uld3d/util/trace.hpp"
 
 namespace uld3d {
 namespace {
@@ -64,10 +66,9 @@ TEST(ResourceTest, AllocCountingFollowsTheGate) {
 }
 
 TEST(ResourceTest, SampleCarriesAllThreeAxes) {
-  const ResourceSample s = sample_thread_resources();
-  EXPECT_GE(s.cpu_us, 0.0);
+  EXPECT_GE(thread_cpu_time_us(), 0.0);
   // A running gtest process has touched well over a page of memory.
-  EXPECT_GT(s.rss_hwm_kb, 0);
+  EXPECT_GT(peak_rss_kb(), 0);
 }
 
 TEST(ResourceTest, StageEventsCarryResourceAttribution) {
@@ -80,7 +81,7 @@ TEST(ResourceTest, StageEventsCarryResourceAttribution) {
   ASSERT_TRUE(EventSink::instance().open(path));
   set_alloc_stats_enabled(true);
   {
-    StageTimer stage("test.resource.stage");
+    TraceSpan stage("test.resource.stage", "test", TraceSpan::kStage);
     burn_cpu();
     std::vector<char> block(1 << 21);
     block[0] = 1;
@@ -108,7 +109,7 @@ TEST(ResourceTest, StageMetricsAggregateWallCpuAlloc) {
   MetricsRegistry::instance().reset_values();
   set_alloc_stats_enabled(true);
   {
-    StageTimer stage("test.resource.metrics");
+    TraceSpan stage("test.resource.metrics", "test", TraceSpan::kStage);
     burn_cpu();
     std::vector<char> block(1 << 21);
     block[0] = 1;

@@ -56,7 +56,7 @@ TEST(ResultT, HoldsFailure) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kInfeasiblePoint);
   EXPECT_DOUBLE_EQ(r.value_or(-1.0), -1.0);
-  EXPECT_THROW(r.value(), StatusError);
+  EXPECT_THROW(static_cast<void>(r.value()), StatusError);
   EXPECT_EQ(r.failure().message, "no fit");
 }
 

@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "uld3d/util/jsonv.hpp"
+#include "uld3d/util/metrics.hpp"
 #include "uld3d/util/provenance.hpp"
+#include "uld3d/util/trace.hpp"
 
 namespace uld3d {
 namespace {
@@ -200,11 +202,11 @@ TEST_F(TelemetryTest, RunEndReportsEmittedCountAndCloseDisables) {
   EXPECT_EQ(end.number_or("events_emitted", -1.0), 2.0);
 }
 
-TEST_F(TelemetryTest, StageTimerEmitsOnlyWhenEnabled) {
-  // Disabled: constructing and destroying a StageTimer is a no-op.
-  { StageTimer timer("test.stage.disabled"); }
+TEST_F(TelemetryTest, StageSpanEmitsOnlyWhenEnabled) {
+  // Disabled: constructing and destroying a stage span is a no-op.
+  { TraceSpan stage("test.stage.disabled", "test", TraceSpan::kStage); }
   const std::string& path = open_sink("telemetry_stage.ndjson");
-  { StageTimer timer("test.stage.enabled"); }
+  { TraceSpan stage("test.stage.enabled", "test", TraceSpan::kStage); }
   EventSink::instance().close();
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
@@ -212,6 +214,44 @@ TEST_F(TelemetryTest, StageTimerEmitsOnlyWhenEnabled) {
   EXPECT_EQ(event.at("ev").as_string(), "stage");
   EXPECT_EQ(event.at("name").as_string(), "test.stage.enabled");
   EXPECT_GE(event.number_or("dur_us", -1.0), 0.0);
+}
+
+/// Registered metric series whose names start with `prefix`.
+std::vector<std::string> series_named(const std::string& prefix) {
+  std::vector<std::string> names;
+  for (const MetricSample& s : MetricsRegistry::instance().snapshot()) {
+    if (s.name.rfind(prefix, 0) == 0) names.push_back(s.name);
+  }
+  return names;
+}
+
+TEST_F(TelemetryTest, OnlyStageSpansFeedTheStageSinks) {
+  // Events and metrics armed: a plain span emits no stage event and no
+  // stage.* metric; a stage span emits both.
+  const std::string& path = open_sink("telemetry_routing.ndjson");
+  MetricsRegistry::set_enabled(true);
+  { TraceSpan plain("test.routing.plain", "test"); }
+  { TraceSpan stage("test.routing.stage", "test", TraceSpan::kStage); }
+  MetricsRegistry::set_enabled(false);
+  EventSink::instance().close();
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(json_parse(lines[0]).at("name").as_string(), "test.routing.stage");
+  EXPECT_TRUE(series_named("stage.test.routing.plain").empty());
+  EXPECT_FALSE(series_named("stage.test.routing.stage").empty());
+
+  // Only the trace armed: a stage span emits its trace event and nothing
+  // else.
+  TraceRecorder& recorder = TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  { TraceSpan stage("test.routing.traced", "test", TraceSpan::kStage); }
+  recorder.set_enabled(false);
+  const std::vector<TraceEvent> events = recorder.events();
+  recorder.clear();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "test.routing.traced");
+  EXPECT_TRUE(series_named("stage.test.routing.traced").empty());
 }
 
 TEST_F(TelemetryTest, AppendReopenUnionsRuns) {
