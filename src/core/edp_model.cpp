@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/status.hpp"
 
 namespace uld3d::core {
@@ -97,7 +96,6 @@ double energy_3d(const WorkloadPoint& w, const Chip2d& c2, const Chip3d& c3) {
 
 EdpResult evaluate_edp(const WorkloadPoint& w, const Chip2d& c2,
                        const Chip3d& c3) {
-  fault_site("core.edp.evaluate");
   EdpResult r;
   r.t2d_cycles = require_finite(execution_time_2d(w, c2), "T_2D");
   r.t3d_cycles = require_finite(execution_time_3d(w, c2, c3), "T_3D");

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/status.hpp"
 
 namespace uld3d::core {
@@ -36,7 +35,6 @@ double ThermalStack::temperature_rise_k() const {
 
 double ThermalStack::require_within_budget(double max_rise_k) const {
   expects(max_rise_k > 0.0, "thermal budget must be positive");
-  fault_site("core.thermal.budget");
   const double rise = require_finite(temperature_rise_k(), "temperature rise");
   if (rise > max_rise_k) {
     throw StatusError(

@@ -6,7 +6,6 @@
 #include <limits>
 #include <sstream>
 
-#include "uld3d/util/check.hpp"
 #include "uld3d/util/checkpoint.hpp"
 #include "uld3d/util/export.hpp"
 #include "uld3d/util/jsonv.hpp"
@@ -92,7 +91,7 @@ ErrorCode error_code_from_name(const std::string& name,
       ErrorCode::kInvalidConfig,   ErrorCode::kUnknownKey,
       ErrorCode::kInfeasiblePoint, ErrorCode::kThermalLimit,
       ErrorCode::kNumericalError,  ErrorCode::kNotFound,
-      ErrorCode::kFaultInjected,   ErrorCode::kInternal};
+      ErrorCode::kInternal};
   for (const ErrorCode code : kAllCodes) {
     if (name == error_code_name(code)) return code;
   }
@@ -144,9 +143,7 @@ std::vector<bool> bitmap_from_hex(const std::string& hex,
   return bits;
 }
 
-/// Canonical one-line row rendering — used both for the file and for the
-/// byte-for-byte sentinel cross-check in merge_shards, so "identical rows"
-/// means identical text by construction.
+/// Canonical one-line row rendering.
 std::string row_to_json(const SweepRow& row) {
   std::ostringstream os;
   os << "{\"index\": " << row.grid_index << ", \"params\": [";
@@ -232,65 +229,6 @@ SweepRow row_from_json(const JsonValue& doc, std::size_t metric_count,
 
 }  // namespace
 
-ShardSpec parse_shard_spec(const std::string& text) {
-  const auto bad = [&] {
-    throw StatusError(
-        Failure(ErrorCode::kInvalidArgument,
-                "shard spec must be i/N with 0 <= i < N (e.g. 0/4)")
-            .with("spec", text));
-  };
-  const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) {
-    bad();
-  }
-  std::size_t index = 0;
-  std::size_t count = 0;
-  try {
-    std::size_t used = 0;
-    index = std::stoull(text.substr(0, slash), &used);
-    if (used != slash) bad();
-    const std::string tail = text.substr(slash + 1);
-    count = std::stoull(tail, &used);
-    if (used != tail.size()) bad();
-  } catch (const std::logic_error&) {
-    bad();
-  }
-  if (count < 1 || index >= count) bad();
-  return ShardSpec{index, count};
-}
-
-std::vector<std::size_t> sentinel_indices(std::size_t grid_size,
-                                          const ShardSpec& shard) {
-  if (!shard.sharded() || grid_size == 0) return {};
-  constexpr std::size_t kSentinels = 4;
-  std::vector<std::size_t> out;
-  for (std::size_t k = 0; k < std::min(kSentinels, grid_size); ++k) {
-    const std::size_t g = k * grid_size / kSentinels;
-    if (out.empty() || out.back() != g) out.push_back(g);
-  }
-  return out;
-}
-
-std::vector<std::size_t> shard_domain(std::size_t grid_size,
-                                      const ShardSpec& shard) {
-  expects(shard.count >= 1 && shard.index < shard.count,
-          "shard index out of range");
-  const std::vector<std::size_t> sentinels =
-      sentinel_indices(grid_size, shard);
-  std::vector<std::size_t> domain;
-  domain.reserve(grid_size / shard.count + sentinels.size() + 1);
-  auto sentinel = sentinels.begin();
-  for (std::size_t g = shard.index; g < grid_size; g += shard.count) {
-    while (sentinel != sentinels.end() && *sentinel < g) {
-      domain.push_back(*sentinel++);
-    }
-    if (sentinel != sentinels.end() && *sentinel == g) ++sentinel;
-    domain.push_back(g);
-  }
-  while (sentinel != sentinels.end()) domain.push_back(*sentinel++);
-  return domain;
-}
-
 std::string sweep_fingerprint(const Grid& grid,
                               const std::vector<std::string>& metric_names,
                               const std::string& config_hash) {
@@ -319,8 +257,6 @@ std::string SweepCheckpoint::to_json() const {
      << "  \"fingerprint\": \"" << json_escape(fingerprint) << "\",\n"
      << "  \"run_id\": \"" << json_escape(run_id) << "\",\n"
      << "  \"grid_size\": " << grid_size << ",\n"
-     << "  \"shard_index\": " << shard.index << ",\n"
-     << "  \"shard_count\": " << shard.count << ",\n"
      << "  \"param_names\": [";
   for (std::size_t p = 0; p < param_names.size(); ++p) {
     if (p > 0) os << ", ";
@@ -369,13 +305,6 @@ SweepCheckpoint load_checkpoint(const std::string& path) {
   // Absent in pre-telemetry checkpoints; informational either way.
   ckpt.run_id = root.string_or("run_id", "");
   ckpt.grid_size = size_from_json(root.at("grid_size"), "grid_size", path);
-  ckpt.shard.index =
-      size_from_json(root.at("shard_index"), "shard_index", path);
-  ckpt.shard.count =
-      size_from_json(root.at("shard_count"), "shard_count", path);
-  if (ckpt.shard.count < 1 || ckpt.shard.index >= ckpt.shard.count) {
-    refuse("checkpoint shard_index/shard_count are inconsistent", path);
-  }
   ckpt.param_names =
       string_list_from_json(root.at("param_names"), "param_names", path);
   ckpt.metric_names =
@@ -399,8 +328,6 @@ SweepCheckpoint load_checkpoint(const std::string& path) {
                std::to_string(rows.as_array().size()) + ")",
            path);
   }
-  const std::vector<std::size_t> domain =
-      shard_domain(ckpt.grid_size, ckpt.shard);
   ckpt.rows.reserve(rows.as_array().size());
   std::size_t last_index = 0;
   for (const JsonValue& row_doc : rows.as_array()) {
@@ -414,11 +341,6 @@ SweepCheckpoint load_checkpoint(const std::string& path) {
     if (!ckpt.completed[row.grid_index]) {
       refuse("checkpoint row " + std::to_string(row.grid_index) +
                  " has no completed bit set",
-             path);
-    }
-    if (!std::binary_search(domain.begin(), domain.end(), row.grid_index)) {
-      refuse("checkpoint row " + std::to_string(row.grid_index) +
-                 " is outside the shard's domain",
              path);
     }
     if (row.params.size() != ckpt.param_names.size() ||
@@ -435,8 +357,7 @@ SweepCheckpoint load_checkpoint(const std::string& path) {
 
 void validate_checkpoint(const SweepCheckpoint& checkpoint,
                          std::size_t grid_size,
-                         const std::string& fingerprint,
-                         const ShardSpec& shard) {
+                         const std::string& fingerprint) {
   if (checkpoint.fingerprint != fingerprint) {
     throw StatusError(
         Failure(ErrorCode::kInvalidConfig,
@@ -453,115 +374,6 @@ void validate_checkpoint(const SweepCheckpoint& checkpoint,
                           .with("expected_grid_size",
                                 static_cast<std::int64_t>(grid_size)));
   }
-  if (checkpoint.shard.index != shard.index ||
-      checkpoint.shard.count != shard.count) {
-    throw StatusError(
-        Failure(ErrorCode::kInvalidConfig,
-                "checkpoint belongs to a different shard")
-            .with("checkpoint_shard",
-                  std::to_string(checkpoint.shard.index) + "/" +
-                      std::to_string(checkpoint.shard.count))
-            .with("expected_shard", std::to_string(shard.index) + "/" +
-                                        std::to_string(shard.count)));
-  }
-}
-
-SweepResult merge_shards(const Grid& grid,
-                         const std::vector<std::string>& metric_names,
-                         const std::string& config_hash,
-                         const std::vector<std::string>& checkpoint_paths) {
-  expects(!checkpoint_paths.empty(), "merge needs at least one checkpoint");
-  const std::size_t grid_size = grid.size();
-  const std::string fingerprint =
-      sweep_fingerprint(grid, metric_names, config_hash);
-  std::vector<std::string> param_names;
-  param_names.reserve(grid.axis_count());
-  for (const Axis& axis : grid.axes()) param_names.push_back(axis.name);
-
-  const std::size_t count = checkpoint_paths.size();
-  std::vector<SweepCheckpoint> shards(count);
-  std::vector<bool> seen(count, false);
-  for (const std::string& path : checkpoint_paths) {
-    SweepCheckpoint ckpt = load_checkpoint(path);
-    if (ckpt.fingerprint != fingerprint || ckpt.grid_size != grid_size) {
-      validate_checkpoint(ckpt, grid_size, fingerprint, ckpt.shard);
-    }
-    if (ckpt.shard.count != count) {
-      refuse("checkpoint is shard " + std::to_string(ckpt.shard.index) +
-                 "/" + std::to_string(ckpt.shard.count) + " but " +
-                 std::to_string(count) + " file(s) were given to merge",
-             path);
-    }
-    if (seen[ckpt.shard.index]) {
-      refuse("two checkpoints claim shard " +
-                 std::to_string(ckpt.shard.index) + "/" +
-                 std::to_string(count),
-             path);
-    }
-    const std::size_t domain_size =
-        shard_domain(grid_size, ckpt.shard).size();
-    if (ckpt.completed_count() != domain_size) {
-      refuse("shard checkpoint is incomplete (" +
-                 std::to_string(ckpt.completed_count()) + " of " +
-                 std::to_string(domain_size) +
-                 " points); finish the shard before merging",
-             path);
-    }
-    seen[ckpt.shard.index] = true;
-    shards[ckpt.shard.index] = std::move(ckpt);
-  }
-
-  // Cross-shard consistency: every shard evaluated the shared sentinel
-  // points independently; their canonical serializations must be
-  // byte-identical or the shard runs were not equivalent (different
-  // binary, config drift the fingerprint cannot see, flaky hardware).
-  const ShardSpec any_shard{0, count};
-  for (const std::size_t g : sentinel_indices(grid_size, any_shard)) {
-    std::string reference;
-    std::size_t reference_shard = 0;
-    for (std::size_t s = 0; s < count; ++s) {
-      const auto& shard_rows = shards[s].rows;
-      const auto it = std::lower_bound(
-          shard_rows.begin(), shard_rows.end(), g,
-          [](const SweepRow& row, std::size_t index) {
-            return row.grid_index < index;
-          });
-      ensures(it != shard_rows.end() && it->grid_index == g,
-              "complete shard checkpoint is missing a sentinel row");
-      const std::string text = row_to_json(*it);
-      if (reference.empty()) {
-        reference = text;
-        reference_shard = s;
-      } else if (text != reference) {
-        throw StatusError(
-            Failure(ErrorCode::kInvalidConfig,
-                    "sentinel point differs between shards; the shard runs "
-                    "were not byte-equivalent (different binary or "
-                    "environment?)")
-                .with("grid_index", static_cast<std::int64_t>(g))
-                .with("shard_a", checkpoint_paths[reference_shard])
-                .with("shard_b", checkpoint_paths[s]));
-      }
-    }
-  }
-
-  // Stitch: every grid point comes from its OWNING shard (sentinel copies
-  // from other shards were only for the consistency check above).
-  std::vector<SweepRow> rows;
-  rows.reserve(grid_size);
-  std::vector<std::size_t> cursor(count, 0);
-  for (std::size_t g = 0; g < grid_size; ++g) {
-    const std::size_t owner = g % count;
-    auto& shard_rows = shards[owner].rows;
-    std::size_t& c = cursor[owner];
-    while (c < shard_rows.size() && shard_rows[c].grid_index < g) ++c;
-    ensures(c < shard_rows.size() && shard_rows[c].grid_index == g,
-            "complete shard checkpoint is missing an owned row");
-    rows.push_back(std::move(shard_rows[c]));
-    ++c;
-  }
-  return SweepResult(std::move(param_names),
-                     std::vector<std::string>(metric_names), std::move(rows));
 }
 
 }  // namespace uld3d::dse

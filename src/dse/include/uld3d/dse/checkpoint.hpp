@@ -1,36 +1,22 @@
-// Checkpoint/restart + deterministic sharding for design-space sweeps —
-// the state that lets `run_sweep` (SweepOptions::checkpoint_path, resume,
-// shard) turn one batch loop into restartable, distributable units of
-// work (overnight 10^5–10^6-point sweeps across many machines).
+// Checkpoint/restart for design-space sweeps — the state that lets
+// `run_sweep` (SweepOptions::checkpoint_path, resume) continue an
+// interrupted sweep instead of starting over.
 //
-// Two pieces:
-//
-//  * `SweepCheckpoint` — the versioned on-disk sweep state: a
-//    completed-point bitmap over the flattened grid index space, the
-//    serialized `SweepRow`s (including FAILED rows, so
-//    ErrorPolicy::kSkipAndRecord / failure_summary() semantics survive a
-//    resume boundary), and an FNV-1a provenance fingerprint of the grid
-//    spec + metric names + caller config.  Saved atomically
-//    (write-temp-then-rename, util/checkpoint.hpp) so a kill mid-write
-//    never corrupts state; `load_checkpoint` re-validates the bitmap
-//    against the row list so a torn or hand-edited file is refused, and
-//    `validate_checkpoint` refuses a checkpoint whose fingerprint does not
-//    match the grid it is being resumed against.  `run_sweep` loads it
-//    on resume (completed points are NOT re-evaluated) and flushes it
-//    every `checkpoint_interval` completed points, on any exception, and
-//    on the interrupt flag (SIGINT/SIGTERM via util/checkpoint.hpp), in
-//    which case it throws `SweepInterrupted` — the CLI maps that to the
-//    distinct "interrupted, resumable" exit code.
-//
-//  * sharding + `merge_shards` — `ShardSpec{i, N}` deterministically
-//    partitions the grid index space (shard i owns indices g with
-//    g % N == i) and every shard additionally evaluates a small set of
-//    shared SENTINEL points.  `merge_shards` stitches complete shard
-//    checkpoints back into the full-grid result, refusing mismatched
-//    fingerprints, missing shards, and sentinel rows that are not
-//    byte-for-byte identical across shards (the cross-machine consistency
-//    check: different binaries/FPU modes on shard machines are caught
-//    instead of silently merged).
+// `SweepCheckpoint` is the versioned on-disk sweep state: a
+// completed-point bitmap over the flattened grid index space, the
+// serialized `SweepRow`s (including FAILED rows, so
+// ErrorPolicy::kSkipAndRecord / failure_summary() semantics survive a
+// resume boundary), and an FNV-1a provenance fingerprint of the grid spec +
+// metric names + caller config.  Saved atomically (write-temp-then-rename,
+// util/checkpoint.hpp) so a kill mid-write never corrupts state;
+// `load_checkpoint` re-validates the bitmap against the row list so a torn
+// or hand-edited file is refused, and `validate_checkpoint` refuses a
+// checkpoint whose fingerprint does not match the grid it is being resumed
+// against.  `run_sweep` loads it on resume (completed points are NOT
+// re-evaluated) and flushes it every `checkpoint_interval` completed
+// points, on any exception, and on the interrupt flag (SIGINT/SIGTERM via
+// util/checkpoint.hpp), in which case it throws `SweepInterrupted` — the
+// CLI maps that to the distinct "interrupted, resumable" exit code.
 #pragma once
 
 #include <cstdint>
@@ -42,22 +28,7 @@
 namespace uld3d::dse {
 
 /// Bumped when the on-disk layout changes; older files are refused.
-inline constexpr int kCheckpointSchemaVersion = 1;
-
-/// Parse "i/N" (e.g. "0/4"); throws StatusError(kInvalidArgument) unless
-/// 0 <= i < N and N >= 1.
-[[nodiscard]] ShardSpec parse_shard_spec(const std::string& text);
-
-/// The sentinel points every shard evaluates in ADDITION to its own slice:
-/// up to 4 indices spread evenly over the grid.  Deterministic in
-/// grid_size alone, so all shards agree on the set; empty for unsharded
-/// runs (count == 1) where cross-checking would be vacuous.
-[[nodiscard]] std::vector<std::size_t> sentinel_indices(
-    std::size_t grid_size, const ShardSpec& shard);
-
-/// All indices `shard` evaluates (owned slice ∪ sentinels), ascending.
-[[nodiscard]] std::vector<std::size_t> shard_domain(std::size_t grid_size,
-                                                    const ShardSpec& shard);
+inline constexpr int kCheckpointSchemaVersion = 2;
 
 /// FNV-1a provenance fingerprint of the sweep identity: axis names +
 /// values (exact, 17-significant-digit rendering), metric names, and the
@@ -77,11 +48,9 @@ struct SweepCheckpoint {
   /// accepts any run_id (a resumed sweep is a new run by design).
   std::string run_id;
   std::size_t grid_size = 0;
-  ShardSpec shard;
   std::vector<std::string> param_names;
   std::vector<std::string> metric_names;
-  /// Bit g set iff grid point g has been evaluated (only bits inside the
-  /// shard's domain can be set).
+  /// Bit g set iff grid point g has been evaluated.
   std::vector<bool> completed;
   /// One row per set bit, ascending grid_index.  Doubles round-trip
   /// bit-exactly through the file, so resumed rows equal recomputed ones.
@@ -100,29 +69,17 @@ void save_checkpoint(const SweepCheckpoint& checkpoint,
 
 /// Parse `path` and enforce internal consistency: schema version, bitmap
 /// length, bitmap popcount == row count, every row's bit set, rows
-/// ascending and inside the shard domain, row widths matching the names.
+/// ascending and inside the grid, row widths matching the names.
 /// Throws JsonParseError on unreadable/malformed JSON and
 /// StatusError(kInvalidConfig) on a structurally inconsistent document (a
 /// torn or tampered file).
 [[nodiscard]] SweepCheckpoint load_checkpoint(const std::string& path);
 
 /// Refuse `checkpoint` unless it matches the sweep about to run: same
-/// fingerprint (grid spec + metrics + config), same grid size, same shard.
-/// Throws StatusError(kInvalidConfig) naming the mismatch.
+/// fingerprint (grid spec + metrics + config) and same grid size.  Throws
+/// StatusError(kInvalidConfig) naming the mismatch.
 void validate_checkpoint(const SweepCheckpoint& checkpoint,
                          std::size_t grid_size,
-                         const std::string& fingerprint,
-                         const ShardSpec& shard);
-
-/// Stitch complete shard checkpoints back into the full-grid result.
-/// Every file must validate against `fingerprint` and `grid_size`, the
-/// shards must form exactly {0..N-1} of a common N with every domain point
-/// completed, and each sentinel point's serialized row must be
-/// byte-identical across all shards that evaluated it.  Throws
-/// StatusError(kInvalidConfig) on any violation.
-[[nodiscard]] SweepResult merge_shards(
-    const Grid& grid, const std::vector<std::string>& metric_names,
-    const std::string& config_hash,
-    const std::vector<std::string>& checkpoint_paths);
+                         const std::string& fingerprint);
 
 }  // namespace uld3d::dse

@@ -39,8 +39,7 @@ struct Sensitivity {
 /// parameter at a time, with a relative `step` (default 5%).  Per-parameter
 /// failures follow `policy`; failed entries carry NaN elasticities.
 /// Parameters are evaluated on `jobs` threads (0 = global parallel::jobs())
-/// into pre-sized slots, so the result is bit-identical at any jobs count;
-/// an armed FaultInjector pins the analysis to jobs=1 (arrival-order trips).
+/// into pre-sized slots, so the result is bit-identical at any jobs count.
 [[nodiscard]] std::vector<Sensitivity> analyze_sensitivity(
     const std::vector<std::string>& names, const std::vector<double>& baseline,
     const std::function<double(const std::vector<double>&)>& objective,

@@ -10,9 +10,9 @@
 // `failure_summary()` reports them.  ErrorPolicy::kFailFast rethrows at the
 // first bad point (the pre-diagnostics behaviour).
 //
-// `run_sweep` is the one sweep runner: checkpoint/resume and sharding
-// (uld3d/dse/checkpoint.hpp holds the file format and merge) are options
-// of the same code path, not a second loop.
+// `run_sweep` is the one sweep runner and always covers the whole grid:
+// checkpoint/resume (uld3d/dse/checkpoint.hpp holds the file format) is an
+// option of the same code path, not a second loop.
 #pragma once
 
 #include <functional>
@@ -57,28 +57,16 @@ enum class ErrorPolicy {
   kSkipAndRecord,  ///< record a failed row and continue (default)
 };
 
-/// One deterministic slice of the grid index space: shard `index` of
-/// `count` owns indices g with g % count == index (strided, so expensive
-/// regions of the grid spread evenly across machines).  {0, 1} = the whole
-/// grid (unsharded).
-struct ShardSpec {
-  std::size_t index = 0;
-  std::size_t count = 1;
-
-  [[nodiscard]] bool sharded() const { return count > 1; }
-};
-
 struct SweepOptions {
   ErrorPolicy policy = ErrorPolicy::kSkipAndRecord;
   /// Worker threads evaluating points (0 = the global parallel::jobs()).
   /// Any jobs count yields bit-identical rows; kFailFast still rethrows
   /// the first failure in INDEX order (later points may have been
-  /// speculatively evaluated before cancellation).  An armed FaultInjector
-  /// pins the sweep to jobs=1 so trip arrival order stays deterministic.
+  /// speculatively evaluated before cancellation).
   int jobs = 0;
   /// Caller config fingerprint folded into sweep_fingerprint(): labels the
   /// sweep_start telemetry event and the checkpoint, so a checkpoint from a
-  /// different study config is refused on resume/merge.
+  /// different study config is refused on resume.
   std::string config_hash = {};
   /// Canonical EVALUATION key of one grid point — sweep-point deduplication.
   /// Points with equal keys are certified by the caller to evaluate
@@ -92,9 +80,6 @@ struct SweepOptions {
   /// default) evaluates every point.  Counters: "dse.sweep.dedup_unique" /
   /// "dse.sweep.dedup_aliased".
   std::function<std::string(const std::vector<double>&)> point_key = {};
-  /// Slice of the grid this process evaluates (plus shared sentinel
-  /// points, see checkpoint.hpp); sharding is on when shard.count > 1.
-  ShardSpec shard = {};
   /// Checkpoint file; "" (the default) never flushes.
   std::string checkpoint_path = {};
   /// Load an existing checkpoint_path instead of starting fresh.  When
@@ -128,10 +113,9 @@ struct SweepRow {
   std::vector<double> params;   ///< one value per axis
   std::vector<double> metrics;  ///< one value per metric (NaN when failed)
   std::optional<Failure> failure;  ///< set iff evaluation failed
-  /// Position in the flattened grid index space.  Equal to the row's
-  /// position in `SweepResult::rows()` for a plain full-grid sweep, but a
-  /// sharded/merged result holds a subset, so reports (failure_summary)
-  /// label points by this index — stable across shard/resume boundaries.
+  /// Position in the flattened grid index space; reports
+  /// (failure_summary) label points by it, so labels stay stable across a
+  /// resume boundary.
   std::size_t grid_index = 0;
 
   [[nodiscard]] bool ok() const { return !failure.has_value(); }
@@ -191,17 +175,16 @@ class SweepResult {
   std::vector<std::size_t> failed_rows_;  ///< indices of failed rows, ascending
 };
 
-/// Evaluate `metrics(point)` at every grid point of the shard's domain.
+/// Evaluate `metrics(point)` at every grid point.
 /// The callback returns one value per metric name (checked; a mismatch is
 /// an evaluator bug and always throws regardless of policy).  An empty
 /// grid yields an empty SweepResult with the metric names intact.
 /// Per-point behaviour on failure follows `options.policy`.
 ///
-/// The result holds the domain's rows ascending by grid_index (the full
-/// grid when unsharded) and is bit-identical — rows, failure_summary(),
-/// table output — to the matching slice of an uncheckpointed, unsharded
-/// run at any jobs count, whether or not the run was interrupted and
-/// resumed in between.  With a checkpoint_path, completed points are
+/// The result holds one row per grid point, ascending by grid_index, and is
+/// bit-identical — rows, failure_summary(), table output — to an
+/// uncheckpointed run at any jobs count, whether or not the run was
+/// interrupted and resumed in between.  With a checkpoint_path, completed points are
 /// loaded from the file and not re-evaluated.  Throws SweepInterrupted
 /// when stopped by the interrupt flag.
 [[nodiscard]] SweepResult run_sweep(

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/parallel.hpp"
 #include "uld3d/util/trace.hpp"
@@ -20,7 +19,6 @@ double evaluate_checked(
     const std::function<double(const std::vector<double>&)>& objective,
     const std::vector<double>& params, const std::string& parameter,
     const char* side) {
-  fault_site("dse.sensitivity.point");
   const double value = objective(params);
   if (!std::isfinite(value)) {
     throw StatusError(Failure(ErrorCode::kNumericalError,
@@ -51,12 +49,6 @@ std::vector<Sensitivity> analyze_sensitivity(
           "objective must be non-zero at the baseline");
   expects(std::isfinite(base_objective),
           "objective must be finite at the baseline");
-
-  // Same serial-fallback rule as run_sweep: injected trips are arrival-
-  // ordered, so an armed injector forces one thread.
-  const int effective_jobs = FaultInjector::instance().armed()
-                                 ? 1
-                                 : parallel::resolve_jobs(jobs);
 
   std::vector<Sensitivity> results(names.size());
   const auto evaluate_parameter = [&](std::size_t i) {
@@ -90,7 +82,7 @@ std::vector<Sensitivity> analyze_sensitivity(
     }
   };
   parallel::parallel_for_indexed(names.size(), evaluate_parameter,
-                                 {.jobs = effective_jobs});
+                                 {.jobs = jobs});
   return results;
 }
 

@@ -12,7 +12,6 @@
 #include "uld3d/dse/checkpoint.hpp"
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/checkpoint.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/flightrec.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/parallel.hpp"
@@ -158,9 +157,8 @@ std::string SweepResult::failure_summary() const {
   // A mostly-failed 10k-point sweep would otherwise build a multi-megabyte
   // string; the first few points carry all the diagnostic signal.
   constexpr std::size_t kMaxReported = 20;
-  // Itemize in GRID-INDEX order, not row-storage order: a resumed or merged
-  // sweep must produce a summary byte-identical to an uninterrupted run's
-  // even if its rows were assembled in a different order.
+  // Itemize in GRID-INDEX order, not row-storage order: a summary must not
+  // depend on the order in which the rows were assembled.
   std::vector<std::size_t> order;
   order.reserve(rows_.size());
   for (std::size_t i = 0; i < rows_.size(); ++i) {
@@ -208,15 +206,13 @@ struct PointMetrics {
   Counter& points;
   Counter& ok;
   Counter& failed;
-  Counter& skipped;
 };
 
 PointMetrics& point_metrics() {
   MetricsRegistry& r = MetricsRegistry::instance();
   static PointMetrics m{r.counter("dse.sweep.points"),
                         r.counter("dse.sweep.ok"),
-                        r.counter("dse.sweep.failed"),
-                        r.counter("dse.sweep.skipped")};
+                        r.counter("dse.sweep.failed")};
   return m;
 }
 
@@ -233,15 +229,7 @@ std::optional<Clock::time_point> event_start() {
 void record_point(const SweepRow& row,
                   const std::optional<Clock::time_point>& started) {
   PointMetrics& m = point_metrics();
-  if (row.ok()) {
-    m.ok.add();
-  } else {
-    // Counted as both: a failed point, and one the policy skipped-and-
-    // recorded (compare against fault.injected_trips to split a run
-    // report into injected vs organic failures).
-    m.failed.add();
-    m.skipped.add();
-  }
+  (row.ok() ? m.ok : m.failed).add();
   if (!started.has_value()) return;
   const double dur_us =
       std::chrono::duration<double, std::micro>(Clock::now() - *started)
@@ -289,7 +277,6 @@ SweepRow evaluate_sweep_point(
     // was in flight on each worker.
     flightrec::event("dse.point", grid_index);
     m.points.add();
-    fault_site("dse.sweep.point");
     metrics = evaluate(row.params);
   } catch (const InvariantError&) {
     throw;  // library bug: never downgrade to a per-point failure
@@ -354,8 +341,6 @@ SweepResult run_sweep(
   expects(options.checkpoint_interval >= 1,
           "checkpoint interval must be at least 1");
   const std::size_t grid_size = grid.size();
-  const std::vector<std::size_t> domain =
-      shard_domain(grid_size, options.shard);
   const bool checkpointing = !options.checkpoint_path.empty();
   std::vector<std::string> param_names;
   param_names.reserve(grid.axis_count());
@@ -394,7 +379,7 @@ SweepResult run_sweep(
               .with("checkpoint", options.checkpoint_path));
     }
     SweepCheckpoint ckpt = load_checkpoint(options.checkpoint_path);
-    validate_checkpoint(ckpt, grid_size, fingerprint, options.shard);
+    validate_checkpoint(ckpt, grid_size, fingerprint);
     for (SweepRow& row : ckpt.rows) {
       const std::size_t g = row.grid_index;
       rows[g] = std::move(row);
@@ -405,30 +390,18 @@ SweepResult run_sweep(
   }
 
   std::vector<std::size_t> todo;
-  todo.reserve(domain.size() - resumed);
-  for (const std::size_t g : domain) {
+  todo.reserve(grid_size - resumed);
+  for (std::size_t g = 0; g < grid_size; ++g) {
     if (!done[g].load(std::memory_order_relaxed)) todo.push_back(g);
   }
 
-  // Fault plans trip on ARRIVAL order at each site, which only the serial
-  // loop reproduces — an armed injector pins the sweep to one thread.
-  const int jobs = FaultInjector::instance().armed()
-                       ? 1
-                       : parallel::resolve_jobs(options.jobs);
+  const int jobs = parallel::resolve_jobs(options.jobs);
   registry.gauge("dse.sweep.jobs").set(static_cast<double>(jobs));
 
-  if (EventSink::enabled()) {
-    EventSink& sink = EventSink::instance();
-    sink.emit_sweep_start(fingerprint, grid_size, param_names, metric_names,
-                          domain.size(), jobs);
-    if (options.shard.sharded()) {
-      sink.emit_shard_info(options.shard.index, options.shard.count,
-                           domain.size(),
-                           sentinel_indices(grid_size, options.shard));
-    }
-  }
+  EventSink::instance().emit_sweep_start(fingerprint, grid_size, param_names,
+                                         metric_names, jobs);
   std::optional<ProgressReporter> progress;
-  if (progress_enabled()) progress.emplace("sweep", domain.size(), resumed);
+  if (progress_enabled()) progress.emplace("sweep", grid_size, resumed);
 
   std::mutex flush_mutex;
   std::atomic<std::size_t> completed{resumed};
@@ -438,11 +411,10 @@ SweepResult run_sweep(
     snapshot.fingerprint = fingerprint;
     snapshot.run_id = current_run_context().run_id;
     snapshot.grid_size = grid_size;
-    snapshot.shard = options.shard;
     snapshot.param_names = param_names;
     snapshot.metric_names = metric_names;
     snapshot.completed.assign(grid_size, false);
-    for (const std::size_t g : domain) {
+    for (std::size_t g = 0; g < grid_size; ++g) {
       if (!done[g].load(std::memory_order_acquire)) continue;
       snapshot.completed[g] = true;
       snapshot.rows.push_back(rows[g]);
@@ -451,7 +423,7 @@ SweepResult run_sweep(
     // checkpoint lands on disk, so every row in the saved checkpoint has its
     // point_done event durable — resume never leaves a row without an event.
     EventSink::instance().emit_checkpoint_flush(
-        snapshot.rows.size(), domain.size(), options.checkpoint_path);
+        snapshot.rows.size(), grid_size, options.checkpoint_path);
     save_checkpoint(snapshot, options.checkpoint_path);
     registry.counter("dse.sweep.checkpoint_flushes").add();
   };
@@ -507,7 +479,7 @@ SweepResult run_sweep(
   const auto body = [&](std::size_t k) {
     if (interrupt_requested()) {
       throw SweepInterrupted(completed.load(std::memory_order_relaxed),
-                             domain.size());
+                             grid_size);
     }
     const std::size_t g = work[k];
     rows[g] =
@@ -537,7 +509,7 @@ SweepResult run_sweep(
   }
   {
     const std::lock_guard<std::mutex> lock(flush_mutex);
-    flush();  // final, complete state (merge inputs must be complete)
+    flush();  // final, complete state
   }
   if (timed) {
     const double seconds =
@@ -548,11 +520,8 @@ SweepResult run_sweep(
     }
   }
 
-  std::vector<SweepRow> out;
-  out.reserve(domain.size());
-  for (const std::size_t g : domain) out.push_back(std::move(rows[g]));
   return SweepResult(std::move(param_names),
-                     std::vector<std::string>(metric_names), std::move(out));
+                     std::vector<std::string>(metric_names), std::move(rows));
 }
 
 }  // namespace uld3d::dse

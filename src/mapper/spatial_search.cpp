@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/math.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/parallel.hpp"
@@ -361,15 +360,10 @@ SearchedNetworkCost evaluate_network_with_search(const nn::Network& net,
     slot[i] = it != distinct.end() ? *it : distinct.emplace_back(i);
   }
   std::vector<std::optional<SpatialSearchResult>> searched(layers.size());
-  const int jobs =
-      FaultInjector::instance().armed() ? 1 : parallel::jobs();
-  parallel::parallel_for_indexed(
-      distinct.size(),
-      [&](std::size_t d) {
-        const std::size_t i = distinct[d];
-        searched[i] = search_spatial(layers[i].conv(), arch, sys, n_cs);
-      },
-      {.jobs = jobs});
+  parallel::parallel_for_indexed(distinct.size(), [&](std::size_t d) {
+    const std::size_t i = distinct[d];
+    searched[i] = search_spatial(layers[i].conv(), arch, sys, n_cs);
+  });
   for (std::size_t i = 0; i < layers.size(); ++i) {
     if (layers[i].is_conv()) {
       LayerCost cost = searched[slot[i]]->cost;

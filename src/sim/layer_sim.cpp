@@ -11,18 +11,33 @@ namespace uld3d::sim {
 
 namespace {
 
+/// Per-layer activity counters.  Registry handles are stable for the
+/// process lifetime, so they are looked up once, not per simulated layer.
+struct LayerMetrics {
+  Counter& macs;
+  Counter& vector_ops;
+  Counter& read_bits;
+  Counter& write_bits;
+};
+
+LayerMetrics& layer_metrics() {
+  MetricsRegistry& r = MetricsRegistry::instance();
+  static LayerMetrics m{r.counter("sim.layer.macs"),
+                        r.counter("sim.layer.vector_ops"),
+                        r.counter("sim.layer.read_bits"),
+                        r.counter("sim.layer.write_bits")};
+  return m;
+}
+
 /// MAC/op and traffic counters for run reports.  Guarded by the enabled
-/// flag so the disabled cost in the per-layer hot path is one branch, not
-/// three registry lookups.
-void count_layer_activity(const char* op_counter, double ops,
-                          double read_bits, double write_bits) {
+/// flag so the disabled cost in the per-layer hot path is one branch.
+void count_layer_activity(Counter& op_counter, double ops, double read_bits,
+                          double write_bits) {
   if (!metrics_enabled()) return;
-  MetricsRegistry& registry = MetricsRegistry::instance();
-  registry.counter(op_counter).add(static_cast<std::uint64_t>(ops));
-  registry.counter("sim.layer.read_bits")
-      .add(static_cast<std::uint64_t>(read_bits));
-  registry.counter("sim.layer.write_bits")
-      .add(static_cast<std::uint64_t>(write_bits));
+  LayerMetrics& m = layer_metrics();
+  op_counter.add(static_cast<std::uint64_t>(ops));
+  m.read_bits.add(static_cast<std::uint64_t>(read_bits));
+  m.write_bits.add(static_cast<std::uint64_t>(write_bits));
 }
 
 /// Common energy accounting once cycles and traffic are known.
@@ -133,7 +148,7 @@ LayerResult simulate_conv(const nn::Layer& layer, const AcceleratorConfig& cfg) 
       macs / (static_cast<double>(nmax) * static_cast<double>(r.cycles) *
               static_cast<double>(arr.rows * arr.cols));
 
-  count_layer_activity("sim.layer.macs", macs, w_bits + i_bits, o_bits);
+  count_layer_activity(layer_metrics().macs, macs, w_bits + i_bits, o_bits);
   finish_energy(cfg, w_bits + i_bits, o_bits, macs * arr.mac_energy_pj, r);
   return r;
 }
@@ -171,7 +186,7 @@ LayerResult simulate_vector_layer(const nn::Layer& layer,
   r.cycles = static_cast<std::int64_t>(std::ceil(busy)) + cfg.layer_launch_cycles;
   r.utilization = 0.0;  // the systolic array is idle during vector layers
 
-  count_layer_activity("sim.layer.vector_ops", ops, i_bits, o_bits);
+  count_layer_activity(layer_metrics().vector_ops, ops, i_bits, o_bits);
   finish_energy(cfg, i_bits, o_bits, ops * arr.vector_op_energy_pj, r);
   return r;
 }

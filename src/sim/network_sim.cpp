@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/status.hpp"
 #include "uld3d/util/trace.hpp"
@@ -24,7 +23,6 @@ NetworkResult simulate_network(const nn::Network& net,
   for (const auto& layer : net.layers()) {
     TraceSpan layer_span(layer.name(), "sim");
     m_layers.add();
-    fault_site("sim.network.layer");
     LayerResult r = simulate_layer(layer, cfg);
     if (r.cycles < 0 || !std::isfinite(r.energy_pj) || r.energy_pj < 0.0) {
       throw StatusError(Failure(ErrorCode::kNumericalError,

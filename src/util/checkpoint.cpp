@@ -8,7 +8,6 @@
 #include <fstream>
 
 #include "uld3d/util/check.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/log.hpp"
 
 namespace uld3d {
@@ -58,14 +57,6 @@ bool write_file_atomic(const std::string& path, const std::string& content) {
     }
   }
   best_effort_fsync(temp_path);
-  try {
-    // A crash "here" — after the temp is complete but before the rename —
-    // is the interesting window: the destination must stay untouched.
-    fault_site("util.export.atomic_write");
-  } catch (...) {
-    std::remove(temp_path.c_str());
-    throw;
-  }
   if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
     std::remove(temp_path.c_str());
     log_warning("could not rename temp file into place: " + temp_path +

@@ -362,8 +362,7 @@ std::string format_header(const std::string& path) {
   const Provenance prov = capture_provenance();
   std::ostringstream os;
   os << "{\"schema\": 1, \"kind\": \"postmortem\", \"run\": \""
-     << json_escape(ctx.run_id) << "\", \"shard\": \""
-     << json_escape(ctx.shard_label()) << "\", \"path\": \""
+     << json_escape(ctx.run_id) << "\", \"path\": \""
      << json_escape(path) << "\", \"provenance\": {\"git_sha\": \""
      << json_escape(prov.git_sha) << "\", \"compiler\": \""
      << json_escape(prov.compiler) << "\", \"build_type\": \""
@@ -390,16 +389,15 @@ bool install_postmortem(const std::string& path) {
   std::memcpy(g_header, header.c_str(), header.size() + 1);
 
   // Curated snapshot handles: the counters a postmortem reader actually
-  // wants next to the ring ("how far did the sweep get, was the cache warm,
-  // did fault injection fire").  find-or-create keeps this list decoupled
-  // from registration order; untouched counters just read 0.
+  // wants next to the ring ("how far did the sweep get, was the cache
+  // warm").  find-or-create keeps this list decoupled from registration
+  // order; untouched counters just read 0.
   MetricsRegistry& reg = MetricsRegistry::instance();
   static constexpr const char* kCurated[] = {
-      "dse.sweep.points",       "dse.sweep.ok",
-      "dse.sweep.failed",       "dse.sweep.skipped",
-      "dse.sweep.resumed_points", "mapper.mapcache.hits",
-      "mapper.mapcache.misses", "phys.flow.designs",
-      "trace.dropped_events",   "fault.injected_trips",
+      "dse.sweep.points",         "dse.sweep.ok",
+      "dse.sweep.failed",         "dse.sweep.resumed_points",
+      "mapper.mapcache.hits",     "mapper.mapcache.misses",
+      "phys.flow.designs",        "trace.dropped_events",
   };
   g_metric_handle_count = 0;
   for (const char* name : kCurated) {

@@ -25,9 +25,7 @@ namespace uld3d {
 
 /// Write `content` to `path` atomically (write temp + flush + fsync +
 /// rename).  On failure the temp file is removed, a warning is logged, and
-/// false is returned; `path` is never left half-written.  Declares the
-/// fault site "util.export.atomic_write" between the temp write and the
-/// rename so tests can prove a mid-write crash leaves no destination file.
+/// false is returned; `path` is never left half-written.
 bool write_file_atomic(const std::string& path, const std::string& content);
 
 /// Install SIGINT/SIGTERM handlers that set the process-wide interrupt

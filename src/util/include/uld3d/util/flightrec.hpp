@@ -80,7 +80,7 @@ void set_thread_name(const char* name);
 [[nodiscard]] std::uint64_t records_dropped();
 
 /// Arm the postmortem dumper, and with it the ring: pre-format the JSON
-/// header (RunId, shard, provenance) for the *current* run context, capture
+/// header (RunId, provenance) for the *current* run context, capture
 /// signal-safe metric handles, and install the fatal-signal +
 /// std::terminate hooks (handlers are installed once; the header/path
 /// refresh on every call).  Returns false, arming nothing new, if `path` is

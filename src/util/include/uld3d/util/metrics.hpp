@@ -11,9 +11,9 @@
 //
 // The whole subsystem is *disabled by default*: every update first performs
 // a single relaxed atomic-bool load (`metrics_enabled()`) and returns, so an
-// uninstrumented-feeling hot path costs one predictable branch — the same
-// policy as `fault_site()` in util/fault.hpp.  `MetricsRegistry::set_enabled`
-// (or the CLI's `--metrics`/`--profile` flags) turns recording on.
+// uninstrumented-feeling hot path costs one predictable branch.
+// `MetricsRegistry::set_enabled` (or the CLI's `--metrics`/`--profile`
+// flags) turns recording on.
 //
 // Exporters: `to_table()` renders a util/table summary, `to_json()` a flat
 // metrics JSON document, `to_csv()` an RFC-4180-ish CSV; `write_file()`
@@ -44,7 +44,7 @@ inline bool metrics_enabled() {
 }
 
 /// Monotonically increasing event count (points evaluated, candidates
-/// pruned, faults injected, ...).
+/// pruned, points failed, ...).
 class Counter {
  public:
   Counter() = default;

@@ -27,11 +27,6 @@
 // `ULD3D_JOBS` environment variable > 1 (serial).  The library default is
 // deliberately serial so embedders opt in; the CLI opts in to all cores
 // via `--jobs` / hardware_concurrency (see tools/uld3d_cli.cpp).
-//
-// NOT handled here: fault-injection arrival order.  FaultInjector plans
-// trip on the order sites are *reached*, which only a serial loop
-// reproduces — converted call sites pin themselves to jobs=1 while the
-// injector is armed (see dse/sweep.cpp).
 #pragma once
 
 #include <atomic>

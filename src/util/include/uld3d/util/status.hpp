@@ -36,7 +36,6 @@ enum class ErrorCode {
   kThermalLimit,      ///< Eq. (17) temperature rise exceeds the budget
   kNumericalError,    ///< non-finite value escaped a model
   kNotFound,          ///< named entity (metric, layer, file) absent
-  kFaultInjected,     ///< produced by the test-only FaultInjector
   kInternal,          ///< invariant failure / unclassified exception
 };
 

@@ -4,16 +4,15 @@
 // Three pieces:
 //
 //  * `RunContext` — the run's identity: a RunId (provenance hash + a
-//    process-local counter, no randomness) and the shard i/N this process
-//    owns.  Set once near main() via `set_current_run_context`; the metrics
-//    JSON exporter, the Chrome trace exporter, the sweep checkpoint writer,
-//    and every telemetry event read it back so artifacts from one run (or
-//    one shard of a fleet) join on the same labels — the per-request
-//    plumbing the future DSE server needs (ROADMAP item 1).
+//    process-local counter, no randomness).  Set once near main() via
+//    `set_current_run_context`; the metrics JSON exporter, the Chrome trace
+//    exporter, the sweep checkpoint writer, the postmortem dump and every
+//    telemetry event read it back so artifacts from one run join on the
+//    same label.
 //
 //  * `EventSink` — a process-wide, thread-safe appender of schema-versioned
 //    NDJSON events (`run_start`, `sweep_start`, `point_done`,
-//    `checkpoint_flush`, `shard_info`, `progress`, `stage`, `run_end`) to a
+//    `checkpoint_flush`, `progress`, `stage`, `run_end`) to a
 //    file.  Disabled by default with the same single-relaxed-atomic-bool
 //    gate as util/metrics: every emit site pays one predictable branch when
 //    telemetry is off.  Writes are buffered and flushed on checkpoint
@@ -32,8 +31,10 @@
 //    EventSink.
 //
 // Event schema (DESIGN.md §14): every line is one JSON object
-//   {"schema": 1, "ev": "<type>", "run": "<run_id>", "shard": "i/N",
+//   {"schema": 1, "ev": "<type>", "run": "<run_id>",
 //    "ts_ms": <unix milliseconds>, ...type-specific fields...}
+// Streams written before sharding was retired also carry a "shard": "i/N"
+// label on every line and `shard_info` events; readers ignore both.
 // Doubles are rendered with 17 significant digits so payloads (sweep params
 // and metrics) round-trip bit-exactly — `uld3d-report --canon` relies on
 // this to compare event streams from different jobs counts byte-for-byte.
@@ -68,26 +69,18 @@ inline bool telemetry_enabled() {
   return telemetry_detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// The identity of one run (one process invocation, one shard of a fleet).
+/// The identity of one run (one process invocation).
 struct RunContext {
   /// fnv1a hex of the run's provenance identity plus a process-local
   /// counter ("<hash>-<n>"): unique across machines and across runs on one
   /// machine without any randomness.  Empty = no context set.
   std::string run_id;
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-
-  /// "i/N" — the label stamped on events and exports.
-  [[nodiscard]] std::string shard_label() const {
-    return std::to_string(shard_index) + "/" + std::to_string(shard_count);
-  }
 };
 
 /// Build a RunContext from the process provenance (git SHA, hostname,
 /// timestamp, pid) and a monotonically increasing counter.  Random-free by
 /// construction so repeated calls are distinct but reproducible in tests.
-[[nodiscard]] RunContext make_run_context(std::size_t shard_index = 0,
-                                          std::size_t shard_count = 1);
+[[nodiscard]] RunContext make_run_context();
 
 /// The process-wide current run context (empty run_id until set).  Set it
 /// once near main(), before spawning sweep workers; reads are cheap copies
@@ -153,10 +146,9 @@ class EventSink {
   void emit_sweep_start(const std::string& fingerprint, std::size_t grid_size,
                         const std::vector<std::string>& param_names,
                         const std::vector<std::string>& metric_names,
-                        std::size_t domain_size, int jobs) {
+                        int jobs) {
     if (!enabled()) return;
-    sweep_start_impl(fingerprint, grid_size, param_names, metric_names,
-                     domain_size, jobs);
+    sweep_start_impl(fingerprint, grid_size, param_names, metric_names, jobs);
   }
 
   /// `failure == nullptr` means the point succeeded; failed points carry
@@ -173,13 +165,6 @@ class EventSink {
                              const std::string& path) {
     if (!enabled()) return;
     checkpoint_flush_impl(completed, total, path);
-  }
-
-  void emit_shard_info(std::size_t shard_index, std::size_t shard_count,
-                       std::size_t domain_size,
-                       const std::vector<std::size_t>& sentinels) {
-    if (!enabled()) return;
-    shard_info_impl(shard_index, shard_count, domain_size, sentinels);
   }
 
   void emit_progress(std::size_t done, std::size_t total, std::size_t ok,
@@ -219,16 +204,13 @@ class EventSink {
   void sweep_start_impl(const std::string& fingerprint, std::size_t grid_size,
                         const std::vector<std::string>& param_names,
                         const std::vector<std::string>& metric_names,
-                        std::size_t domain_size, int jobs);
+                        int jobs);
   void point_done_impl(std::size_t grid_index,
                        const std::vector<double>& params,
                        const std::vector<double>& metrics,
                        const EventFailure* failure, double dur_us);
   void checkpoint_flush_impl(std::size_t completed, std::size_t total,
                              const std::string& path);
-  void shard_info_impl(std::size_t shard_index, std::size_t shard_count,
-                       std::size_t domain_size,
-                       const std::vector<std::size_t>& sentinels);
   void progress_impl(std::size_t done, std::size_t total, std::size_t ok,
                      std::size_t failed, double points_per_sec, double eta_s,
                      std::size_t queue_depth);

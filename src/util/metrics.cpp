@@ -100,12 +100,11 @@ Table MetricsRegistry::to_table() const {
 }
 
 std::string MetricsRegistry::to_json() const {
-  // Run/shard labels join this document with the matching telemetry events
-  // and trace file (empty strings when no run context was set).
+  // The run label joins this document with the matching telemetry events
+  // and trace file (an empty string when no run context was set).
   const RunContext run = current_run_context();
   std::ostringstream os;
   os << "{\n  \"run_id\": \"" << json_escape(run.run_id)
-     << "\",\n  \"shard\": \"" << run.shard_label()
      << "\",\n  \"metrics\": [";
   bool first = true;
   for (const auto& s : snapshot()) {

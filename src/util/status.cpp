@@ -15,7 +15,6 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::kThermalLimit: return "kThermalLimit";
     case ErrorCode::kNumericalError: return "kNumericalError";
     case ErrorCode::kNotFound: return "kNotFound";
-    case ErrorCode::kFaultInjected: return "kFaultInjected";
     case ErrorCode::kInternal: return "kInternal";
   }
   return "kInternal";

@@ -58,8 +58,8 @@ CurrentContext& current_context_storage() {
 std::ostringstream event_head(const char* type, const RunContext& ctx) {
   std::ostringstream os;
   os << "{\"schema\": " << kTelemetrySchemaVersion << ", \"ev\": \"" << type
-     << "\", \"run\": \"" << json_escape(ctx.run_id) << "\", \"shard\": \""
-     << ctx.shard_label() << "\", \"ts_ms\": " << wall_clock_ms();
+     << "\", \"run\": \"" << json_escape(ctx.run_id)
+     << "\", \"ts_ms\": " << wall_clock_ms();
   return os;
 }
 
@@ -85,7 +85,7 @@ void append_number_array(std::ostringstream& os, const char* member,
 
 }  // namespace
 
-RunContext make_run_context(std::size_t shard_index, std::size_t shard_count) {
+RunContext make_run_context() {
   // The identity folds in everything that distinguishes two runs without
   // randomness: machine + binary provenance + wall clock + pid, plus a
   // process-local counter so two contexts made in one process differ.
@@ -97,8 +97,6 @@ RunContext make_run_context(std::size_t shard_index, std::size_t shard_count) {
   RunContext ctx;
   ctx.run_id = fnv1a_hex(identity.str()) + "-" +
                std::to_string(next.fetch_add(1, std::memory_order_relaxed));
-  ctx.shard_index = shard_index;
-  ctx.shard_count = shard_count;
   return ctx;
 }
 
@@ -227,13 +225,15 @@ void EventSink::sweep_start_impl(const std::string& fingerprint,
                                  std::size_t grid_size,
                                  const std::vector<std::string>& param_names,
                                  const std::vector<std::string>& metric_names,
-                                 std::size_t domain_size, int jobs) {
+                                 int jobs) {
   std::ostringstream os = event_head("sweep_start", current_run_context());
   os << ", \"fingerprint\": \"" << json_escape(fingerprint)
      << "\", \"grid_size\": " << grid_size;
   append_string_array(os, "params", param_names);
   append_string_array(os, "metrics", metric_names);
-  os << ", \"domain_size\": " << domain_size << ", \"jobs\": " << jobs << "}";
+  // A sweep evaluates the whole grid; schema-1 readers still read
+  // domain_size, the count of points the run evaluates.
+  os << ", \"domain_size\": " << grid_size << ", \"jobs\": " << jobs << "}";
   append_line(os.str());
 }
 
@@ -276,22 +276,6 @@ void EventSink::checkpoint_flush_impl(std::size_t completed,
   // The sweep runner emits this BEFORE saving the checkpoint: syncing here
   // guarantees every row in the checkpoint has its point_done on disk.
   flush(true);
-}
-
-void EventSink::shard_info_impl(std::size_t shard_index,
-                                std::size_t shard_count,
-                                std::size_t domain_size,
-                                const std::vector<std::size_t>& sentinels) {
-  std::ostringstream os = event_head("shard_info", current_run_context());
-  os << ", \"shard_index\": " << shard_index
-     << ", \"shard_count\": " << shard_count
-     << ", \"domain_size\": " << domain_size << ", \"sentinels\": [";
-  for (std::size_t i = 0; i < sentinels.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << sentinels[i];
-  }
-  os << "]}";
-  append_line(os.str());
 }
 
 void EventSink::progress_impl(std::size_t done, std::size_t total,

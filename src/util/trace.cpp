@@ -101,8 +101,8 @@ std::string TraceRecorder::to_chrome_json() const {
   const RunContext run = current_run_context();
   std::ostringstream os;
   os << "{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {"
-     << "\"run_id\": \"" << json_escape(run.run_id) << "\", \"shard\": \""
-     << run.shard_label() << "\", \"dropped_events\": " << dropped
+     << "\"run_id\": \"" << json_escape(run.run_id)
+     << "\", \"dropped_events\": " << dropped
      << "},\n  \"traceEvents\": [";
   bool first = true;
   // Metadata events first: a process name plus one thread_name per flight-

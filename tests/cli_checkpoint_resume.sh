@@ -1,16 +1,14 @@
 #!/bin/sh
-# Integration test for the sweep checkpoint/restart + sharding flow
-# (DESIGN.md §13):
+# Integration test for the sweep checkpoint/restart flow (DESIGN.md §13):
 #
 #  1. SIGTERM mid-sweep -> exit 5 (interrupted, resumable), then --resume
 #     reproduces the uninterrupted run's stdout/stderr byte for byte.
 #  2. SIGKILL mid-sweep (no handler can run) -> the last atomic checkpoint
 #     is intact and --resume still reproduces the run byte for byte.
-#  3. --shard 0/4..3/4 + merge is byte-identical to the unsharded sweep at
-#     --jobs 1 and --jobs 8.
-#  4. Refusals: resuming against a different config exits 3; a bad --shard
-#     spec, a bare merge, and --resume / --checkpoint-interval without
-#     --checkpoint exit 2; an existing checkpoint without --resume exits 3.
+#  3. Refusals: an existing checkpoint without --resume, resuming against a
+#     different config, a truncated checkpoint and a schema-1 checkpoint
+#     exit 3; --resume / --checkpoint-interval without --checkpoint, and the
+#     retired `merge` command and --shard flag, exit 2.
 #
 # Usage: cli_checkpoint_resume.sh /path/to/uld3d_cli
 set -u
@@ -94,27 +92,9 @@ else
   echo "note: sweep always finished before SIGKILL; skipping kill check" >&2
 fi
 
-# --- 3. shard + merge equivalence at --jobs 1 and 8 -------------------------
-for jobs in 1 8; do
-  for i in 0 1 2 3; do
-    "$cli" sweep --keep-going --jobs "$jobs" --shard "$i/4" \
-      --checkpoint "$tmpdir/shard_${jobs}_${i}.json" > /dev/null 2>&1 \
-      || fail "shard $i/4 at --jobs $jobs failed"
-  done
-  "$cli" merge "$tmpdir/shard_${jobs}_0.json" "$tmpdir/shard_${jobs}_1.json" \
-    "$tmpdir/shard_${jobs}_2.json" "$tmpdir/shard_${jobs}_3.json" \
-    > "$tmpdir/merged_$jobs.out" 2> "$tmpdir/merged_$jobs.err" \
-    || fail "merge at --jobs $jobs failed"
-  cmp -s "$tmpdir/ref.out" "$tmpdir/merged_$jobs.out" \
-    || fail "merged stdout at --jobs $jobs differs from unsharded sweep"
-  cmp -s "$tmpdir/ref.err" "$tmpdir/merged_$jobs.err" \
-    || fail "merged stderr at --jobs $jobs differs from unsharded sweep"
-done
-
-# --- 4. refusals ------------------------------------------------------------
+# --- 3. refusals ------------------------------------------------------------
 # Existing checkpoint without --resume: refuse to clobber completed work.
-"$cli" sweep --keep-going --checkpoint "$tmpdir/shard_1_0.json" \
-  > /dev/null 2>&1
+"$cli" sweep --keep-going --checkpoint "$tmpdir/term.json" > /dev/null 2>&1
 [ $? -eq 3 ] || fail "checkpoint without --resume should exit 3"
 
 # Checkpoint from a different sweep identity (other network): refused.
@@ -122,24 +102,22 @@ done
   --checkpoint "$tmpdir/term.json" --resume > /dev/null 2>&1
 [ $? -eq 3 ] || fail "fingerprint mismatch on resume should exit 3"
 
-# Same identity mismatch caught at merge time too.
-"$cli" merge --network alexnet "$tmpdir/shard_1_0.json" \
-  "$tmpdir/shard_1_1.json" "$tmpdir/shard_1_2.json" \
-  "$tmpdir/shard_1_3.json" > /dev/null 2>&1
-[ $? -eq 3 ] || fail "fingerprint mismatch on merge should exit 3"
-
 # Truncated checkpoint: clean config error, not a crash.
 head -c 60 "$tmpdir/term.json" > "$tmpdir/trunc.json"
-"$cli" merge "$tmpdir/trunc.json" > /dev/null 2>&1
+"$cli" sweep --checkpoint "$tmpdir/trunc.json" --resume > /dev/null 2>&1
 [ $? -eq 3 ] || fail "truncated checkpoint should exit 3"
 
+# A schema-1 checkpoint (it still carried the shard members) is refused.
+sed -e 's/"schema_version": 2,/"schema_version": 1,/' \
+  -e 's/^\(  "grid_size": [0-9]*,\)$/\1\n  "shard_index": 0,\n  "shard_count": 1,/' \
+  "$tmpdir/term.json" > "$tmpdir/schema1.json"
+grep -q '"shard_count": 1,' "$tmpdir/schema1.json" \
+  || fail "fixture: could not write a schema-1 checkpoint"
+"$cli" sweep --keep-going --checkpoint "$tmpdir/schema1.json" --resume \
+  > /dev/null 2>&1
+[ $? -eq 3 ] || fail "schema-1 checkpoint should exit 3"
+
 # Usage errors.
-"$cli" sweep --shard 4/4 > /dev/null 2>&1
-[ $? -eq 2 ] || fail "--shard 4/4 should exit 2"
-"$cli" sweep --shard banana > /dev/null 2>&1
-[ $? -eq 2 ] || fail "--shard banana should exit 2"
-"$cli" merge > /dev/null 2>&1
-[ $? -eq 2 ] || fail "bare merge should exit 2"
 "$cli" sweep --checkpoint-interval 0 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "--checkpoint-interval 0 should exit 2"
 # --resume / --checkpoint-interval act only on a checkpoint; without one
@@ -148,6 +126,11 @@ head -c 60 "$tmpdir/term.json" > "$tmpdir/trunc.json"
 [ $? -eq 2 ] || fail "--resume without --checkpoint should exit 2"
 "$cli" sweep --checkpoint-interval 5 > /dev/null 2>&1
 [ $? -eq 2 ] || fail "--checkpoint-interval without --checkpoint should exit 2"
+# Sharding is retired: the command and the flag are unknown.
+"$cli" merge "$tmpdir/term.json" > /dev/null 2>&1
+[ $? -eq 2 ] || fail "merge should exit 2"
+"$cli" sweep --shard 0/4 > /dev/null 2>&1
+[ $? -eq 2 ] || fail "--shard 0/4 should exit 2"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures checkpoint/resume check(s) failed" >&2

@@ -16,12 +16,17 @@
 #  6. A stream whose run_start provenance still carries "simd_isa" (every
 #     stream recorded while the batch kernels existed) loads in every mode,
 #     and its canonical projection is that of the same stream without it.
+#  7. A stream recorded while sharding existed ("shard" labels on every
+#     line, a shard_info event) loads in every mode, canonicalizes like the
+#     same stream without them, and uld3d-diff compares it cleanly.
 #
 # Usage: cli_telemetry.sh /path/to/uld3d_cli /path/to/uld3d-report
+#        /path/to/uld3d-diff
 set -u
 
 cli="$1"
 report="$2"
+diff_tool="$3"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 failures=0
@@ -144,6 +149,30 @@ grep -q 'simd_isa' "$tmpdir/simd.json" \
   || fail "stream with simd_isa: --canon should exit 0"
 cmp -s "$tmpdir/canonsimd.txt" "$tmpdir/canon1.txt" \
   || fail "simd_isa changed the canonical projection"
+
+# --- 7. streams recorded with shard labels and shard_info events ------------
+# Such a stream labels every line "shard": "i/N" after the run id, and a
+# sharded run wrote a shard_info event right after its sweep_start.
+sed -e 's/^\({"schema": [0-9]*, "ev": "[a-z_]*", "run": "[^"]*"\), /\1, "shard": "2\/4", /' \
+  -e '/"ev": "sweep_start"/{p;s/"ev": "sweep_start"\(.*"ts_ms": [0-9]*\).*$/"ev": "shard_info"\1, "shard_index": 2, "shard_count": 4, "domain_size": 9, "sentinels": [0, 5, 10, 15]}/;}' \
+  "$tmpdir/ev1.ndjson" > "$tmpdir/evshard.ndjson"
+lines="$(wc -l < "$tmpdir/ev1.ndjson")"
+labelled="$(grep -c '"shard": "2/4", "ts_ms"' "$tmpdir/evshard.ndjson")"
+[ "$labelled" -eq $((lines + 1)) ] \
+  || fail "fixture: $labelled of $((lines + 1)) lines carry a shard label"
+grep -q '"ev": "shard_info", "run": "[^"]*", "shard": "2/4"' \
+  "$tmpdir/evshard.ndjson" || fail "fixture: no shard_info event"
+"$report" "$tmpdir/evshard.ndjson" >/dev/null 2>&1 \
+  || fail "stream with shard labels: summary should exit 0"
+"$report" --json "$tmpdir/evshard.ndjson" >/dev/null 2>&1 \
+  || fail "stream with shard labels: --json should exit 0"
+"$report" --canon "$tmpdir/evshard.ndjson" > "$tmpdir/canonshard.txt" \
+  || fail "stream with shard labels: --canon should exit 0"
+cmp -s "$tmpdir/canonshard.txt" "$tmpdir/canon1.txt" \
+  || fail "shard labels changed the canonical projection"
+"$diff_tool" "$tmpdir/ev1.ndjson" "$tmpdir/evshard.ndjson" >/dev/null 2>&1
+code=$?
+[ "$code" -eq 0 ] || fail "uld3d-diff of the shard-labelled copy: expected exit 0, got $code"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures telemetry check(s) failed" >&2

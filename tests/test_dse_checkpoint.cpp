@@ -1,5 +1,5 @@
-// dse/checkpoint: sweep checkpoint round-trips, refusal rules, interrupt +
-// resume byte-identity, and deterministic shard/merge equivalence.
+// dse/checkpoint: sweep checkpoint round-trips, refusal rules, and
+// interrupt + resume byte-identity.
 //
 // The load-bearing guarantees (ROADMAP item 2):
 //  * a checkpoint round-trips SweepRows BIT-exactly (doubles through %.17g),
@@ -7,14 +7,11 @@
 //  * a checkpoint is refused against a different grid/config (fingerprint),
 //    and a torn/tampered file is refused by structural validation;
 //  * an interrupted-then-resumed sweep produces rows, failure_summary() and
-//    table output identical to an uninterrupted run at any jobs count;
-//  * shards 0..N-1 merge into a result identical to the unsharded sweep,
-//    and a sentinel row that disagrees across shards is detected.
+//    table output identical to an uninterrupted run at any jobs count.
 #include "uld3d/dse/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -86,54 +83,6 @@ void expect_rows_identical(const std::vector<SweepRow>& a,
   }
 }
 
-TEST(ShardSpecTest, ParsesValidSpecs) {
-  const ShardSpec s = parse_shard_spec("2/8");
-  EXPECT_EQ(s.index, 2u);
-  EXPECT_EQ(s.count, 8u);
-  EXPECT_TRUE(s.sharded());
-  EXPECT_FALSE(parse_shard_spec("0/1").sharded());
-}
-
-TEST(ShardSpecTest, RejectsMalformedSpecs) {
-  for (const char* bad : {"", "3", "/4", "4/", "4/4", "5/4", "-1/4", "a/b",
-                          "1/4x", "1//4"}) {
-    EXPECT_THROW((void)parse_shard_spec(bad), StatusError) << bad;
-  }
-}
-
-TEST(ShardDomainTest, ShardsPartitionTheGridAndShareSentinels) {
-  const std::size_t grid_size = 23;  // prime: no axis-aligned accidents
-  const std::size_t count = 4;
-  const std::vector<std::size_t> sentinels =
-      sentinel_indices(grid_size, ShardSpec{0, count});
-  ASSERT_FALSE(sentinels.empty());
-  std::vector<int> owners(grid_size, 0);
-  for (std::size_t s = 0; s < count; ++s) {
-    const auto domain = shard_domain(grid_size, ShardSpec{s, count});
-    EXPECT_TRUE(std::is_sorted(domain.begin(), domain.end()));
-    EXPECT_TRUE(std::adjacent_find(domain.begin(), domain.end()) ==
-                domain.end());  // no duplicates within a shard
-    for (const std::size_t g : domain) {
-      ASSERT_LT(g, grid_size);
-      const bool owned = g % count == s;
-      const bool sentinel =
-          std::binary_search(sentinels.begin(), sentinels.end(), g);
-      EXPECT_TRUE(owned || sentinel) << "shard " << s << " point " << g;
-      if (owned) ++owners[g];
-    }
-  }
-  // Strided ownership covers every point exactly once.
-  EXPECT_TRUE(std::all_of(owners.begin(), owners.end(),
-                          [](int n) { return n == 1; }));
-}
-
-TEST(ShardDomainTest, UnshardedRunsHaveNoSentinels) {
-  EXPECT_TRUE(sentinel_indices(100, ShardSpec{0, 1}).empty());
-  const auto domain = shard_domain(12, ShardSpec{0, 1});
-  ASSERT_EQ(domain.size(), 12u);
-  for (std::size_t g = 0; g < 12; ++g) EXPECT_EQ(domain[g], g);
-}
-
 TEST(FingerprintTest, SensitiveToGridMetricsAndConfig) {
   const Grid grid = small_grid();
   const std::string base = sweep_fingerprint(grid, metrics2(), "cfg");
@@ -203,23 +152,19 @@ TEST(CheckpointRefusalTest, FingerprintMismatchIsRefused) {
   ckpt.fingerprint = "aaaa";
   ckpt.grid_size = 12;
   try {
-    validate_checkpoint(ckpt, 12, "bbbb", ShardSpec{});
+    validate_checkpoint(ckpt, 12, "bbbb");
     FAIL() << "expected StatusError";
   } catch (const StatusError& error) {
     EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
   }
 }
 
-TEST(CheckpointRefusalTest, GridSizeAndShardMismatchAreRefused) {
+TEST(CheckpointRefusalTest, GridSizeMismatchIsRefused) {
   SweepCheckpoint ckpt;
   ckpt.fingerprint = "aaaa";
   ckpt.grid_size = 12;
-  ckpt.shard = ShardSpec{1, 4};
-  EXPECT_THROW(validate_checkpoint(ckpt, 13, "aaaa", ShardSpec{1, 4}),
-               StatusError);
-  EXPECT_THROW(validate_checkpoint(ckpt, 12, "aaaa", ShardSpec{2, 4}),
-               StatusError);
-  validate_checkpoint(ckpt, 12, "aaaa", ShardSpec{1, 4});  // matching: ok
+  EXPECT_THROW(validate_checkpoint(ckpt, 13, "aaaa"), StatusError);
+  validate_checkpoint(ckpt, 12, "aaaa");  // matching: ok
 }
 
 TEST(CheckpointRefusalTest, TamperedFilesAreRefused) {
@@ -272,24 +217,46 @@ TEST(CheckpointRefusalTest, TamperedFilesAreRefused) {
   EXPECT_THROW((void)load_checkpoint(path), StatusError);
 }
 
-TEST(CheckpointRefusalTest, FutureSchemaVersionIsRefused) {
+/// A valid empty checkpoint file whose schema_version reads `version`.
+std::string checkpoint_with_version(const std::string& name,
+                                    const std::string& version) {
   SweepCheckpoint ckpt;
   ckpt.fingerprint = "f";
   ckpt.grid_size = 0;
   ckpt.metric_names = {"m"};
-  const std::string path = temp_path("ckpt_future.json");
+  const std::string path = temp_path(name);
   save_checkpoint(ckpt, path);
   std::ifstream in(path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   std::string text = buffer.str();
   in.close();
-  const std::size_t pos = text.find("\"schema_version\": 1");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, std::strlen("\"schema_version\": 1"),
-               "\"schema_version\": 99");
+  const std::string current =
+      "\"schema_version\": " + std::to_string(kCheckpointSchemaVersion);
+  const std::size_t pos = text.find(current);
+  EXPECT_NE(pos, std::string::npos);
+  if (pos != std::string::npos) {
+    text.replace(pos, current.size(), "\"schema_version\": " + version);
+  }
   std::ofstream(path) << text;
+  return path;
+}
+
+TEST(CheckpointRefusalTest, FutureSchemaVersionIsRefused) {
+  const std::string path = checkpoint_with_version("ckpt_future.json", "99");
   EXPECT_THROW((void)load_checkpoint(path), StatusError);
+}
+
+TEST(CheckpointRefusalTest, SchemaOneCheckpointIsRefused) {
+  // Schema 1 carried shard_index/shard_count; a file written by such a
+  // build must be refused, not resumed with those members ignored.
+  const std::string path = checkpoint_with_version("ckpt_schema1.json", "1");
+  try {
+    (void)load_checkpoint(path);
+    FAIL() << "expected StatusError";
+  } catch (const StatusError& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
+  }
 }
 
 TEST(ResumableSweepTest, MatchesPlainSweepWithoutInterruption) {
@@ -454,103 +421,10 @@ TEST(ResumableSweepTest, ResumingACompleteSweepReEvaluatesNothing) {
   std::remove(path.c_str());
 }
 
-TEST(ShardMergeTest, ShardsMergeToTheUnshardedResultAtAnyJobs) {
-  const Grid grid = small_grid();
-  const SweepResult plain = run_sweep(grid, metrics2(), eval_point,
-                                      {ErrorPolicy::kSkipAndRecord, 1});
-  for (const int jobs : {1, 8}) {
-    const std::size_t count = 4;
-    std::vector<std::string> paths;
-    for (std::size_t s = 0; s < count; ++s) {
-      const std::string path = temp_path(
-          "ckpt_shard_" + std::to_string(jobs) + "_" + std::to_string(s) +
-          ".json");
-      std::remove(path.c_str());
-      SweepOptions options;
-      options.jobs = jobs;
-      options.shard = ShardSpec{s, count};
-      options.checkpoint_path = path;
-      options.config_hash = "cfg";
-      (void)run_sweep(grid, metrics2(), eval_point, options);
-      paths.push_back(path);
-    }
-    // Merge accepts the files in any order.
-    std::rotate(paths.begin(), paths.begin() + 1, paths.end());
-    const SweepResult merged =
-        merge_shards(grid, metrics2(), "cfg", paths);
-    expect_rows_identical(merged.rows(), plain.rows());
-    EXPECT_EQ(merged.failure_summary(), plain.failure_summary());
-    EXPECT_EQ(merged.to_table().to_csv(), plain.to_table().to_csv());
-    for (const std::string& path : paths) std::remove(path.c_str());
-  }
-}
-
-TEST(ShardMergeTest, TamperedSentinelIsDetected) {
-  const Grid grid = small_grid();
-  const std::size_t count = 3;
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < count; ++s) {
-    const std::string path =
-        temp_path("ckpt_sentinel_" + std::to_string(s) + ".json");
-    std::remove(path.c_str());
-    SweepOptions options;
-    options.jobs = 1;
-    options.shard = ShardSpec{s, count};
-    options.checkpoint_path = path;
-    (void)run_sweep(grid, metrics2(), eval_point, options);
-    paths.push_back(path);
-  }
-  // Flip one bit of a sentinel metric in shard 1 — as if that machine ran a
-  // subtly different binary.  merge must refuse, not silently stitch.
-  SweepCheckpoint tampered = load_checkpoint(paths[1]);
-  const std::vector<std::size_t> sentinels =
-      sentinel_indices(grid.size(), ShardSpec{0, count});
-  ASSERT_FALSE(sentinels.empty());
-  const std::size_t victim = sentinels.front();
-  const auto it = std::find_if(
-      tampered.rows.begin(), tampered.rows.end(),
-      [&](const SweepRow& row) { return row.grid_index == victim; });
-  ASSERT_NE(it, tampered.rows.end());
-  it->metrics[0] = std::nextafter(it->metrics[0],
-                                  std::numeric_limits<double>::infinity());
-  save_checkpoint(tampered, paths[1]);
-  try {
-    (void)merge_shards(grid, metrics2(), "", paths);
-    FAIL() << "expected StatusError";
-  } catch (const StatusError& error) {
-    EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
-    EXPECT_NE(std::string(error.what()).find("sentinel"), std::string::npos);
-  }
-  for (const std::string& path : paths) std::remove(path.c_str());
-}
-
-TEST(ShardMergeTest, MissingAndIncompleteShardsAreRefused) {
-  const Grid grid = small_grid();
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < 2; ++s) {
-    const std::string path =
-        temp_path("ckpt_missing_" + std::to_string(s) + ".json");
-    std::remove(path.c_str());
-    SweepOptions options;
-    options.jobs = 1;
-    options.shard = ShardSpec{s, 4};  // produced as 4-way shards...
-    options.checkpoint_path = path;
-    (void)run_sweep(grid, metrics2(), eval_point, options);
-    paths.push_back(path);
-  }
-  // ...but only 2 files offered: the shard set {0..3} is incomplete.
-  EXPECT_THROW((void)merge_shards(grid, metrics2(), "", paths), StatusError);
-  // Duplicate shard files do not fake completeness either.
-  EXPECT_THROW((void)merge_shards(grid, metrics2(), "",
-                                  {paths[0], paths[0], paths[1], paths[1]}),
-               StatusError);
-  for (const std::string& path : paths) std::remove(path.c_str());
-}
-
 TEST(FailureSummaryTest, ItemizesInGridIndexOrderNotStorageOrder) {
-  // Regression: a merged/resumed result can hold rows whose storage order
-  // differs from grid order; the summary must label and order points by
-  // grid_index so it is byte-identical to the uninterrupted run's.
+  // A result can hold rows whose storage order differs from grid order;
+  // the summary must label and order points by grid_index so it does not
+  // depend on how the rows were assembled.
   SweepRow a;
   a.grid_index = 7;
   a.params = {1.0};

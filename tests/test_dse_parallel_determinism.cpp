@@ -1,6 +1,6 @@
 // Parallel-vs-serial determinism: the sweep and sensitivity engines must
 // produce BIT-IDENTICAL results at every jobs count, under both error
-// policies, and with the fault injector armed (which pins them to serial).
+// policies.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 
 #include "uld3d/dse/sensitivity.hpp"
 #include "uld3d/dse/sweep.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/parallel.hpp"
 #include "uld3d/util/status.hpp"
 
@@ -19,14 +18,8 @@ namespace {
 
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    parallel::set_jobs(0);
-    FaultInjector::instance().reset();
-  }
-  void TearDown() override {
-    parallel::set_jobs(0);
-    FaultInjector::instance().reset();
-  }
+  void SetUp() override { parallel::set_jobs(0); }
+  void TearDown() override { parallel::set_jobs(0); }
 };
 
 /// Bitwise double equality (NaN payloads included).
@@ -133,31 +126,6 @@ TEST_F(ParallelDeterminismTest, FailFastThrowsSameFirstFailureAcrossJobs) {
     }
   }
   EXPECT_FALSE(reference.empty());
-}
-
-TEST_F(ParallelDeterminismTest, ArmedInjectorPinsSweepToSerialOrder) {
-  // Plans trip on arrival order, which only a serial walk reproduces: with
-  // the injector armed the sweep must hit exactly the serially-4th point
-  // even when asked for 8 jobs.
-  Grid g;
-  g.axis("x", {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0});
-  const auto evaluate = [](const std::vector<double>& p) {
-    return std::vector<double>{p[0] * 2.0};
-  };
-  FaultInjector::instance().arm(
-      "dse.sweep.point", Failure(ErrorCode::kNumericalError, "injected"),
-      /*skip=*/3, /*count=*/1);
-  const SweepOptions opts{ErrorPolicy::kSkipAndRecord, /*jobs=*/8, {}, {}};
-  const SweepResult result = run_sweep(g, {"m"}, evaluate, opts);
-  ASSERT_EQ(result.failed_count(), 1u);
-  EXPECT_EQ(result.failed_rows()[0], 3u);
-
-  FaultInjector::instance().reset();
-  FaultInjector::instance().arm(
-      "dse.sweep.point", Failure(ErrorCode::kNumericalError, "injected"),
-      /*skip=*/3, /*count=*/1);
-  const SweepOptions serial{ErrorPolicy::kSkipAndRecord, /*jobs=*/1, {}, {}};
-  expect_rows_identical(run_sweep(g, {"m"}, evaluate, serial), result, 8);
 }
 
 TEST_F(ParallelDeterminismTest, SensitivityBitIdenticalAcrossJobs) {

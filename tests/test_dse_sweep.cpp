@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "uld3d/util/check.hpp"
 
 namespace uld3d::dse {
@@ -38,7 +40,8 @@ TEST(Grid, Validation) {
 
 TEST(Sweep, EvaluatesEveryPoint) {
   const Grid g = grid2x3();
-  int calls = 0;
+  // Pool workers evaluate points concurrently once ULD3D_JOBS > 1.
+  std::atomic<int> calls{0};
   const auto result = run_sweep(g, {"product", "sum"},
                                 [&](const std::vector<double>& p) {
                                   ++calls;

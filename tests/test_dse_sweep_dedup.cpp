@@ -270,33 +270,6 @@ TEST_F(SweepDedupTest, InterruptAndResumeWithDedupStaysBitIdentical) {
   std::remove(path.c_str());
 }
 
-TEST_F(SweepDedupTest, ShardedDedupMergesIntoTheReferenceResult) {
-  const Grid grid = blind_axis_grid();
-  std::atomic<int> calls{0};
-  const auto evaluate = [&](const std::vector<double>& p) {
-    return eval_xy(p, calls);
-  };
-  const SweepResult reference = run_sweep(grid, metrics2(), evaluate, {});
-
-  const std::size_t shard_count = 3;
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const std::string path =
-        temp_path("dedup_shard_" + std::to_string(s) + ".json");
-    std::remove(path.c_str());
-    SweepOptions options;
-    options.jobs = 1;
-    options.shard = ShardSpec{s, shard_count};
-    options.checkpoint_path = path;
-    options.point_key = key_xy;  // dedup within each shard's domain
-    (void)run_sweep(grid, metrics2(), evaluate, options);
-    paths.push_back(path);
-  }
-  const SweepResult merged = merge_shards(grid, metrics2(), "", paths);
-  expect_rows_identical(merged.rows(), reference.rows());
-  for (const std::string& path : paths) std::remove(path.c_str());
-}
-
 // Progress counts finished POINTS: a representative's work item also
 // finishes its aliases, so a keyed checkpointed sweep over an
 // evaluator-blind axis must still end at done == total, not at the number

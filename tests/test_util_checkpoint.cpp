@@ -1,14 +1,15 @@
 // util/checkpoint: atomic file writes + interrupt plumbing.
 //
 // The atomicity contract under test: whatever goes wrong between opening the
-// temp file and the final rename — an unwritable directory, a short write, a
-// crash injected at the "util.export.atomic_write" fault site — the
-// DESTINATION path is never created (or, when overwriting, never torn), and
-// no temp litter survives a failed attempt.
+// temp file and the final rename — an unwritable directory, a temp path that
+// cannot be opened, a rename that fails — the DESTINATION path is never
+// created (or, when overwriting, never torn), and no temp litter survives a
+// failed attempt.
 #include "uld3d/util/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -16,9 +17,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-
-#include "uld3d/util/fault.hpp"
-#include "uld3d/util/status.hpp"
 
 namespace uld3d {
 namespace {
@@ -65,32 +63,31 @@ TEST(AtomicWrite, EmptyContentYieldsEmptyFile) {
   EXPECT_EQ(slurp(path), "");
 }
 
-// The crash-consistency test: a fault injected between the temp write and
-// the rename simulates a process dying mid-emission.  The destination must
-// not appear and the temp file must be cleaned up on the unwind path.
-TEST(AtomicWrite, InjectedCrashBeforeRenameLeavesNoDestination) {
-  const std::string path = temp_path("atomic_crash.txt");
+// A rename that fails after the temp file is complete (here: a directory
+// sits at the destination) must not leave the temp file behind.
+TEST(AtomicWrite, FailedRenameRemovesTempFile) {
+  const std::string path = temp_path("atomic_rename_fails");
+  const std::string temp = path + ".tmp." + std::to_string(getpid());
   std::remove(path.c_str());
-  FaultInjector::instance().arm(
-      "util.export.atomic_write",
-      Failure(ErrorCode::kFaultInjected, "simulated crash before rename"));
-  EXPECT_THROW(write_file_atomic(path, "must never land"), StatusError);
-  FaultInjector::instance().reset();
-  EXPECT_FALSE(exists(path));
-  EXPECT_FALSE(exists(path + ".tmp." + std::to_string(getpid())));
-  // The writer recovers fully once the fault is gone.
+  ASSERT_EQ(::mkdir(path.c_str(), 0700), 0);
+  EXPECT_FALSE(write_file_atomic(path, "must never land"));
+  EXPECT_FALSE(exists(temp));
+  // The writer recovers fully once the obstacle is gone.
+  ASSERT_EQ(::rmdir(path.c_str()), 0);
   ASSERT_TRUE(write_file_atomic(path, "landed"));
   EXPECT_EQ(slurp(path), "landed");
+  std::remove(path.c_str());
 }
 
-TEST(AtomicWrite, InjectedCrashPreservesPreviousContent) {
-  const std::string path = temp_path("atomic_crash_keep.txt");
+// A temp file that cannot be opened (here: a directory occupies the temp
+// path) fails the write before anything touches the destination.
+TEST(AtomicWrite, FailedTempOpenPreservesPreviousContent) {
+  const std::string path = temp_path("atomic_temp_blocked.txt");
+  const std::string temp = path + ".tmp." + std::to_string(getpid());
   ASSERT_TRUE(write_file_atomic(path, "generation 1"));
-  FaultInjector::instance().arm(
-      "util.export.atomic_write",
-      Failure(ErrorCode::kFaultInjected, "simulated crash before rename"));
-  EXPECT_THROW(write_file_atomic(path, "generation 2"), StatusError);
-  FaultInjector::instance().reset();
+  ASSERT_EQ(::mkdir(temp.c_str(), 0700), 0);
+  EXPECT_FALSE(write_file_atomic(path, "generation 2"));
+  ASSERT_EQ(::rmdir(temp.c_str()), 0);
   // Old complete file, not a torn mixture.
   EXPECT_EQ(slurp(path), "generation 1");
 }

@@ -42,8 +42,6 @@ class TelemetryTest : public ::testing::Test {
     EventSink::instance().close();
     RunContext ctx;
     ctx.run_id = "testrun";
-    ctx.shard_index = 0;
-    ctx.shard_count = 1;
     set_current_run_context(ctx);
   }
   void TearDown() override {
@@ -70,21 +68,11 @@ TEST_F(TelemetryTest, DisabledByDefaultAndEmitsNothing) {
   EXPECT_FALSE(EventSink::enabled());
 }
 
-TEST_F(TelemetryTest, RunContextShardLabel) {
-  RunContext ctx;
-  ctx.shard_index = 2;
-  ctx.shard_count = 8;
-  EXPECT_EQ(ctx.shard_label(), "2/8");
-  EXPECT_EQ(RunContext{}.shard_label(), "0/1");
-}
-
 TEST_F(TelemetryTest, MakeRunContextIsUniquePerCall) {
-  const RunContext a = make_run_context(0, 1);
-  const RunContext b = make_run_context(3, 4);
+  const RunContext a = make_run_context();
+  const RunContext b = make_run_context();
   EXPECT_FALSE(a.run_id.empty());
   EXPECT_NE(a.run_id, b.run_id);
-  EXPECT_EQ(b.shard_index, 3u);
-  EXPECT_EQ(b.shard_count, 4u);
   // Same process identity: the ids differ only by the trailing counter.
   EXPECT_EQ(a.run_id.substr(0, a.run_id.find('-')),
             b.run_id.substr(0, b.run_id.find('-')));
@@ -95,9 +83,8 @@ TEST_F(TelemetryTest, EveryEventLineIsSchemaStampedJson) {
   EventSink& sink = EventSink::instance();
   EXPECT_TRUE(EventSink::enabled());
   sink.emit_run_start(capture_provenance(), "unit test command");
-  sink.emit_sweep_start("fp", 10, {"a", "b"}, {"m"}, 10, 4);
+  sink.emit_sweep_start("fp", 10, {"a", "b"}, {"m"}, 4);
   sink.emit_point_done(3, {1.0, 2.0}, {3.0}, nullptr, 12.5);
-  sink.emit_shard_info(0, 1, 10, {});
   sink.emit_checkpoint_flush(5, 10, "ckpt.json");
   sink.emit_progress(5, 10, 4, 1, 2.5, 2.0, 7);
   sink.emit_stage("test.stage", 99.0);
@@ -105,17 +92,17 @@ TEST_F(TelemetryTest, EveryEventLineIsSchemaStampedJson) {
   sink.close();
 
   const std::vector<std::string> lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 8u);
+  ASSERT_EQ(lines.size(), 7u);
   const std::vector<std::string> expected = {
-      "run_start", "sweep_start", "point_done",      "shard_info",
-      "checkpoint_flush", "progress", "stage", "run_end"};
+      "run_start", "sweep_start", "point_done", "checkpoint_flush",
+      "progress",  "stage",       "run_end"};
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const JsonValue event = json_parse(lines[i]);  // throws on bad JSON
     EXPECT_EQ(event.number_or("schema", -1.0),
               static_cast<double>(kTelemetrySchemaVersion));
     EXPECT_EQ(event.at("ev").as_string(), expected[i]) << lines[i];
     EXPECT_EQ(event.at("run").as_string(), "testrun");
-    EXPECT_EQ(event.at("shard").as_string(), "0/1");
+    EXPECT_EQ(event.find("shard"), nullptr);
     EXPECT_TRUE(event.at("ts_ms").is_number());
   }
 }

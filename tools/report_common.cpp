@@ -85,7 +85,6 @@ StreamSummary summarize(const EventStream& stream) {
       it = run_index.emplace(run_id, s.runs.size()).first;
       RunInfo info;
       info.id = run_id;
-      info.shard = event.string_or("shard", "?");
       s.runs.push_back(std::move(info));
     }
     RunInfo& run = s.runs[it->second];
@@ -139,15 +138,6 @@ StreamSummary summarize(const EventStream& stream) {
       ++s.checkpoints;
     } else if (type == "progress") {
       ++s.progress_events;
-    } else if (type == "shard_info") {
-      std::ostringstream os;
-      os << "shard "
-         << static_cast<std::uint64_t>(event.number_or("shard_index", 0)) << "/"
-         << static_cast<std::uint64_t>(event.number_or("shard_count", 0))
-         << ", domain "
-         << static_cast<std::uint64_t>(event.number_or("domain_size", 0))
-         << " points";
-      s.shard_line = os.str();
     }
   }
   return s;
@@ -165,8 +155,7 @@ std::string summary_to_json(const StreamSummary& summary,
   for (std::size_t i = 0; i < summary.runs.size(); ++i) {
     const RunInfo& run = summary.runs[i];
     if (i > 0) os << ", ";
-    os << "{\"run\": \"" << json_escape(run.id) << "\", \"shard\": \""
-       << json_escape(run.shard) << "\", \"status\": \""
+    os << "{\"run\": \"" << json_escape(run.id) << "\", \"status\": \""
        << json_escape(run.status) << "\", \"exit_code\": ";
     if (run.exit_code == "-") {
       os << "null";

@@ -44,7 +44,6 @@ std::uint64_t index_of(const JsonValue& event);
 /// One run's identity row (a stream may hold several: resume appends).
 struct RunInfo {
   std::string id;
-  std::string shard;
   std::string command;
   std::string git_sha;
   std::string status = "(no run_end)";  ///< crash/kill leaves no run_end
@@ -76,7 +75,6 @@ struct StreamSummary {
   std::size_t domain_size = 0;
   int jobs = 0;
   std::string sweep_line;  ///< human-readable sweep identity ("" = none)
-  std::string shard_line;  ///< human-readable shard_info ("" = none)
   std::map<std::string, std::size_t> failure_counts;  ///< code -> count
   std::map<std::string, StageAgg> stages;             ///< name -> aggregate
   std::vector<PointTiming> timings;  ///< file order, duplicates included

@@ -8,7 +8,6 @@
 //                       [--mapper]    price design points with the temporal
 //                                     mapper instead of the analytic EDP
 //                                     model (exercises the MapCache)
-//   uld3d_cli merge     CKPT...                         stitch shard runs
 //   uld3d_cli dump-config                               print the defaults
 //
 // Global flags: --strict        config warnings (unknown keys) become fatal
@@ -35,31 +34,25 @@
 //               --mapcache-file FILE  persistent MapCache store: load it
 //                               before the run (a corrupt file is refused,
 //                               exit 3; a missing one is a cold start) and
-//                               merge-save it after, so repeated runs,
-//                               --resume runs, and all shards of a sharded
-//                               sweep share one warm cache.
+//                               merge-save it after, so repeated runs and
+//                               --resume runs share one warm cache.
 //                               ULD3D_MAPCACHE_FILE mirrors the flag;
 //                               ULD3D_NO_MAPCACHE_FILE disables the layer.
 //
-// Sweep checkpoint/sharding flags (DESIGN.md §13):
+// Sweep checkpoint flags (DESIGN.md §13):
 //               --checkpoint FILE        periodically flush resumable sweep
 //                                        state; SIGINT/SIGTERM flush and
 //                                        exit 5 (interrupted, resumable)
 //               --resume                 continue an existing --checkpoint
 //               --checkpoint-interval N  flush every N completed points
-//               --shard i/N              evaluate only shard i of N (plus
-//                                        shared sentinel points); `merge`
-//                                        stitches the shard checkpoints
 //
 // Exit codes: 0 success, 2 usage error, 3 config error, 4 model/evaluation
 // error, 5 interrupted-but-resumable sweep, 1 internal error.  Diagnostics
 // go to stderr; results to stdout.
 //
 // `--config` files use the INI schema documented in uld3d/io/study_config.hpp.
-// ULD3D_FAULT=site=kCode[:skip[:count]] arms the deterministic fault
-// injector (testing the degraded paths end to end).  ULD3D_TRACE=FILE
-// mirrors --trace, and ULD3D_EVENTS=FILE mirrors --events, for runs
-// launched by scripts that cannot edit flags.
+// ULD3D_TRACE=FILE mirrors --trace, and ULD3D_EVENTS=FILE mirrors --events,
+// for runs launched by scripts that cannot edit flags.
 // ULD3D_SWEEP_DELAY_MS=N (test hook) sleeps N ms per design point so
 // integration tests can interrupt a sweep at a controlled depth.
 #include <chrono>
@@ -77,7 +70,6 @@
 #include "uld3d/accel/chip_summary.hpp"
 #include "uld3d/core/edp_model.hpp"
 #include "uld3d/core/workload.hpp"
-#include "uld3d/dse/checkpoint.hpp"
 #include "uld3d/dse/sweep.hpp"
 #include "uld3d/io/study_config.hpp"
 #include "uld3d/mapper/cost_model.hpp"
@@ -88,7 +80,6 @@
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/checkpoint.hpp"
 #include "uld3d/util/export.hpp"
-#include "uld3d/util/fault.hpp"
 #include "uld3d/util/flightrec.hpp"
 #include "uld3d/util/jsonv.hpp"
 #include "uld3d/util/metrics.hpp"
@@ -126,13 +117,12 @@ class ConfigError : public Error {
 };
 
 constexpr const char* kUsage =
-    "usage: uld3d_cli <compare|table1|datasheet|arch|sweep|merge|dump-config>\n"
+    "usage: uld3d_cli <compare|table1|datasheet|arch|sweep|dump-config>\n"
     "       [--network N] [--config FILE] [--strict] [--keep-going]\n"
     "       [--jobs N] [--trace FILE] [--metrics FILE] [--profile]\n"
     "       [--events FILE] [--progress] [--postmortem[=PATH]]\n"
     "       [--no-postmortem] [--mapper] [--mapcache-file FILE]\n"
-    "       [--checkpoint FILE] [--resume] [--checkpoint-interval N]\n"
-    "       [--shard i/N]  (merge takes shard checkpoint files as operands)";
+    "       [--checkpoint FILE] [--resume] [--checkpoint-interval N]";
 
 struct CliArgs {
   std::string command;
@@ -153,8 +143,6 @@ struct CliArgs {
   std::string checkpoint_path;           // sweep checkpoint file ("" = off)
   bool resume = false;                   // continue an existing checkpoint
   std::size_t checkpoint_interval = 64;  // flush every N completed points
-  dse::ShardSpec shard;                  // {0, 1} = whole grid
-  std::vector<std::string> operands;     // `merge` checkpoint files
 };
 
 CliArgs parse_args(int argc, char** argv) {
@@ -220,14 +208,6 @@ CliArgs parse_args(int argc, char** argv) {
       }
       args.checkpoint_interval = static_cast<std::size_t>(n);
       interval_given = true;
-    } else if (flag == "--shard" && i + 1 < argc) {
-      try {
-        args.shard = dse::parse_shard_spec(argv[++i]);
-      } catch (const StatusError& error) {
-        throw UsageError(std::string(error.what()) + "\n" + kUsage);
-      }
-    } else if (!flag.empty() && flag[0] != '-' && args.command == "merge") {
-      args.operands.push_back(flag);
     } else {
       throw UsageError("unknown argument: " + flag + "\n" + kUsage);
     }
@@ -254,16 +234,13 @@ class Observability {
         start_(std::chrono::steady_clock::now()) {
     // Run identity first: everything below (events, metrics JSON, trace
     // otherData, checkpoints) stamps these labels.
-    set_current_run_context(
-        make_run_context(args.shard.index, args.shard.count));
+    set_current_run_context(make_run_context());
     TraceRecorder& recorder = TraceRecorder::instance();
     recorder.configure_from_env();  // ULD3D_TRACE mirrors --trace
     if (trace_path_.empty()) trace_path_ = recorder.env_path();
     if (!trace_path_.empty() || profile_) recorder.set_enabled(true);
     if (!metrics_path_.empty() || profile_) {
       MetricsRegistry::set_enabled(true);
-      // Pre-register so reports show explicit zeros for quiet series.
-      MetricsRegistry::instance().counter("fault.injected_trips");
       MetricsRegistry::instance().counter("cli.runs").add();
     }
     EventSink& sink = EventSink::instance();
@@ -455,11 +432,11 @@ const std::vector<std::string>& sweep_metric_names() {
 
 /// Config identity folded into the checkpoint fingerprint: the network name
 /// plus the raw bytes of --config (if any), so a checkpoint from a
-/// different study config or network is refused on resume/merge.
+/// different study config or network is refused on resume.
 std::string sweep_config_hash(const CliArgs& args) {
   std::string identity = "network " + args.network + "\n";
   // --mapper prices the same grid with a different evaluator, so its
-  // checkpoints must never merge/resume against analytic ones.
+  // checkpoints must never resume against analytic ones.
   if (args.mapper_sweep) identity += "evaluator mapper\n";
   if (args.config_path.has_value()) {
     std::ifstream in(*args.config_path, std::ios::binary);
@@ -472,20 +449,6 @@ std::string sweep_config_hash(const CliArgs& args) {
     identity += "config " + content.str();
   }
   return fnv1a_hex(identity);
-}
-
-/// Shared result printing for `sweep` and `merge`, so a merged sharded run
-/// is byte-identical on stdout/stderr to the equivalent unsharded sweep.
-int print_sweep_result(const dse::SweepResult& result,
-                       const CliArgs& args, const std::string& net_name) {
-  emit_table(std::cout, result.to_table(), "M3D design space for " + net_name,
-             "cli_sweep_" + args.network);
-  if (result.failed_count() > 0) std::cerr << result.failure_summary();
-  const auto& best = result.rows()[result.best("edp_benefit")];
-  std::cout << "Best EDP point: " << format_double(best.params[0], 0)
-            << " MB, " << format_double(best.params[1], 0) << " CSs -> "
-            << format_ratio(best.metrics[0]) << "\n";
-  return kExitOk;
 }
 
 int run_sweep(const CliArgs& args) {
@@ -563,35 +526,28 @@ int run_sweep(const CliArgs& args) {
   options.policy = args.keep_going ? dse::ErrorPolicy::kSkipAndRecord
                                    : dse::ErrorPolicy::kFailFast;
   options.config_hash = sweep_config_hash(args);
-  options.shard = args.shard;
   options.checkpoint_path = args.checkpoint_path;
   options.resume = args.resume;
   options.checkpoint_interval = args.checkpoint_interval;
-  // Only a checkpointed or sharded sweep has state worth unwinding for; a
-  // plain sweep keeps the default signal disposition and dies on Ctrl-C.
-  if (!args.checkpoint_path.empty() || args.shard.sharded()) {
-    install_interrupt_handlers();
-  }
+  // Only a checkpointed sweep has state worth unwinding for; a plain sweep
+  // keeps the default signal disposition and dies on Ctrl-C.
+  if (!args.checkpoint_path.empty()) install_interrupt_handlers();
   try {
     const dse::SweepResult result =
         dse::run_sweep(grid, sweep_metric_names(), evaluate, options);
-    return print_sweep_result(result, args, net.name());
+    emit_table(std::cout, result.to_table(),
+               "M3D design space for " + net.name(),
+               "cli_sweep_" + args.network);
+    if (result.failed_count() > 0) std::cerr << result.failure_summary();
+    const auto& best = result.rows()[result.best("edp_benefit")];
+    std::cout << "Best EDP point: " << format_double(best.params[0], 0)
+              << " MB, " << format_double(best.params[1], 0) << " CSs -> "
+              << format_ratio(best.metrics[0]) << "\n";
+    return kExitOk;
   } catch (const dse::SweepInterrupted& interrupted) {
     std::cerr << "interrupted: " << interrupted.what() << "\n";
     return kExitInterrupted;
   }
-}
-
-int run_merge(const CliArgs& args) {
-  if (args.operands.empty()) {
-    throw UsageError(std::string("merge requires shard checkpoint files\n") +
-                     kUsage);
-  }
-  const nn::Network net = nn::make_network(args.network);
-  const dse::SweepResult result =
-      dse::merge_shards(sweep_grid(), sweep_metric_names(),
-                        sweep_config_hash(args), args.operands);
-  return print_sweep_result(result, args, net.name());
 }
 
 int run_dump_config(const CliArgs&) {
@@ -605,7 +561,6 @@ int dispatch(const CliArgs& args) {
   if (args.command == "datasheet") return run_datasheet(args);
   if (args.command == "arch") return run_arch(args);
   if (args.command == "sweep") return run_sweep(args);
-  if (args.command == "merge") return run_merge(args);
   if (args.command == "dump-config") return run_dump_config(args);
   throw UsageError("unknown command: " + args.command + "\n" + kUsage);
 }
@@ -614,7 +569,6 @@ int dispatch(const CliArgs& args) {
 
 int main(int argc, char** argv) {
   try {
-    FaultInjector::instance().arm_from_spec(std::getenv("ULD3D_FAULT"));
     const CliArgs args = parse_args(argc, argv);
     // Precedence: --jobs > ULD3D_JOBS > all hardware threads.  The library
     // default without either is serial; the CLI opts into full parallelism

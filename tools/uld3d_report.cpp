@@ -160,9 +160,9 @@ int run_canon(const EventStream& stream) {
   // All sweep_start events in the file (one per run; a resumed run appends
   // another) must describe the same sweep once volatile fields go.
   std::string header;
-  // index -> canonical line.  A resume overlap re-evaluates sentinels and
-  // boundary points; bit-identical results are the determinism contract,
-  // so duplicate renders must agree byte-for-byte.
+  // index -> canonical line.  A resume overlap re-evaluates boundary
+  // points; bit-identical results are the determinism contract, so
+  // duplicate renders must agree byte-for-byte.
   std::map<std::uint64_t, std::string> points;
   std::size_t ok = 0;
   std::size_t failed = 0;
@@ -188,8 +188,9 @@ int run_canon(const EventStream& stream) {
         return 1;
       }
     }
-    // run_start/run_end/progress/checkpoint_flush/shard_info/stage are
-    // per-run chatter: dropped from the projection by design.
+    // run_start/run_end/progress/checkpoint_flush/stage (and the
+    // shard_info of old streams) are per-run chatter: dropped from the
+    // projection by design.
   }
   std::ostringstream out;
   if (!header.empty()) out << header << "\n";
@@ -223,15 +224,14 @@ void print_summary_tables(const Options& opts, const EventStream& stream,
   }
   std::cout << "\n\n";
 
-  Table run_table({"Run", "Shard", "Status", "Exit", "Command"});
+  Table run_table({"Run", "Status", "Exit", "Command"});
   for (const report::RunInfo& run : s.runs) {
-    run_table.add_row({run.id.empty() ? "(unlabelled)" : run.id, run.shard,
-                       run.status, run.exit_code, run.command});
+    run_table.add_row({run.id.empty() ? "(unlabelled)" : run.id, run.status,
+                       run.exit_code, run.command});
   }
   run_table.print(std::cout, "Runs");
 
   if (!s.sweep_line.empty()) std::cout << "\nSweep: " << s.sweep_line << "\n";
-  if (!s.shard_line.empty()) std::cout << "Shard: " << s.shard_line << "\n";
   if (s.ok + s.failed > 0) {
     std::cout << "Points: " << s.ok + s.failed << " evaluated, " << s.ok
               << " ok, " << s.failed << " failed";
