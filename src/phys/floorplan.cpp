@@ -53,14 +53,17 @@ Floorplan::TierGrid* Floorplan::grid_for(tech::TierKind tier) {
 }
 
 BinSpan Floorplan::bin_span(const Rect& rect) const {
-  BinSpan s;
-  s.x0 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor(rect.x0 / bin_um_)), 0, nx_);
-  s.y0 = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::floor(rect.y0 / bin_um_)), 0, ny_);
-  s.x1 = std::clamp<std::int64_t>(ceil_to_int(rect.x1 / bin_um_), 0, nx_);
-  s.y1 = std::clamp<std::int64_t>(ceil_to_int(rect.y1 / bin_um_), 0, ny_);
-  return s;
+  const auto [x0, x1] = axis_bins(rect.x0, rect.x1, /*x_axis=*/true);
+  const auto [y0, y1] = axis_bins(rect.y0, rect.y1, /*x_axis=*/false);
+  return {x0, y0, x1, y1};
+}
+
+std::pair<std::int64_t, std::int64_t> Floorplan::axis_bins(double lo, double hi,
+                                                           bool x_axis) const {
+  const std::int64_t bins = x_axis ? nx_ : ny_;
+  return {std::clamp<std::int64_t>(
+              static_cast<std::int64_t>(std::floor(lo / bin_um_)), 0, bins),
+          std::clamp<std::int64_t>(ceil_to_int(hi / bin_um_), 0, bins)};
 }
 
 const OccupancyIndex& Floorplan::occupancy_index(tech::TierKind tier) const {

@@ -74,6 +74,12 @@ class Floorplan {
   /// The grid-bin window `rect` covers (clamped to the grid).
   [[nodiscard]] BinSpan bin_span(const Rect& rect) const;
 
+  /// The bins [first, second) that [lo, hi) covers along x (`x_axis`) or
+  /// y, clamped to the grid: one axis of bin_span, which quantizes each
+  /// axis on its own.
+  [[nodiscard]] std::pair<std::int64_t, std::int64_t> axis_bins(
+      double lo, double hi, bool x_axis) const;
+
   /// The tier's occupancy, for a caller that marks nothing while it queries
   /// (Placer::place snapshots it once per placement).
   [[nodiscard]] const OccupancyIndex& occupancy_index(

@@ -1,24 +1,28 @@
 // Acceleration structures for the placement engine.
 //
-// The phys flow's hot side is occupancy *queries*: the macro scan and the
-// placer's legal-run tables ask "is this rectangle free?" against a tier's
-// occupancy, and the anneal asks "does this rectangle overlap a placed
-// sibling?" for each of its moves.  Three structures answer them:
+// The phys flow's hot side is occupancy *queries*: the macro scan asks
+// "is this rectangle free?" against a tier's occupancy, the placer's
+// legal-run tables ask which columns of a row's bin band are free, and the
+// anneal asks "does this rectangle overlap a placed sibling?" for each of
+// its moves.  Three structures answer them:
 //
 //  * OccupancyIndex — one tier's occupancy, one bit per bin, each bin row a
 //    run of 64-bit words, plus a running occupied count.  A mark, a
 //    rectangle query and a rightmost-occupied query are word scans over the
-//    window's rows, O(window); a blocked scan learns the rightmost occupied
-//    column inside its window and can jump its x cursor past the whole
-//    blocking run instead of advancing one bin.  Const queries write
-//    nothing (they are safe to run concurrently).
+//    window's rows, O(window); the macro scan's blocked window learns the
+//    rightmost occupied column inside it and can jump its x cursor past
+//    the whole blocking run instead of advancing one bin.  Const queries
+//    write nothing (they are safe to run concurrently).
 //
-//  * OccupancySnapshot — an immutable summed-area table (2D prefix sum of
-//    occupied bins) plus a per-row "previous occupied column" table, built
-//    from an index in one O(grid) pass.  A rectangle query is four lookups
-//    (O(1)) and a rightmost-occupied query O(rows).  Placer::place marks
-//    nothing until it commits, so it takes one snapshot per tier and runs
-//    every query of the placement against it.
+//  * OccupancySnapshot — an immutable copy of an index as a sparse table
+//    of OR-folded rows: level k holds, for every row y, the OR of rows
+//    [y, y + 2^k) as ceil(nx/64) words, so any band of rows is the OR of
+//    two entries of one level.  `band` returns that folded row, which a
+//    legal-run row walks column by column through `next_occupied` and
+//    `last_occupied_below`, and a rectangle query masks it over the
+//    window's words, O(window / 64).  Placer::place marks nothing
+//    until it commits, so it takes one snapshot per tier and runs every
+//    query of the placement against it.
 //
 //  * RectBuckets — a uniform-bucket spatial index over placed rectangles,
 //    replacing the anneal's O(placed) sibling-overlap loop.  Queries test
@@ -34,6 +38,7 @@
 // task).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -88,9 +93,9 @@ class OccupancyIndex {
   std::int64_t occupied_ = 0;
 };
 
-/// An immutable copy of one OccupancyIndex that answers rectangle queries
-/// in O(1) and rightmost-occupied queries in O(rows), with the index's
-/// clamping and answers.  It does not follow later marks of the index.
+/// An immutable copy of one OccupancyIndex that folds any band of rows in
+/// O(nx / 64) and answers rectangle queries with the index's clamping and
+/// answers.  It does not follow later marks of the index.
 class OccupancySnapshot {
  public:
   explicit OccupancySnapshot(const OccupancyIndex& index);
@@ -99,23 +104,73 @@ class OccupancySnapshot {
   [[nodiscard]] bool rect_clear(std::int64_t bx0, std::int64_t by0,
                                 std::int64_t bx1, std::int64_t by1) const;
 
-  /// As OccupancyIndex::rightmost_occupied.
-  [[nodiscard]] std::int64_t rightmost_occupied(std::int64_t bx0,
-                                                std::int64_t by0,
-                                                std::int64_t bx1,
-                                                std::int64_t by1) const;
+  /// The OR of rows [y0, y1) (clamped to the grid) into `out`, resized to
+  /// ceil(nx / 64) words: bit x % 64 of out[x / 64] is set when some row
+  /// of the band occupies column x.  An empty band folds to all zeros, and
+  /// the bits past column nx - 1 are always zero.
+  void band(std::int64_t y0, std::int64_t y1,
+            std::vector<std::uint64_t>& out) const;
+
+  /// The first column at or after `x` (x >= 0) that a band folded by
+  /// `band` occupies, or nx when there is none.
+  [[nodiscard]] std::int64_t next_occupied(
+      const std::vector<std::uint64_t>& band, std::int64_t x) const;
+
+  /// The last column below `x` (x <= nx) that a band folded by `band`
+  /// occupies, or -1 when there is none.
+  [[nodiscard]] std::int64_t last_occupied_below(
+      const std::vector<std::uint64_t>& band, std::int64_t x) const;
 
  private:
+  /// Rows [y0, y1), for 0 <= y0 < y1 <= ny, as the OR of two entries of
+  /// level k = floor(log2(y1 - y0)): those of rows y0 and y1 - 2^k, which
+  /// start at words `lo` and `hi` of the level.
+  struct Fold {
+    const std::vector<std::uint64_t>& level;
+    std::size_t lo;
+    std::size_t hi;
+
+    /// Word w of the folded row.
+    [[nodiscard]] std::uint64_t word(std::size_t w) const {
+      return level[lo + w] | level[hi + w];
+    }
+  };
+  [[nodiscard]] Fold fold(std::int64_t y0, std::int64_t y1) const;
+
   std::int64_t nx_ = 0;
   std::int64_t ny_ = 0;
-  /// (nx+1) * (ny+1) inclusive prefix sums; sat_[(y+1)*(nx+1) + (x+1)] is
-  /// the occupied count of [0, x] x [0, y].  The grid cap (64M bins) fits
-  /// in 32 bits.
-  std::vector<std::uint32_t> sat_;
-  /// nx * ny; prev_occ_[y*nx + x] is the largest occupied column <= x in
-  /// row y, or -1.
-  std::vector<std::int32_t> prev_occ_;
+  std::int64_t words_ = 0;  ///< 64-bit words per row, ceil(nx / 64)
+  /// levels_[k] holds (ny - 2^k + 1) * words_ words; its entry y, at word
+  /// y * words_, is the OR of rows [y, y + 2^k).  Level 0 is the index's
+  /// rows.
+  std::vector<std::vector<std::uint64_t>> levels_;
 };
+
+// A legal-run row walk calls the two band scans once per column it visits,
+// so they are inline.
+inline std::int64_t OccupancySnapshot::next_occupied(
+    const std::vector<std::uint64_t>& band, std::int64_t x) const {
+  if (x >= nx_) return nx_;
+  auto w = static_cast<std::size_t>(x / 64);
+  std::uint64_t bits = band[w] & (~std::uint64_t{0} << (x % 64));
+  while (bits == 0) {
+    if (++w == band.size()) return nx_;
+    bits = band[w];
+  }
+  return static_cast<std::int64_t>(w) * 64 + std::countr_zero(bits);
+}
+
+inline std::int64_t OccupancySnapshot::last_occupied_below(
+    const std::vector<std::uint64_t>& band, std::int64_t x) const {
+  if (x <= 0) return -1;
+  auto w = static_cast<std::size_t>((x - 1) / 64);
+  std::uint64_t bits = band[w] & (~std::uint64_t{0} >> (63 - (x - 1) % 64));
+  while (bits == 0) {
+    if (w == 0) return -1;
+    bits = band[--w];
+  }
+  return static_cast<std::int64_t>(w) * 64 + 63 - std::countl_zero(bits);
+}
 
 /// Uniform-bucket spatial index over identified rectangles.  `overlaps_any`
 /// applies Rect::overlaps to the exact rectangles given to `insert`, so its

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "uld3d/util/check.hpp"
 
@@ -98,48 +99,50 @@ std::int64_t OccupancyIndex::rightmost_occupied(std::int64_t bx0,
 }
 
 OccupancySnapshot::OccupancySnapshot(const OccupancyIndex& index)
-    : nx_(index.nx_),
-      ny_(index.ny_),
-      sat_(static_cast<std::size_t>((nx_ + 1) * (ny_ + 1)), 0),
-      prev_occ_(static_cast<std::size_t>(nx_ * ny_)) {
-  const std::int64_t stride = nx_ + 1;
-  for (std::int64_t y = 0; y < ny_; ++y) {
-    std::uint32_t run = 0;  // occupied bins of [0, x] in row y
-    std::int32_t last = -1;
-    for (std::int64_t x = 0; x < nx_; ++x) {
-      if ((index.bits_[index.word(y, x / kWordBits)] >> (x % kWordBits) &
-           1U) != 0) {
-        ++run;
-        last = static_cast<std::int32_t>(x);
-      }
-      const auto at = static_cast<std::size_t>((y + 1) * stride + x + 1);
-      sat_[at] = sat_[at - static_cast<std::size_t>(stride)] + run;
-      prev_occ_[static_cast<std::size_t>(y * nx_ + x)] = last;
+    : nx_(index.nx_), ny_(index.ny_), words_(index.words_) {
+  levels_.push_back(index.bits_);
+  // Level k + 1's entry y is the OR of level k's entries y and y + 2^k.
+  for (std::int64_t half = 1; 2 * half <= ny_; half *= 2) {
+    const std::vector<std::uint64_t>& below = levels_.back();
+    std::vector<std::uint64_t> level(
+        static_cast<std::size_t>((ny_ - 2 * half + 1) * words_));
+    const auto offset = static_cast<std::size_t>(half * words_);
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      level[i] = below[i] | below[i + offset];
     }
+    levels_.push_back(std::move(level));
   }
+}
+
+OccupancySnapshot::Fold OccupancySnapshot::fold(std::int64_t y0,
+                                                std::int64_t y1) const {
+  const int k = std::bit_width(static_cast<std::uint64_t>(y1 - y0)) - 1;
+  return {levels_[static_cast<std::size_t>(k)],
+          static_cast<std::size_t>(y0 * words_),
+          static_cast<std::size_t>((y1 - (std::int64_t{1} << k)) * words_)};
 }
 
 bool OccupancySnapshot::rect_clear(std::int64_t bx0, std::int64_t by0,
                                    std::int64_t bx1, std::int64_t by1) const {
   if (!clamp_window(nx_, ny_, bx0, by0, bx1, by1)) return true;
-  const std::int64_t stride = nx_ + 1;
-  const auto at = [&](std::int64_t y, std::int64_t x) -> std::int64_t {
-    return sat_[static_cast<std::size_t>(y * stride + x)];
-  };
-  return at(by1, bx1) - at(by0, bx1) - at(by1, bx0) + at(by0, bx0) == 0;
+  const Fold rows = fold(by0, by1);
+  const WordSpan span(bx0, bx1);
+  for (std::int64_t w = span.w0; w <= span.w1; ++w) {
+    if ((rows.word(static_cast<std::size_t>(w)) & span.mask(w)) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
-std::int64_t OccupancySnapshot::rightmost_occupied(std::int64_t bx0,
-                                                   std::int64_t by0,
-                                                   std::int64_t bx1,
-                                                   std::int64_t by1) const {
-  if (!clamp_window(nx_, ny_, bx0, by0, bx1, by1)) return -1;
-  std::int64_t rightmost = -1;
-  for (std::int64_t y = by0; y < by1; ++y) {
-    const std::int32_t p = prev_occ_[static_cast<std::size_t>(y * nx_ + bx1 - 1)];
-    if (p >= bx0 && p > rightmost) rightmost = p;
-  }
-  return rightmost;
+void OccupancySnapshot::band(std::int64_t y0, std::int64_t y1,
+                             std::vector<std::uint64_t>& out) const {
+  out.assign(static_cast<std::size_t>(words_), 0);
+  y0 = std::clamp<std::int64_t>(y0, 0, ny_);
+  y1 = std::clamp<std::int64_t>(y1, 0, ny_);
+  if (y0 >= y1) return;
+  const Fold rows = fold(y0, y1);
+  for (std::size_t w = 0; w < out.size(); ++w) out[w] = rows.word(w);
 }
 
 RectBuckets::RectBuckets(double width_um, double height_um,

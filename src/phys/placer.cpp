@@ -10,7 +10,10 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/metrics.hpp"
@@ -40,13 +43,22 @@ double block_cost(const SoftBlock& block, const Rect& rect,
   return cost;
 }
 
-/// Expand a rectangle to the floorplan's bin boundaries — occupancy is
-/// committed at bin granularity, so legality must be checked on the
-/// bin-expanded footprint or adjacent blocks could collide at commit time.
+/// The bin boundaries at or below a lower edge and at or above an upper
+/// edge.  Occupancy is committed at bin granularity, so legality is checked
+/// on the bin-expanded footprint, or adjacent blocks could collide at
+/// commit time.  The upper edge's 1e-9 slack is wider than bin_span's
+/// 1e-12, so a footprint narrower than ~1e-9 bin can expand to nothing at
+/// a bin edge while its commit still marks a bin: Placer::place refuses
+/// such blocks up front.
+double expand_lo(double v, double bin) { return std::floor(v / bin) * bin; }
+double expand_hi(double v, double bin) {
+  return std::ceil(v / bin - 1e-9) * bin;
+}
+
+/// Expand a rectangle to the floorplan's bin boundaries.
 Rect bin_expand(const Rect& rect, double bin) {
-  return {std::floor(rect.x0 / bin) * bin, std::floor(rect.y0 / bin) * bin,
-          std::ceil(rect.x1 / bin - 1e-9) * bin,
-          std::ceil(rect.y1 / bin - 1e-9) * bin};
+  return {expand_lo(rect.x0, bin), expand_lo(rect.y0, bin),
+          expand_hi(rect.x1, bin), expand_hi(rect.y1, bin)};
 }
 
 /// True when the bin-expanded footprint `q` lies inside the die.
@@ -61,12 +73,19 @@ bool inside_die(const Floorplan& fp, const Rect& q) {
 constexpr double kAspects[] = {1.0, 2.0, 0.5, 3.0, 1.0 / 3.0, 4.0, 0.25};
 constexpr std::size_t kNumAspects = std::size(kAspects);
 
+/// The block's {width, height} at aspect candidate `a`.
+std::pair<double, double> aspect_size(const SoftBlock& block, std::size_t a) {
+  const double aspect = block.aspect * kAspects[a];
+  return {std::sqrt(block.area_um2 * aspect),
+          std::sqrt(block.area_um2 / aspect)};
+}
+
 /// One scan position along one axis, with everything the legality test and
 /// the pricing need from that axis.  bin_expand, Floorplan::bin_span, the
 /// die-bounds test and Rect::center each treat the two axes independently,
 /// so a candidate's fields along x do not depend on its y and vice versa:
-/// the per-candidate float work (four divisions, floor/ceil, clamps) is
-/// done once per position instead of once per (x, y) pair.
+/// the per-candidate float work (divisions, floor/ceil, clamps) is done
+/// once per position instead of once per (x, y) pair.
 struct AxisCandidate {
   double pos = 0.0;      ///< candidate lower edge (um)
   double q0 = 0.0;       ///< bin-expanded lower edge (um)
@@ -78,28 +97,29 @@ struct AxisCandidate {
 };
 using AxisIter = std::vector<AxisCandidate>::const_iterator;
 
-/// The x (or y) positions of a scan for a block `w` x `h` on a `step` grid.
-/// Positions accumulate with `p += step` from the die origin, as the naive
-/// scan's loops do, so every candidate rectangle is bit-identical to its;
-/// the fields come from bin_expand, bin_span and Rect::center on the
-/// candidate at (p, 0) (or (0, p)), which the other axis's coordinate
-/// cannot change.
+/// The x (or y) positions of a scan for a block `len` long along that axis
+/// on a `step` grid.  Positions accumulate with `p += step` from the die
+/// origin, as the naive scan's loops do, and each field is the one axis of
+/// bin_expand, Floorplan::bin_span (through axis_bins) and Rect::center on
+/// Rect::at's edges p and p + len, so every candidate rectangle and window
+/// is bit-identical to the naive scan's.
 void build_axis(std::vector<AxisCandidate>& out, const Floorplan& fp,
-                bool x_axis, double w, double h, double step) {
-  out.clear();
-  const double len = x_axis ? w : h;
+                bool x_axis, double len, double step) {
   const double side = x_axis ? fp.width_um() : fp.height_um();
+  const double bin = fp.bin_um();
+  out.clear();
+  const double steps = (side - len) / step;  // the loop makes ~steps + 1
+  if (steps >= 0.0 && steps < 1e6) {
+    out.reserve(static_cast<std::size_t>(steps) + 2);
+  }
   for (double p = 0.0; p + len <= side + 1e-6; p += step) {
-    const Rect rect = x_axis ? Rect::at(p, 0.0, w, h) : Rect::at(0.0, p, w, h);
-    const Rect q = bin_expand(rect, fp.bin_um());
-    const BinSpan s = fp.bin_span(q);
+    const double hi = p + len;
     AxisCandidate c;
     c.pos = p;
-    c.q0 = x_axis ? q.x0 : q.y0;
-    c.q1 = x_axis ? q.x1 : q.y1;
-    c.centre = x_axis ? rect.center().x : rect.center().y;
-    c.b0 = x_axis ? s.x0 : s.y0;
-    c.b1 = x_axis ? s.x1 : s.y1;
+    c.q0 = expand_lo(p, bin);
+    c.q1 = expand_hi(hi, bin);
+    c.centre = (p + hi) / 2;
+    std::tie(c.b0, c.b1) = fp.axis_bins(c.q0, c.q1, x_axis);
     c.inside = !(c.q0 < 0.0 || c.q1 > side + 1e-6);
     out.push_back(c);
   }
@@ -127,7 +147,9 @@ struct Run {
 };
 using Runs = std::vector<Run>;
 
-/// Remove columns [c0, c1) from `runs` (ordered, disjoint).
+/// Remove columns [c0, c1) from `runs` (ordered, disjoint).  The head and
+/// tail that survive are written over the cut runs; only a run split in two
+/// inserts.
 void cut_runs(Runs& runs, std::size_t c0, std::size_t c1) {
   const auto first = std::partition_point(
       runs.begin(), runs.end(), [&](const Run& r) { return r.end <= c0; });
@@ -136,9 +158,16 @@ void cut_runs(Runs& runs, std::size_t c0, std::size_t c1) {
   if (first == last) return;
   const Run head{first->begin, c0};
   const Run tail{c1, std::prev(last)->end};
-  auto at = runs.erase(first, last);
-  if (tail.begin < tail.end) at = runs.insert(at, tail);
-  if (head.begin < head.end) runs.insert(at, head);
+  auto out = first;
+  if (head.begin < head.end) *out++ = head;
+  if (tail.begin < tail.end) {
+    if (out == last) {
+      runs.insert(out, tail);
+      return;
+    }
+    *out++ = tail;
+  }
+  runs.erase(out, last);
 }
 
 /// The legal candidates of one shape's scan tables on one tier, built a
@@ -154,22 +183,33 @@ struct RunTable {
     Runs runs;
     std::size_t seen = kUnbuilt;
   };
-  /// Rows [j0, j1) and columns [i0, i1) of one aspect that a committed
-  /// sibling overlaps.
+  /// Columns [i0, i1) of one aspect that a committed sibling overlaps;
+  /// i0 > i1 until some row first needs them.
   struct Reach {
-    std::size_t j0;
-    std::size_t j1;
-    std::size_t i0;
-    std::size_t i1;
+    std::size_t i0 = 1;
+    std::size_t i1 = 0;
   };
   const ShapeTables* shape = nullptr;
   tech::TierKind tier{};
   const OccupancySnapshot* occupancy = nullptr;  ///< the tier's snapshot
   std::array<std::size_t, kNumAspects> inside_cols{};
   std::array<std::vector<Row>, kNumAspects> rows;
-  /// Per aspect, the reach of the committed siblings in commit order, as
-  /// far as a row has caught up.
+  /// Per aspect, rows.size() + 1 links: row j's is j while the row may
+  /// hold a run and j + 1 once it is known to hold none, and the last is
+  /// the end.  Runs only shrink, so a row known empty stays empty.
+  std::array<std::vector<std::size_t>, kNumAspects> next_live;
+  /// Per aspect, the reach of the committed siblings in commit order.
   std::array<std::vector<Reach>, kNumAspects> reach;
+
+  /// The first row of aspect `a` at or after `j` not known to be empty
+  /// (rows.size() when none is left), compressing the links it follows.
+  std::size_t live_row(std::size_t a, std::size_t j) {
+    std::vector<std::size_t>& next = next_live[a];
+    std::size_t live = j;
+    while (next[live] != live) live = next[live];
+    while (j != live) j = std::exchange(next[j], live);
+    return live;
+  }
 };
 
 /// The candidates of `axis` whose extent overlaps [lo, hi) as
@@ -196,6 +236,7 @@ PlacementResult Placer::place(Floorplan& fp,
                               Rng& rng) const {
   PlacementResult result;
   const auto& fixed = fp.macros();
+  const double bin = fp.bin_um();
   for (const auto& block : blocks) {
     expects(block.area_um2 > 0.0,
             "soft block area must be positive: " + block.name);
@@ -204,6 +245,14 @@ PlacementResult Placer::place(Floorplan& fp,
               "affinity index " + std::to_string(index) +
                   " out of range (fixed macros: " +
                   std::to_string(fixed.size()) + ") for block: " + block.name);
+    }
+    // A footprint that expands to no bin would pass every legality test
+    // and still mark a bin at commit (expand_hi).
+    for (std::size_t a = 0; a < kNumAspects; ++a) {
+      const auto [w, h] = aspect_size(block, a);
+      if (!bin_expand(Rect::at(0.0, 0.0, w, h), bin).valid()) {
+        expects(false, "soft block too small for the bin grid: " + block.name);
+      }
     }
   }
 
@@ -220,7 +269,6 @@ PlacementResult Placer::place(Floorplan& fp,
   });
 
   std::vector<Rect> rects(blocks.size());  // invalid until placed
-  const double bin = fp.bin_um();
   const double step = options_.grid_step_um;
 
   // Scan tables, built once per (shape, scan step) on first use: a
@@ -240,11 +288,9 @@ PlacementResult Placer::place(Floorplan& fp,
     t.step = scan_step;
     for (std::size_t a = 0; a < kNumAspects; ++a) {
       ShapeTables::Aspect& tab = t.aspects[a];
-      const double aspect = block.aspect * kAspects[a];
-      tab.w = std::sqrt(block.area_um2 * aspect);
-      tab.h = std::sqrt(block.area_um2 / aspect);
-      build_axis(tab.xs, fp, /*x_axis=*/true, tab.w, tab.h, scan_step);
-      build_axis(tab.ys, fp, /*x_axis=*/false, tab.w, tab.h, scan_step);
+      std::tie(tab.w, tab.h) = aspect_size(block, a);
+      build_axis(tab.xs, fp, /*x_axis=*/true, tab.w, scan_step);
+      build_axis(tab.ys, fp, /*x_axis=*/false, tab.h, scan_step);
     }
     return t;
   };
@@ -287,74 +333,73 @@ PlacementResult Placer::place(Floorplan& fp,
       t.rows[a].resize(static_cast<std::size_t>(
           std::partition_point(tab.ys.begin(), tab.ys.end(), inside) -
           tab.ys.begin()));
+      t.next_live[a].resize(t.rows[a].size() + 1);
+      std::iota(t.next_live[a].begin(), t.next_live[a].end(), std::size_t{0});
     }
     return t;
   };
+  std::vector<std::uint64_t> band;  // the row being built's folded bins
   const auto legal_runs = [&](RunTable& t, std::size_t a,
                               std::size_t j) -> const Runs& {
     const ShapeTables::Aspect& tab = t.shape->aspects[a];
     const AxisCandidate& row = tab.ys[j];
     RunTable::Row& r = t.rows[a][j];
     if (r.seen == RunTable::kUnbuilt) {
-      const OccupancySnapshot& index = *t.occupancy;
+      // Every candidate of the row covers the row's bins along y, so one
+      // folded band of them decides each column's window along x.
+      const OccupancySnapshot& occupancy = *t.occupancy;
+      occupancy.band(row.b0, row.b1, band);
       const AxisIter cols = tab.xs.begin();
       const AxisIter cols_end =
           cols + static_cast<std::ptrdiff_t>(t.inside_cols[a]);
       for (AxisIter col = cols; col != cols_end;) {
         c_scanned.add();
         c_legal.add();
-        if (!index.rect_clear(col->b0, row.b0, col->b1, row.b1)) {
-          // Every later window that starts at or before the blocking
-          // column still holds it.
-          const std::int64_t blocker =
-              index.rightmost_occupied(col->b0, row.b0, col->b1, row.b1);
-          const AxisIter open = std::partition_point(
+        const std::int64_t next = occupancy.next_occupied(band, col->b0);
+        AxisIter stop;
+        if (next < col->b1) {
+          // Blocked.  Every later window that starts at or before the last
+          // occupied bin of this one still holds that bin.
+          const std::int64_t last =
+              occupancy.last_occupied_below(band, col->b1);
+          stop = std::partition_point(
               col + 1, cols_end,
-              [&](const AxisCandidate& c) { return c.b0 <= blocker; });
-          c_skipped.add(static_cast<std::uint64_t>(open - col - 1));
-          col = open;
-          continue;
-        }
-        // A later window lies inside the window from this one's left edge
-        // to its own right edge; while that window stays clear, so does
-        // every candidate up to it.
-        std::uint64_t probed = 0;  // probes inside the clear stretch
-        const AxisIter stop = std::partition_point(
-            col + 1, cols_end, [&](const AxisCandidate& c) {
-              c_scanned.add();
-              c_legal.add();
-              const bool clear =
-                  index.rect_clear(col->b0, row.b0, c.b1, row.b1);
-              probed += clear ? 1 : 0;
-              return clear;
-            });
-        c_skipped.add(static_cast<std::uint64_t>(stop - col - 1) - probed);
-        const auto begin = static_cast<std::size_t>(col - cols);
-        const auto end = static_cast<std::size_t>(stop - cols);
-        if (!r.runs.empty() && r.runs.back().end == begin) {
-          r.runs.back().end = end;
+              [&](const AxisCandidate& c) { return c.b0 <= last; });
         } else {
-          r.runs.push_back({begin, end});
+          // Clear, as is every later window that ends by `next`: it lies
+          // inside [col->b0, next).
+          stop = std::partition_point(
+              col + 1, cols_end,
+              [&](const AxisCandidate& c) { return c.b1 <= next; });
+          const auto begin = static_cast<std::size_t>(col - cols);
+          const auto end = static_cast<std::size_t>(stop - cols);
+          if (!r.runs.empty() && r.runs.back().end == begin) {
+            r.runs.back().end = end;
+          } else {
+            r.runs.push_back({begin, end});
+          }
         }
+        c_skipped.add(static_cast<std::uint64_t>(stop - col - 1));
         col = stop;
       }
       r.seen = 0;
     }
-    // Rect::overlaps tests each axis on its own: a sibling reaches one
-    // range of rows and removes one range of columns from each of them.
+    // Rect::overlaps tests each axis on its own: a sibling whose extent
+    // along y overlaps the row's removes one range of columns from it, the
+    // same for every row it reaches.
+    const std::size_t n_committed = committed.size();
     std::vector<RunTable::Reach>& reach = t.reach[a];
-    for (; r.seen < committed.size() && !r.runs.empty(); ++r.seen) {
-      if (r.seen == reach.size()) {
-        const Rect& q = committed[r.seen];
-        const auto [j0, j1] = overlapping(tab.ys, q.y0, q.y1);
-        const auto [i0, i1] = overlapping(tab.xs, q.x0, q.x1);
-        reach.push_back({j0, j1, i0, i1});
+    if (reach.size() < n_committed) reach.resize(n_committed);
+    for (; r.seen < n_committed && !r.runs.empty(); ++r.seen) {
+      const Rect& q = committed[r.seen];
+      if (!(q.y0 < row.q1 && row.q0 < q.y1)) continue;
+      RunTable::Reach& sibling = reach[r.seen];
+      if (sibling.i0 > sibling.i1) {
+        std::tie(sibling.i0, sibling.i1) = overlapping(tab.xs, q.x0, q.x1);
       }
-      const RunTable::Reach& sibling = reach[r.seen];
-      if (sibling.j0 <= j && j < sibling.j1) {
-        cut_runs(r.runs, sibling.i0, sibling.i1);
-      }
+      cut_runs(r.runs, sibling.i0, sibling.i1);
     }
+    if (r.runs.empty()) t.next_live[a][j] = j + 1;
     return r.runs;
   };
 
@@ -488,7 +533,9 @@ PlacementResult Placer::place(Floorplan& fp,
                                  }) -
             tab.xs.begin());
       }
-      for (std::size_t j = 0; j < legal.rows[a].size(); ++j) {
+      const std::size_t n_rows = legal.rows[a].size();
+      for (std::size_t j = legal.live_row(a, 0); j < n_rows;
+           j = legal.live_row(a, j + 1)) {
         if (row_bound(a, j) >= best_cost) continue;
         const Runs& runs = legal_runs(legal, a, j);
         if (runs.empty()) continue;
@@ -525,7 +572,9 @@ PlacementResult Placer::place(Floorplan& fp,
     RunTable& legal = runs_for(shape, block.tier);
     for (std::size_t a = 0; a < kNumAspects; ++a) {
       const ShapeTables::Aspect& tab = shape.aspects[a];
-      for (std::size_t j = 0; j < legal.rows[a].size(); ++j) {
+      const std::size_t n_rows = legal.rows[a].size();
+      for (std::size_t j = legal.live_row(a, 0); j < n_rows;
+           j = legal.live_row(a, j + 1)) {
         const Runs& runs = legal_runs(legal, a, j);
         if (runs.empty()) continue;
         c_scanned.add();

@@ -77,7 +77,7 @@ std::uint32_t acquire_thread_slot() {
 }
 
 // ---------------------------------------------------------------------------
-// Recording (only while armed; the single-digit-ns path)
+// Recording (only while armed; the per-record path)
 
 // The one slot claim per thread lives in thread_id(); everything else must
 // route through it so the id reported to trace/postmortem consumers is the

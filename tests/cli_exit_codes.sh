@@ -29,6 +29,7 @@ check 2 "$cli"
 check 2 "$cli" frobnicate
 check 2 "$cli" compare --bogus-flag
 check 2 "$cli" arch --network alexnet   # arch without --config
+check 2 "$cli" compare --network bogus  # a misspelt network name
 
 # 3: config errors
 check 3 "$cli" compare --config "$tmpdir/does_not_exist.ini"
@@ -59,6 +60,11 @@ esac
 # 4: model errors.  A plain sweep fails fast on the grid's own infeasible
 # points (n_cs > n_geom) and surfaces their StatusError.
 check 4 "$cli" sweep
+
+# an SRAM half thinner than the placer's bin quantization is refused by the
+# placer (a model error), not committed into a collision (an internal one)
+printf '[cs]\nsram_kb = 1e-20\n' > "$tmpdir/tiny_sram.ini"
+check 4 "$cli" datasheet --config "$tmpdir/tiny_sram.ini"
 
 # --keep-going: the grid's 7 infeasible points are all recorded, the sweep
 # completes, and the summary lands on stderr

@@ -3,9 +3,10 @@
 // The occupancy index is the floorplan's only occupancy state, so it is
 // checked against a byte grid kept by the test through long random
 // sequences of marks and queries, on grids whose rows end on, before and
-// after 64-bit word edges; the placer's snapshot of it is checked against
-// the same byte grid.  The spatial buckets are checked against a linear
-// scan, and the floorplan's run-skipping scans against the naive oracles in
+// after 64-bit word edges; the placer's snapshot of it, its rectangle
+// queries and its folded row bands, is checked against the same byte grid.
+// The spatial buckets are checked against a linear scan, and the
+// floorplan's run-skipping scans against the naive oracles in
 // tests/reference.
 #include "uld3d/phys/occupancy_index.hpp"
 
@@ -15,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "reference/naive_placement.hpp"
@@ -60,6 +62,33 @@ class ByteGrid {
       if (bins_[index(x, y)] != 0) rightmost = std::max(rightmost, x);
     });
     return rightmost;
+  }
+
+  /// The least occupied column of the window, or -1.
+  [[nodiscard]] std::int64_t leftmost(std::int64_t bx0, std::int64_t by0,
+                                      std::int64_t bx1,
+                                      std::int64_t by1) const {
+    std::int64_t leftmost = -1;
+    each(bx0, by0, bx1, by1, [&](std::int64_t x, std::int64_t y) {
+      if (bins_[index(x, y)] != 0 && (leftmost < 0 || x < leftmost)) {
+        leftmost = x;
+      }
+    });
+    return leftmost;
+  }
+
+  /// The OR of rows [by0, by1) (clamped), one bit per column packed as
+  /// OccupancySnapshot::band packs it: ceil(nx / 64) words.
+  [[nodiscard]] std::vector<std::uint64_t> column_or(std::int64_t by0,
+                                                     std::int64_t by1) const {
+    std::vector<std::uint64_t> words(static_cast<std::size_t>((nx_ + 63) / 64),
+                                     0);
+    each(0, by0, nx_, by1, [&](std::int64_t x, std::int64_t y) {
+      if (bins_[index(x, y)] != 0) {
+        words[static_cast<std::size_t>(x / 64)] |= std::uint64_t{1} << (x % 64);
+      }
+    });
+    return words;
   }
 
   void mark(std::int64_t bx0, std::int64_t by0, std::int64_t bx1,
@@ -155,12 +184,15 @@ TEST(OccupancyIndex, MatchesByteGridOnRandomMarkQuerySequences) {
 
 TEST(OccupancySnapshot, MatchesByteGridOnRandomWindowsOverRandomOccupancy) {
   // The placer queries a snapshot of each tier: it must answer every
-  // window as the byte grid does, over fills from nearly empty to nearly
-  // full, and keep answering for the occupancy it was taken from after the
-  // index is marked again.
+  // window, fold every window's rows into the band the byte grid's
+  // column-OR gives and scan that band for occupied columns as the byte
+  // grid does, over fills from nearly empty to nearly full, and keep
+  // answering for the occupancy it was taken from after the index is
+  // marked again.
   Rng rng(0x5a7);
   std::int64_t blocked = 0;
   std::int64_t clear = 0;
+  std::vector<std::uint64_t> band;
   for (const auto& [nx, ny] : kDims) {
     for (const int fill : {2, 40, 400}) {
       OccupancyIndex index(nx, ny);
@@ -189,10 +221,31 @@ TEST(OccupancySnapshot, MatchesByteGridOnRandomWindowsOverRandomOccupancy) {
         const bool want_clear = grid.count(bx0, by0, bx1, by1) == 0;
         ASSERT_EQ(snapshot.rect_clear(bx0, by0, bx1, by1), want_clear)
             << nx << "x" << ny << " fill " << fill << " query " << q;
-        ASSERT_EQ(snapshot.rightmost_occupied(bx0, by0, bx1, by1),
-                  grid.rightmost(bx0, by0, bx1, by1))
+        snapshot.band(by0, by1, band);
+        ASSERT_EQ(band, grid.column_or(by0, by1))
+            << nx << "x" << ny << " fill " << fill << " query " << q;
+        // The band scans a legal-run row walk makes from the window's
+        // clamped edges.
+        const std::int64_t cx0 = std::clamp<std::int64_t>(bx0, 0, nx);
+        const std::int64_t cx1 = std::clamp<std::int64_t>(bx1, 0, nx);
+        const std::int64_t first = grid.leftmost(cx0, by0, nx, by1);
+        ASSERT_EQ(snapshot.next_occupied(band, cx0), first < 0 ? nx : first)
+            << nx << "x" << ny << " fill " << fill << " query " << q;
+        ASSERT_EQ(snapshot.last_occupied_below(band, cx1),
+                  grid.rightmost(0, by0, cx1, by1))
             << nx << "x" << ny << " fill " << fill << " query " << q;
         ++(want_clear ? clear : blocked);
+      }
+      // Full-height bands, clamped or not, and empty ones.
+      for (const auto& [y0, y1] : {std::pair<std::int64_t, std::int64_t>{0, ny},
+                                   {-4, ny + 4},
+                                   {3, 3},
+                                   {5, 2},
+                                   {ny, ny + 6}}) {
+        snapshot.band(y0, y1, band);
+        ASSERT_EQ(band, grid.column_or(y0, y1))
+            << nx << "x" << ny << " fill " << fill << " band " << y0 << ".."
+            << y1;
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "uld3d/util/check.hpp"
 
 namespace uld3d::phys {
@@ -163,6 +165,31 @@ TEST(Placer, RejectsNonPositiveAreaAfterAnUnplaceableBlock) {
   EXPECT_THROW(placer.place(fp, {block("too_big", 9.0e6), block("empty", 0.0)},
                             rng),
                PreconditionError);
+}
+
+TEST(Placer, RejectsBlocksThinnerThanTheBinQuantization) {
+  // Legality is tested on the bin-expanded footprint and the commit marks
+  // the block's own bins.  A block narrower than ~1e-9 of a bin expands to
+  // no bin at a bin edge, so a sibling could take its spot and the second
+  // commit would find it taken: such blocks are refused up front, by name,
+  // before anything is marked.
+  Floorplan fp = make_fp();
+  Rng rng(1);
+  const Placer placer;
+  try {
+    placer.place(fp, {block("a", 1.0e6), block("tiny", 1.0e-16),
+                      block("tiny_too", 1.0e-16)},
+                 rng);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("tiny"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(fp.utilization(tech::TierKind::kSiCmosFeol), 0.0);
+  // A block far thinner than a bin but covering one at every aspect still
+  // places.
+  const auto result = placer.place(fp, {block("thin", 1.0e-10)}, rng);
+  EXPECT_TRUE(result.success);
 }
 
 TEST(Placer, BlockDimensionsFollowAspect) {

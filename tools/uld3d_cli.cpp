@@ -368,9 +368,25 @@ accel::CaseStudy study_for(const CliArgs& args) {
   return accel::CaseStudy{};
 }
 
+/// The zoo network that --network names.  An unknown name is a usage
+/// error that lists the zoo; nn::make_network's PreconditionError is for
+/// library callers.
+nn::Network network_for(const CliArgs& args) {
+  try {
+    return nn::make_network(args.network);
+  } catch (const PreconditionError&) {
+    std::string known;
+    for (const std::string& name : nn::zoo_names()) {
+      known += (known.empty() ? "" : ", ") + name;
+    }
+    throw UsageError("unknown network: " + args.network + " (one of " +
+                     known + ")\n" + kUsage);
+  }
+}
+
 int run_compare(const CliArgs& args) {
   const accel::CaseStudy study = study_for(args);
-  const auto cmp = study.run(nn::make_network(args.network));
+  const auto cmp = study.run(network_for(args));
   std::cout << sim::summary_line(cmp) << "\n"
             << "N = " << study.m3d_cs_count()
             << " CSs, gamma_cells = " << study.area_model().gamma_cells()
@@ -380,7 +396,7 @@ int run_compare(const CliArgs& args) {
 
 int run_table1(const CliArgs& args) {
   const accel::CaseStudy study = study_for(args);
-  const auto cmp = study.run(nn::make_network(args.network));
+  const auto cmp = study.run(network_for(args));
   emit_table(std::cout, sim::comparison_table(cmp),
              args.network + ": per-layer M3D vs 2D", "cli_table1");
   return kExitOk;
@@ -388,8 +404,7 @@ int run_table1(const CliArgs& args) {
 
 int run_datasheet(const CliArgs& args) {
   const accel::CaseStudy study = study_for(args);
-  const auto summary =
-      accel::summarize_chip(study, nn::make_network(args.network));
+  const auto summary = accel::summarize_chip(study, network_for(args));
   std::cout << accel::datasheet(summary);
   return kExitOk;
 }
@@ -408,7 +423,7 @@ int run_arch(const CliArgs& args) {
     }
   }();
   const auto pdk = tech::FoundryM3dPdk::make_130nm();
-  const auto benefit = mapper::evaluate_benefit(nn::make_network(args.network),
+  const auto benefit = mapper::evaluate_benefit(network_for(args),
                                                 arch, {}, pdk);
   std::cout << arch.name << " on " << args.network << ": N = " << benefit.n_cs
             << ", speedup " << benefit.speedup << "x, EDP benefit "
@@ -453,7 +468,7 @@ std::string sweep_config_hash(const CliArgs& args) {
 
 int run_sweep(const CliArgs& args) {
   const accel::CaseStudy base = study_for(args);
-  const nn::Network net = nn::make_network(args.network);
+  const nn::Network net = network_for(args);
   const auto workloads =
       core::layer_workloads(net, core::TrafficOptions{},
                             core::PartitionOptions{});
