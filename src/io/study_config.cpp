@@ -1,6 +1,7 @@
 #include "uld3d/io/study_config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -21,21 +22,23 @@ struct KeyRule {
   double max = 1.0e30;  ///< inclusive upper bound
 };
 
-// The CaseStudy schema from the header comment, with physical ranges.
+// The CaseStudy schema from the header comment, with physical ranges.  A
+// range is never wider than what FoundryM3dPdk and the CNFET library accept,
+// so a validated config always builds.
 constexpr KeyRule kStudyRules[] = {
     {"study", "capacity_mb", false, 0.0, true, 1.0e9},
     {"study", "mem_density_handicap", false, 0.0, true, 1.0e6},
     {"node", "feature_nm", false, 0.0, true, 1.0e5},
     {"node", "target_mhz", false, 0.0, true, 1.0e7},
-    {"rram", "bits_per_cell", false, 0.0, true, 64.0},
+    {"rram", "bits_per_cell", false, 1.0, false, 64.0},
     {"rram", "cell_area_f2", false, 0.0, true, 1.0e6},
     {"rram", "read_pj_per_bit", false, 0.0, false, 1.0e9},
     {"rram", "write_pj_per_bit", false, 0.0, false, 1.0e9},
     {"rram", "read_latency_ns", false, 0.0, false, 1.0e9},
     {"rram", "bank_read_bits", false, 0.0, true, 1.0e12},
     {"rram", "periph_area_fraction", false, 0.0, false, 0.999},
-    {"cnfet", "drive_ratio", false, 0.0, true, 1.0e3},
-    {"cnfet", "width_relaxation", false, 0.0, true, 1.0e3},
+    {"cnfet", "drive_ratio", false, 0.0, true, 1.5},
+    {"cnfet", "width_relaxation", false, 1.0, false, 1.0e3},
     {"cnfet", "access_energy_ratio", false, 0.0, true, 1.0e3},
     {"ilv", "pitch_nm", false, 0.0, true, 1.0e6},
     {"ilv", "vias_per_cell", false, 0.0, true, 1.0e6},
@@ -63,9 +66,10 @@ Diagnostics validate_case_study_config(const Config& c) {
       diag.add(error.failure());
       continue;
     }
+    // NaN compares false with both bounds, so it is refused by name.
     const bool below =
         rule.min_exclusive ? value <= rule.min : value < rule.min;
-    if (below || value > rule.max) {
+    if (std::isnan(value) || below || value > rule.max) {
       diag.error(ErrorCode::kInvalidConfig, "value out of range")
           .with("section", rule.section)
           .with("key", rule.key)

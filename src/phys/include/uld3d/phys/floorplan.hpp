@@ -19,18 +19,6 @@
 
 namespace uld3d::phys {
 
-/// A rectangle's (clamped) window of grid bins: columns [x0, x1), rows
-/// [y0, y1).  The single source of truth for um -> bin quantization; every
-/// occupancy query, mark and skip decision goes through it, so the
-/// run-skipping scans can never disagree with a query about which bins a
-/// rectangle covers.
-struct BinSpan {
-  std::int64_t x0 = 0;
-  std::int64_t y0 = 0;
-  std::int64_t x1 = 0;
-  std::int64_t y1 = 0;
-};
-
 class Floorplan {
  public:
   /// A die of `width_um` x `height_um` on `stack`, discretized into bins of

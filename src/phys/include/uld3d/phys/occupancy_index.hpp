@@ -24,6 +24,14 @@
 //    until it commits, so it takes one snapshot per tier and runs every
 //    query of the placement against it.
 //
+//  * FreeBinMap — the bins of one snapshot that are free and lie in none of
+//    a set of blocked windows, as a sparse table of AND-folded rows.  Its
+//    one query asks whether any of a set of columns starts a free window of
+//    a given width over a band of rows: a fold, an erosion along x and a
+//    mask, O(nx / 64 · log width).  A legal-run table first used after
+//    siblings were committed asks it before building a row, and a row it
+//    answers "no" for is dead without a walk (DESIGN.md §12).
+//
 //  * RectBuckets — a uniform-bucket spatial index over placed rectangles,
 //    replacing the anneal's O(placed) sibling-overlap loop.  Queries test
 //    only rectangles sharing a bucket with the probe; the overlap predicate
@@ -47,6 +55,18 @@
 #include "uld3d/phys/geometry.hpp"
 
 namespace uld3d::phys {
+
+/// A rectangle's (clamped) window of grid bins: columns [x0, x1), rows
+/// [y0, y1).  Floorplan::bin_span is the single source of truth for
+/// um -> bin quantization; every occupancy query, mark and skip decision
+/// goes through it, so the run-skipping scans can never disagree with a
+/// query about which bins a rectangle covers.
+struct BinSpan {
+  std::int64_t x0 = 0;
+  std::int64_t y0 = 0;
+  std::int64_t x1 = 0;
+  std::int64_t y1 = 0;
+};
 
 /// Occupancy of an nx x ny bin grid.  Every window argument is clamped to
 /// the grid; an empty window holds nothing.
@@ -122,6 +142,8 @@ class OccupancySnapshot {
       const std::vector<std::uint64_t>& band, std::int64_t x) const;
 
  private:
+  friend class FreeBinMap;
+
   /// Rows [y0, y1), for 0 <= y0 < y1 <= ny, as the OR of two entries of
   /// level k = floor(log2(y1 - y0)): those of rows y0 and y1 - 2^k, which
   /// start at words `lo` and `hi` of the level.
@@ -171,6 +193,50 @@ inline std::int64_t OccupancySnapshot::last_occupied_below(
   }
   return static_cast<std::int64_t>(w) * 64 + 63 - std::countl_zero(bits);
 }
+
+/// The bins that an OccupancySnapshot leaves free and that lie in none of a
+/// set of blocked windows, as a sparse table of AND-folded rows: level k
+/// holds, for every row y, the AND of rows [y, y + 2^k) as ceil(nx / 64)
+/// words.  Only the levels that bands of `min_rows` to `max_rows` rows read
+/// are kept.  It does not follow the index it was snapshotted from.
+class FreeBinMap {
+ public:
+  /// The bins free in `tier` less every bin of `blocked` (each window
+  /// clamped to the grid), folded for bands of `min_rows` to `max_rows`
+  /// rows (1 <= min_rows <= max_rows <= ny).
+  FreeBinMap(const OccupancySnapshot& tier, const std::vector<BinSpan>& blocked,
+             std::int64_t min_rows, std::int64_t max_rows);
+
+  /// Take every bin of `window` (clamped to the grid) out of the free bins:
+  /// each kept level's entries whose rows meet the window lose its
+  /// columns, O(levels · (window rows + 2^level) · window words).
+  void block(BinSpan window);
+
+  /// True when some column x whose bit is set in `lefts` (ceil(nx / 64)
+  /// words, bit x % 64 of word x / 64) has every bin of
+  /// [x, x + width) x [y0, y1) free; a window that reaches past column
+  /// nx - 1 is not free.  Requires 0 <= y0, y1 <= ny, min_rows <= y1 - y0
+  /// <= max_rows and width >= 1.  `band` is working space; its contents
+  /// are overwritten.
+  [[nodiscard]] bool any_window_free(std::int64_t y0, std::int64_t y1,
+                                     std::int64_t width,
+                                     const std::vector<std::uint64_t>& lefts,
+                                     std::vector<std::uint64_t>& band) const;
+
+ private:
+  std::int64_t nx_ = 0;
+  std::int64_t ny_ = 0;
+  std::int64_t words_ = 0;  ///< 64-bit words per row, ceil(nx / 64)
+  std::int64_t min_rows_ = 0;
+  std::int64_t max_rows_ = 0;
+  int first_level_ = 0;  ///< floor(log2(min_rows))
+  /// The kept levels, one after the other: level k starts at
+  /// offsets_[k - first_level_] and holds (ny - 2^k + 1) * words_ words;
+  /// its entry y, at word offsets_[k - first_level_] + y * words_, is the
+  /// AND of the free rows [y, y + 2^k).
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::size_t> offsets_;
+};
 
 /// Uniform-bucket spatial index over identified rectangles.  `overlaps_any`
 /// applies Rect::overlaps to the exact rectangles given to `insert`, so its

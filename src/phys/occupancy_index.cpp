@@ -145,6 +145,153 @@ void OccupancySnapshot::band(std::int64_t y0, std::int64_t y1,
   for (std::size_t w = 0; w < out.size(); ++w) out[w] = rows.word(w);
 }
 
+FreeBinMap::FreeBinMap(const OccupancySnapshot& tier,
+                       const std::vector<BinSpan>& blocked,
+                       std::int64_t min_rows, std::int64_t max_rows)
+    : nx_(tier.nx_),
+      ny_(tier.ny_),
+      words_(tier.words_),
+      min_rows_(min_rows),
+      max_rows_(max_rows) {
+  expects(1 <= min_rows && min_rows <= max_rows && max_rows <= ny_,
+          "a free-bin map folds bands of 1 to ny rows");
+  first_level_ = std::bit_width(static_cast<std::uint64_t>(min_rows)) - 1;
+  const int top = std::bit_width(static_cast<std::uint64_t>(max_rows)) - 1;
+  // Level 0, the snapshot's free bins less the blocked windows, folded in
+  // place one level at a time: after fold k the first ny - 2^k + 1 entries
+  // are level k, whose entry y is the AND of level k - 1's y and
+  // y + 2^(k-1), read before either is overwritten.  The bits past column
+  // nx - 1 stay clear, so no window reaches past the grid.
+  std::vector<std::uint64_t> level(tier.levels_.front().size());
+  for (std::size_t i = 0; i < level.size(); ++i) {
+    level[i] = ~tier.levels_.front()[i];
+  }
+  if (nx_ % kWordBits != 0) {
+    const std::uint64_t tail = ~(kAll << (nx_ % kWordBits));
+    for (std::int64_t y = 1; y <= ny_; ++y) {
+      level[static_cast<std::size_t>(y * words_ - 1)] &= tail;
+    }
+  }
+  for (BinSpan b : blocked) {
+    if (!clamp_window(nx_, ny_, b.x0, b.y0, b.x1, b.y1)) continue;
+    const WordSpan span(b.x0, b.x1);
+    for (std::int64_t y = b.y0; y < b.y1; ++y) {
+      for (std::int64_t w = span.w0; w <= span.w1; ++w) {
+        level[static_cast<std::size_t>(y * words_ + w)] &= ~span.mask(w);
+      }
+    }
+  }
+  const auto level_size = [&](int k) {
+    return static_cast<std::size_t>((ny_ - (std::int64_t{1} << k) + 1) *
+                                    words_);
+  };
+  std::size_t kept = 0;
+  for (int k = first_level_; k <= top; ++k) kept += level_size(k);
+  bits_.reserve(kept);
+  for (int k = 0; k <= top; ++k) {
+    const std::size_t size = level_size(k);
+    if (k > 0) {
+      const auto half = static_cast<std::size_t>(
+          (std::int64_t{1} << (k - 1)) * words_);
+      for (std::size_t i = 0; i < size; ++i) level[i] &= level[i + half];
+    }
+    if (k >= first_level_) {
+      offsets_.push_back(bits_.size());
+      bits_.insert(bits_.end(), level.begin(),
+                   level.begin() + static_cast<std::ptrdiff_t>(size));
+    }
+  }
+}
+
+void FreeBinMap::block(BinSpan window) {
+  if (!clamp_window(nx_, ny_, window.x0, window.y0, window.x1, window.y1)) {
+    return;
+  }
+  // Entry y of level k is the AND of rows [y, y + 2^k), so it loses the
+  // window's columns when those rows meet the window's: y in
+  // [y0 - 2^k + 1, y1), within the level's ny - 2^k + 1 entries.
+  const WordSpan span(window.x0, window.x1);
+  for (std::int64_t w = span.w0; w <= span.w1; ++w) {
+    const std::uint64_t keep = ~span.mask(w);
+    for (std::size_t l = 0; l < offsets_.size(); ++l) {
+      const std::int64_t rows = std::int64_t{1}
+                                << (first_level_ + static_cast<int>(l));
+      const std::int64_t first =
+          std::max<std::int64_t>(window.y0 - rows + 1, 0);
+      const std::int64_t last = std::min(window.y1, ny_ - rows + 1);
+      for (std::int64_t y = first; y < last; ++y) {
+        bits_[offsets_[l] + static_cast<std::size_t>(y * words_ + w)] &= keep;
+      }
+    }
+  }
+}
+
+bool FreeBinMap::any_window_free(std::int64_t y0, std::int64_t y1,
+                                 std::int64_t width,
+                                 const std::vector<std::uint64_t>& lefts,
+                                 std::vector<std::uint64_t>& band) const {
+  expects(0 <= y0 && y1 <= ny_ && min_rows_ <= y1 - y0 &&
+              y1 - y0 <= max_rows_ && width >= 1 &&
+              lefts.size() == static_cast<std::size_t>(words_),
+          "free-bin map query out of range");
+  // Bit x of the band is set when column x is free over every row: the AND
+  // of level k's entries y0 and y1 - 2^k, which overlap but miss no row.
+  const int k = std::bit_width(static_cast<std::uint64_t>(y1 - y0)) - 1;
+  const std::size_t level =
+      offsets_[static_cast<std::size_t>(k - first_level_)];
+  const std::size_t lo = level + static_cast<std::size_t>(y0 * words_);
+  const std::size_t hi =
+      level +
+      static_cast<std::size_t>((y1 - (std::int64_t{1} << k)) * words_);
+  const auto words = static_cast<std::size_t>(words_);
+  band.resize(words);
+  std::uint64_t any = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    band[w] = bits_[lo + w] & bits_[hi + w];
+    any |= band[w] & lefts[w];
+  }
+  if (any == 0) return false;
+  // Erode along x: while bit x holds the AND of columns [x, x + covered),
+  // AND in the bit `shift` columns up, which doubles what it covers, up to
+  // the width.  A window of at most 64 columns that starts in word w ends
+  // in word w or w + 1, so each word with a start erodes on its own, from
+  // those two words (the bits past them never reach word w's), and the
+  // words without one are skipped.
+  if (width <= kWordBits) {
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t starts = band[w] & lefts[w];
+      if (starts == 0) continue;
+      std::uint64_t low = band[w];
+      std::uint64_t high = w + 1 < words ? band[w + 1] : 0;
+      for (std::int64_t covered = 1; (low & starts) != 0 && covered < width;) {
+        const auto shift = static_cast<int>(std::min(covered, width - covered));
+        low &= (low >> shift) | (high << (kWordBits - shift));
+        high &= high >> shift;
+        covered += shift;
+      }
+      if ((low & starts) != 0) return true;
+    }
+    return false;
+  }
+  // Wider windows erode the whole band.  Bits move down within the words
+  // in ascending order, so each word reads its sources before they are
+  // overwritten.
+  for (std::int64_t covered = 1; any != 0 && covered < width;) {
+    const std::int64_t shift = std::min(covered, width - covered);
+    const auto q = static_cast<std::size_t>(shift / kWordBits);
+    const auto r = static_cast<int>(shift % kWordBits);
+    any = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t low = w + q < words ? band[w + q] : 0;
+      const std::uint64_t high = w + q + 1 < words ? band[w + q + 1] : 0;
+      band[w] &= r == 0 ? low : (low >> r) | (high << (kWordBits - r));
+      any |= band[w] & lefts[w];
+    }
+    covered += shift;
+  }
+  return any != 0;
+}
+
 RectBuckets::RectBuckets(double width_um, double height_um,
                          std::size_t expected) {
   expects(width_um > 0.0 && height_um > 0.0,

@@ -9,7 +9,9 @@
 #include <deque>
 #include <iterator>
 #include <limits>
+#include <memory_resource>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -44,15 +46,25 @@ double block_cost(const SoftBlock& block, const Rect& rect,
 }
 
 /// The bin boundaries at or below a lower edge and at or above an upper
-/// edge.  Occupancy is committed at bin granularity, so legality is checked
-/// on the bin-expanded footprint, or adjacent blocks could collide at
-/// commit time.  The upper edge's 1e-9 slack is wider than bin_span's
-/// 1e-12, so a footprint narrower than ~1e-9 bin can expand to nothing at
-/// a bin edge while its commit still marks a bin: Placer::place refuses
-/// such blocks up front.
-double expand_lo(double v, double bin) { return std::floor(v / bin) * bin; }
-double expand_hi(double v, double bin) {
-  return std::ceil(v / bin - 1e-9) * bin;
+/// edge, as integer multiples of the bin: expand_lo and expand_hi are these
+/// multipliers times the bin.  Occupancy is committed at bin granularity,
+/// so legality is checked on the bin-expanded footprint, or adjacent blocks
+/// could collide at commit time.  The upper edge's 1e-9 slack is wider
+/// than bin_span's 1e-12, so a footprint narrower than ~1e-9 bin can expand
+/// to nothing at a bin edge while its commit still marks a bin:
+/// Placer::place refuses such blocks up front.
+double lo_multiplier(double v, double bin) { return std::floor(v / bin); }
+double hi_multiplier(double v, double bin) {
+  return std::ceil(v / bin - 1e-9);
+}
+double expand_lo(double v, double bin) { return lo_multiplier(v, bin) * bin; }
+double expand_hi(double v, double bin) { return hi_multiplier(v, bin) * bin; }
+
+/// A multiplier as a bin index clamped to [0, bins]: where an edge of the
+/// bin-expanded footprint falls on a grid of `bins` bins.
+std::int64_t grid_bin(double multiplier, std::int64_t bins) {
+  return static_cast<std::int64_t>(
+      std::clamp(multiplier, 0.0, static_cast<double>(bins)));
 }
 
 /// Expand a rectangle to the floorplan's bin boundaries.
@@ -91,11 +103,17 @@ struct AxisCandidate {
   double q0 = 0.0;       ///< bin-expanded lower edge (um)
   double q1 = 0.0;       ///< bin-expanded upper edge (um)
   double centre = 0.0;   ///< candidate centre (um), as Rect::center has it
-  std::int64_t b0 = 0;   ///< bin window [b0, b1)
+  std::int64_t b0 = 0;   ///< bin window [b0, b1), which the tier test reads
   std::int64_t b1 = 0;
+  /// The bins both quantizations put under the candidate: the bin window
+  /// intersected with the multipliers of [q0, q1), which decide the
+  /// sibling test, clamped to the grid.  Empty when the two do not meet.
+  std::int64_t f0 = 0;
+  std::int64_t f1 = 0;
   bool inside = false;   ///< bin-expanded extent within the die
 };
-using AxisIter = std::vector<AxisCandidate>::const_iterator;
+using Axis = std::vector<AxisCandidate>;
+using AxisIter = Axis::const_iterator;
 
 /// The x (or y) positions of a scan for a block `len` long along that axis
 /// on a `step` grid.  Positions accumulate with `p += step` from the die
@@ -103,9 +121,10 @@ using AxisIter = std::vector<AxisCandidate>::const_iterator;
 /// bin_expand, Floorplan::bin_span (through axis_bins) and Rect::center on
 /// Rect::at's edges p and p + len, so every candidate rectangle and window
 /// is bit-identical to the naive scan's.
-void build_axis(std::vector<AxisCandidate>& out, const Floorplan& fp,
-                bool x_axis, double len, double step) {
+void build_axis(Axis& out, const Floorplan& fp, bool x_axis, double len,
+                double step) {
   const double side = x_axis ? fp.width_um() : fp.height_um();
+  const std::int64_t bins = x_axis ? fp.bins_x() : fp.bins_y();
   const double bin = fp.bin_um();
   out.clear();
   const double steps = (side - len) / step;  // the loop makes ~steps + 1
@@ -114,19 +133,33 @@ void build_axis(std::vector<AxisCandidate>& out, const Floorplan& fp,
   }
   for (double p = 0.0; p + len <= side + 1e-6; p += step) {
     const double hi = p + len;
+    const double m0 = lo_multiplier(p, bin);
+    const double m1 = hi_multiplier(hi, bin);
     AxisCandidate c;
     c.pos = p;
-    c.q0 = expand_lo(p, bin);
-    c.q1 = expand_hi(hi, bin);
+    c.q0 = m0 * bin;
+    c.q1 = m1 * bin;
     c.centre = (p + hi) / 2;
     std::tie(c.b0, c.b1) = fp.axis_bins(c.q0, c.q1, x_axis);
+    c.f0 = std::max(c.b0, grid_bin(m0, bins));
+    c.f1 = std::min(c.b1, grid_bin(m1, bins));
     c.inside = !(c.q0 < 0.0 || c.q1 > side + 1e-6);
     out.push_back(c);
   }
 }
 
+/// One axis table: the positions of a block `len` long along x (`x_axis`)
+/// or y on a `step` grid.
+struct AxisTable {
+  bool x_axis = true;
+  double len = 0.0;
+  double step = 0.0;
+  Axis positions;
+};
+
 /// The scan tables of one block shape on one scan step: per aspect
-/// candidate, the block's width and height and its x and y axis tables.
+/// candidate, the block's width and height and its x and y axis tables,
+/// which other shapes and aspects may share.
 struct ShapeTables {
   double area = 0.0;
   double aspect = 0.0;
@@ -134,8 +167,8 @@ struct ShapeTables {
   struct Aspect {
     double w = 0.0;
     double h = 0.0;
-    std::vector<AxisCandidate> xs;
-    std::vector<AxisCandidate> ys;
+    const Axis* xs = nullptr;
+    const Axis* ys = nullptr;
   };
   std::array<Aspect, kNumAspects> aspects;
 };
@@ -145,7 +178,10 @@ struct Run {
   std::size_t begin = 0;
   std::size_t end = 0;
 };
-using Runs = std::vector<Run>;
+/// A row's runs.  Every row of a placement takes them from one arena: a row
+/// holds a handful, and a heap block each was ~10% of a 32-bank
+/// placement's time in the allocator.
+using Runs = std::pmr::vector<Run>;
 
 /// Remove columns [c0, c1) from `runs` (ordered, disjoint).  The head and
 /// tail that survive are written over the cut runs; only a run split in two
@@ -192,6 +228,15 @@ struct RunTable {
   const ShapeTables* shape = nullptr;
   tech::TierKind tier{};
   const OccupancySnapshot* occupancy = nullptr;  ///< the tier's snapshot
+  /// For a table made after siblings were committed: the tier's free bins
+  /// less every committed sibling's, kept current at each commit, which
+  /// proves rows empty before they are built.
+  std::optional<FreeBinMap> free_bins;
+  /// Per aspect, the proof's columns: the narrowest window [f0, f1) of the
+  /// in-die columns (0, which proves nothing, when one is empty), and a bit
+  /// at each one's f0.
+  std::array<std::int64_t, kNumAspects> narrowest{};
+  std::array<std::vector<std::uint64_t>, kNumAspects> starts;
   std::array<std::size_t, kNumAspects> inside_cols{};
   std::array<std::vector<Row>, kNumAspects> rows;
   /// Per aspect, rows.size() + 1 links: row j's is j while the row may
@@ -214,8 +259,8 @@ struct RunTable {
 
 /// The candidates of `axis` whose extent overlaps [lo, hi) as
 /// Rect::overlaps has it: one range, because the extents never decrease.
-std::pair<std::size_t, std::size_t> overlapping(
-    const std::vector<AxisCandidate>& axis, double lo, double hi) {
+std::pair<std::size_t, std::size_t> overlapping(const Axis& axis, double lo,
+                                                double hi) {
   const auto first =
       std::partition_point(axis.begin(), axis.end(),
                            [&](const AxisCandidate& c) { return !(lo < c.q1); });
@@ -271,8 +316,32 @@ PlacementResult Placer::place(Floorplan& fp,
   std::vector<Rect> rects(blocks.size());  // invalid until placed
   const double step = options_.grid_step_um;
 
+  // Axis tables, built once per (axis, length, scan step) on first use.  On
+  // a square die the two axes have the same side and bin count, so x and y
+  // share them: aspect 1's two tables are one, and so are aspect 2's x and
+  // aspect 0.5's y table (A * 0.5 and A / 2 are the same double).  A deque
+  // keeps references stable.
+  std::deque<AxisTable> axes;
+  const bool square = same_bits(fp.width_um(), fp.height_um());
+  const auto axis_for = [&](bool x_axis, double len,
+                            double scan_step) -> const Axis& {
+    x_axis = x_axis || square;
+    for (const AxisTable& t : axes) {
+      if (t.x_axis == x_axis && same_bits(t.len, len) &&
+          same_bits(t.step, scan_step)) {
+        return t.positions;
+      }
+    }
+    AxisTable& t = axes.emplace_back();
+    t.x_axis = x_axis;
+    t.len = len;
+    t.step = scan_step;
+    build_axis(t.positions, fp, x_axis, len, scan_step);
+    return t.positions;
+  };
+
   // Scan tables, built once per (shape, scan step) on first use: a
-  // design's blocks share a few shapes.  A deque keeps references stable.
+  // design's blocks share a few shapes.
   std::deque<ShapeTables> shapes;
   const auto tables_for = [&](const SoftBlock& block,
                               double scan_step) -> const ShapeTables& {
@@ -289,8 +358,8 @@ PlacementResult Placer::place(Floorplan& fp,
     for (std::size_t a = 0; a < kNumAspects; ++a) {
       ShapeTables::Aspect& tab = t.aspects[a];
       std::tie(tab.w, tab.h) = aspect_size(block, a);
-      build_axis(tab.xs, fp, /*x_axis=*/true, tab.w, scan_step);
-      build_axis(tab.ys, fp, /*x_axis=*/false, tab.h, scan_step);
+      tab.xs = &axis_for(/*x_axis=*/true, tab.w, scan_step);
+      tab.ys = &axis_for(/*x_axis=*/false, tab.h, scan_step);
     }
     return t;
   };
@@ -313,8 +382,10 @@ PlacementResult Placer::place(Floorplan& fp,
   // first use; a row catches up with the siblings committed since its last
   // use when it is used again.  The constructive and shelf passes test
   // legality through them alone, and a row's tier runs never change.
+  std::pmr::monotonic_buffer_resource arena;  // outlives the tables' rows
   std::vector<RunTable> run_tables;
-  std::vector<Rect> committed;  // bin-expanded, in commit order
+  std::vector<Rect> committed;          // bin-expanded, in commit order
+  std::vector<BinSpan> committed_bins;  // their multipliers, on the grid
   const auto runs_for = [&](const ShapeTables& shape,
                             tech::TierKind tier) -> RunTable& {
     for (RunTable& t : run_tables) {
@@ -325,31 +396,70 @@ PlacementResult Placer::place(Floorplan& fp,
     t.tier = tier;
     t.occupancy = &snapshot_for(tier);
     const auto inside = [](const AxisCandidate& c) { return c.inside; };
+    // The shortest and tallest non-empty row windows of the proof.
+    std::int64_t min_rows = std::numeric_limits<std::int64_t>::max();
+    std::int64_t max_rows = 0;
     for (std::size_t a = 0; a < kNumAspects; ++a) {
-      const ShapeTables::Aspect& tab = shape.aspects[a];
+      const Axis& xs = *shape.aspects[a].xs;
+      const Axis& ys = *shape.aspects[a].ys;
       t.inside_cols[a] = static_cast<std::size_t>(
-          std::partition_point(tab.xs.begin(), tab.xs.end(), inside) -
-          tab.xs.begin());
-      t.rows[a].resize(static_cast<std::size_t>(
-          std::partition_point(tab.ys.begin(), tab.ys.end(), inside) -
-          tab.ys.begin()));
-      t.next_live[a].resize(t.rows[a].size() + 1);
+          std::partition_point(xs.begin(), xs.end(), inside) - xs.begin());
+      const auto n_rows = static_cast<std::size_t>(
+          std::partition_point(ys.begin(), ys.end(), inside) - ys.begin());
+      t.rows[a].reserve(n_rows);
+      for (std::size_t j = 0; j < n_rows; ++j) {
+        t.rows[a].push_back({Runs(&arena), RunTable::kUnbuilt});
+        if (ys[j].f0 < ys[j].f1) {
+          min_rows = std::min(min_rows, ys[j].f1 - ys[j].f0);
+          max_rows = std::max(max_rows, ys[j].f1 - ys[j].f0);
+        }
+      }
+      t.next_live[a].resize(n_rows + 1);
       std::iota(t.next_live[a].begin(), t.next_live[a].end(), std::size_t{0});
+    }
+    if (committed.empty() || max_rows == 0) return t;
+    t.free_bins.emplace(*t.occupancy, committed_bins, min_rows, max_rows);
+    const auto words = static_cast<std::size_t>((fp.bins_x() + 63) / 64);
+    for (std::size_t a = 0; a < kNumAspects; ++a) {
+      const Axis& xs = *shape.aspects[a].xs;
+      std::int64_t& narrowest = t.narrowest[a];
+      narrowest = std::numeric_limits<std::int64_t>::max();
+      t.starts[a].assign(words, 0);
+      for (std::size_t i = 0; i < t.inside_cols[a]; ++i) {
+        narrowest = std::min(narrowest, xs[i].f1 - xs[i].f0);
+        if (xs[i].f0 < xs[i].f1) {
+          t.starts[a][static_cast<std::size_t>(xs[i].f0 / 64)] |=
+              std::uint64_t{1} << (xs[i].f0 % 64);
+        }
+      }
+      if (t.inside_cols[a] == 0 || narrowest < 0) narrowest = 0;  // no proof
     }
     return t;
   };
   std::vector<std::uint64_t> band;  // the row being built's folded bins
   const auto legal_runs = [&](RunTable& t, std::size_t a,
                               std::size_t j) -> const Runs& {
-    const ShapeTables::Aspect& tab = t.shape->aspects[a];
-    const AxisCandidate& row = tab.ys[j];
+    const Axis& xs = *t.shape->aspects[a].xs;
+    const AxisCandidate& row = (*t.shape->aspects[a].ys)[j];
     RunTable::Row& r = t.rows[a][j];
     if (r.seen == RunTable::kUnbuilt) {
+      // A legal column's window [f0, f1) along x, over the row's [f0, f1)
+      // along y, is free on the tier and of every sibling, so a row in
+      // which no column starts a window of the narrowest width that the
+      // map holds free would be empty once built and caught up: it is dead
+      // unbuilt.
+      if (t.free_bins && t.narrowest[a] > 0 && row.f0 < row.f1 &&
+          !t.free_bins->any_window_free(row.f0, row.f1, t.narrowest[a],
+                                        t.starts[a], band)) {
+        r.seen = committed.size();
+        t.next_live[a][j] = j + 1;
+        return r.runs;
+      }
       // Every candidate of the row covers the row's bins along y, so one
       // folded band of them decides each column's window along x.
       const OccupancySnapshot& occupancy = *t.occupancy;
       occupancy.band(row.b0, row.b1, band);
-      const AxisIter cols = tab.xs.begin();
+      const AxisIter cols = xs.begin();
       const AxisIter cols_end =
           cols + static_cast<std::ptrdiff_t>(t.inside_cols[a]);
       for (AxisIter col = cols; col != cols_end;) {
@@ -395,7 +505,7 @@ PlacementResult Placer::place(Floorplan& fp,
       if (!(q.y0 < row.q1 && row.q0 < q.y1)) continue;
       RunTable::Reach& sibling = reach[r.seen];
       if (sibling.i0 > sibling.i1) {
-        std::tie(sibling.i0, sibling.i1) = overlapping(tab.xs, q.x0, q.x1);
+        std::tie(sibling.i0, sibling.i1) = overlapping(xs, q.x0, q.x1);
       }
       cut_runs(r.runs, sibling.i0, sibling.i1);
     }
@@ -453,13 +563,12 @@ PlacementResult Placer::place(Floorplan& fp,
     // the anchor, so a side whose nearest legal column prices NaN has
     // nothing to offer.
     const auto cheapest = [&](const Runs& runs, std::size_t a,
-                              std::size_t j, std::size_t split)
+                              const AxisCandidate& row, std::size_t split)
         -> std::pair<double, std::size_t> {
-      const ShapeTables::Aspect& tab = shape.aspects[a];
-      const AxisCandidate& row = tab.ys[j];
+      const Axis& xs = *shape.aspects[a].xs;
       const auto cost_at = [&](std::size_t i) {
         c_scanned.add();
-        return price(tab.xs[i], row, a);
+        return price(xs[i], row, a);
       };
       const auto right =
           std::partition_point(runs.begin(), runs.end(),
@@ -485,11 +594,11 @@ PlacementResult Placer::place(Floorplan& fp,
           cost_at(run_start ? std::prev(left)->end - 1 : i - 1) <= cost) {
         const auto first = static_cast<std::size_t>(
             std::partition_point(
-                tab.xs.begin(), tab.xs.begin() + static_cast<std::ptrdiff_t>(i),
+                xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(i),
                 [&](const AxisCandidate& c) {
                   return !(price(c, row, a) <= cost);
                 }) -
-            tab.xs.begin());
+            xs.begin());
         const auto run =
             std::partition_point(runs.begin(), runs.end(),
                                  [&](const Run& r) { return r.end <= first; });
@@ -499,15 +608,14 @@ PlacementResult Placer::place(Floorplan& fp,
     };
 
     // Each term w * (|dx| + |dy|) rounds to at least w * |dy|, and rounding
-    // keeps the sums in order, so no candidate of row j costs less.  -inf
+    // keeps the sums in order, so no candidate of the row costs less.  -inf
     // bounds every cost, NaN included.
-    const auto row_bound = [&](std::size_t a, std::size_t j) {
+    const auto row_bound = [&](std::size_t a, const AxisCandidate& row) {
       constexpr double kNoBound = -std::numeric_limits<double>::infinity();
       if (!bounded) return kNoBound;
       double bound = 0.0;
       for (const Anchor& anchor : anchors) {
-        bound += anchor.weight *
-                 std::abs(shape.aspects[a].ys[j].centre - anchor.y);
+        bound += anchor.weight * std::abs(row.centre - anchor.y);
       }
       bound += distortion_penalty[a];
       return std::isnan(bound) ? kNoBound : bound;
@@ -519,42 +627,71 @@ PlacementResult Placer::place(Floorplan& fp,
     // row's cheapest legal candidate is found without pricing the row;
     // otherwise every legal column is priced.
     const bool one_anchor = bounded && anchors.size() <= 1;
+    // With no anchor every row's bound is the penalty, and with one of
+    // positive weight it never rises while the row's centre is below the
+    // anchor's and never falls after: the rows worth visiting start at the
+    // first whose bound is below the best so far and end at the first one
+    // at or above the anchor whose bound is not.  (A zero weight can make a
+    // far row's bound NaN, which the per-row test alone handles.)
+    const bool ranged =
+        one_anchor && (anchors.empty() || anchors[0].weight > 0.0);
     double best_cost = std::numeric_limits<double>::infinity();
     Rect best{};
     for (std::size_t a = 0; a < kNumAspects; ++a) {
       const ShapeTables::Aspect& tab = shape.aspects[a];
-      // Columns before `split` lie left of the anchor.
+      const Axis& xs = *tab.xs;
+      const Axis& ys = *tab.ys;
+      const std::size_t n_rows = legal.rows[a].size();
+      const auto rows_end = ys.begin() + static_cast<std::ptrdiff_t>(n_rows);
+      // Columns before `split` lie left of the anchor; rows from `rising`
+      // on lie at or above it.
       std::size_t split = 0;
+      std::size_t rising = 0;
+      std::size_t first = 0;
       if (one_anchor && !anchors.empty()) {
         split = static_cast<std::size_t>(
-            std::partition_point(tab.xs.begin(), tab.xs.end(),
+            std::partition_point(xs.begin(), xs.end(),
                                  [&](const AxisCandidate& c) {
                                    return c.centre < anchors[0].x;
                                  }) -
-            tab.xs.begin());
+            xs.begin());
       }
-      const std::size_t n_rows = legal.rows[a].size();
-      for (std::size_t j = legal.live_row(a, 0); j < n_rows;
+      if (ranged && !anchors.empty()) {
+        const auto above = std::partition_point(
+            ys.begin(), rows_end,
+            [&](const AxisCandidate& r) { return r.centre < anchors[0].y; });
+        rising = static_cast<std::size_t>(above - ys.begin());
+        first = static_cast<std::size_t>(
+            std::partition_point(ys.begin(), above,
+                                 [&](const AxisCandidate& r) {
+                                   return row_bound(a, r) >= best_cost;
+                                 }) -
+            ys.begin());
+      }
+      for (std::size_t j = legal.live_row(a, first); j < n_rows;
            j = legal.live_row(a, j + 1)) {
-        if (row_bound(a, j) >= best_cost) continue;
+        const AxisCandidate& row = ys[j];
+        if (row_bound(a, row) >= best_cost) {
+          if (ranged && j >= rising) break;
+          continue;
+        }
         const Runs& runs = legal_runs(legal, a, j);
         if (runs.empty()) continue;
-        const AxisCandidate& row = tab.ys[j];
         if (one_anchor) {
-          const auto [cost, i] = cheapest(runs, a, j, split);
+          const auto [cost, i] = cheapest(runs, a, row, split);
           if (cost < best_cost) {
             best_cost = cost;
-            best = Rect::at(tab.xs[i].pos, row.pos, tab.w, tab.h);
+            best = Rect::at(xs[i].pos, row.pos, tab.w, tab.h);
           }
           continue;
         }
         for (const Run& run : runs) {
           for (std::size_t i = run.begin; i < run.end; ++i) {
             c_scanned.add();
-            const double cost = price(tab.xs[i], row, a);
+            const double cost = price(xs[i], row, a);
             if (cost < best_cost) {
               best_cost = cost;
-              best = Rect::at(tab.xs[i].pos, row.pos, tab.w, tab.h);
+              best = Rect::at(xs[i].pos, row.pos, tab.w, tab.h);
             }
           }
         }
@@ -578,8 +715,8 @@ PlacementResult Placer::place(Floorplan& fp,
         const Runs& runs = legal_runs(legal, a, j);
         if (runs.empty()) continue;
         c_scanned.add();
-        return Rect::at(tab.xs[runs.front().begin].pos, tab.ys[j].pos, tab.w,
-                        tab.h);
+        return Rect::at((*tab.xs)[runs.front().begin].pos, (*tab.ys)[j].pos,
+                        tab.w, tab.h);
       }
     }
     return Rect{};
@@ -587,7 +724,16 @@ PlacementResult Placer::place(Floorplan& fp,
 
   const auto commit_rect = [&](std::size_t bi, const Rect& rect) {
     rects[bi] = rect;
-    if (rect.valid()) committed.push_back(bin_expand(rect, bin));
+    if (!rect.valid()) return;
+    committed.push_back(bin_expand(rect, bin));
+    const BinSpan& sibling = committed_bins.emplace_back(
+        BinSpan{grid_bin(lo_multiplier(rect.x0, bin), fp.bins_x()),
+                grid_bin(lo_multiplier(rect.y0, bin), fp.bins_y()),
+                grid_bin(hi_multiplier(rect.x1, bin), fp.bins_x()),
+                grid_bin(hi_multiplier(rect.y1, bin), fp.bins_y())});
+    for (RunTable& t : run_tables) {
+      if (t.free_bins) t.free_bins->block(sibling);
+    }
   };
 
   // The constructive pass stops at the first block that fits nowhere: the
@@ -614,6 +760,7 @@ PlacementResult Placer::place(Floorplan& fp,
     // wirelength second), then let annealing recover locality.
     std::fill(rects.begin(), rects.end(), Rect{});
     committed.clear();
+    committed_bins.clear();
     run_tables.clear();
     for (const std::size_t bi : order) {
       commit_rect(bi, shelf_place(bi));

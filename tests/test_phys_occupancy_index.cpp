@@ -4,7 +4,8 @@
 // checked against a byte grid kept by the test through long random
 // sequences of marks and queries, on grids whose rows end on, before and
 // after 64-bit word edges; the placer's snapshot of it, its rectangle
-// queries and its folded row bands, is checked against the same byte grid.
+// queries and its folded row bands, and the free-bin map that proves rows
+// empty are checked against the same byte grid.
 // The spatial buckets are checked against a linear scan, and the
 // floorplan's run-skipping scans against the naive oracles in
 // tests/reference.
@@ -252,6 +253,135 @@ TEST(OccupancySnapshot, MatchesByteGridOnRandomWindowsOverRandomOccupancy) {
   // Both answers are exercised.
   EXPECT_GT(blocked, 10000) << clear;
   EXPECT_GT(clear, 10000) << blocked;
+}
+
+TEST(FreeBinMap, MatchesByteGridOnRandomFillsSiblingsAndWindows) {
+  // The placer proves a row empty when the map finds no free window of the
+  // narrowest column width at any column start: a row it calls dead must
+  // have no free window in a brute-force scan of the byte grid, or the
+  // placer would lose a legal candidate, and a row with one must be kept.
+  // Random tier fills and blocked sibling windows (overlapping the fill,
+  // each other and the grid's edges), given when the map is made or
+  // blocked later as siblings are committed, on widths around the 64-bit
+  // word edges, and random bands, window widths and column sets.
+  Rng rng(0xf4ee);
+  std::int64_t dead = 0;
+  std::int64_t kept = 0;
+  std::vector<std::uint64_t> band;
+  for (const std::int64_t nx : {63, 64, 65, 127, 129}) {
+    const std::int64_t ny = 20 + static_cast<std::int64_t>(rng.below(50));
+    for (const int fill : {0, 10, 60, 200}) {
+      OccupancyIndex index(nx, ny);
+      ByteGrid grid(nx, ny);
+      WindowDraw random_window{rng, nx, ny};
+      std::int64_t bx0 = 0, by0 = 0, bx1 = 0, by1 = 0;
+      for (int m = 0; m < fill; ++m) {
+        random_window(bx0, by0, bx1, by1);
+        if (grid.count(bx0, by0, bx1, by1) == 0) {
+          index.mark(bx0, by0, bx1, by1);
+          grid.mark(bx0, by0, bx1, by1);
+        }
+      }
+      const OccupancySnapshot snapshot(index);
+      const auto draw = [&](std::int64_t bound) {
+        return static_cast<std::int64_t>(
+            rng.below(static_cast<std::uint64_t>(bound)));
+      };
+      for (int round = 0; round < 8; ++round) {
+        std::vector<BinSpan> siblings(rng.below(12));
+        ByteGrid blocked = grid;
+        for (BinSpan& s : siblings) {
+          random_window(s.x0, s.y0, s.x1, s.y1);
+          blocked.mark(s.x0, s.y0, s.x1, s.y1);
+        }
+        const std::int64_t max_rows =
+            1 + draw(rng.below(4) == 0 ? ny : std::min<std::int64_t>(24, ny));
+        const std::int64_t min_rows = 1 + draw(max_rows);
+        FreeBinMap map(snapshot, siblings, min_rows, max_rows);
+        for (int q = 0; q < 150; ++q) {
+          if (q % 30 == 29) {
+            BinSpan s;
+            random_window(s.x0, s.y0, s.x1, s.y1);
+            map.block(s);
+            blocked.mark(s.x0, s.y0, s.x1, s.y1);
+          }
+          const std::int64_t rows = min_rows + draw(max_rows - min_rows + 1);
+          const std::int64_t y0 = draw(ny - rows + 1);
+          const std::int64_t y1 = y0 + rows;
+          const std::int64_t width =
+              1 + draw(rng.below(4) == 0 ? nx + 2 : 16);
+          // Column starts: a stride, as a scan table's columns are, random
+          // bits, or one column.
+          std::vector<std::uint64_t> lefts(
+              static_cast<std::size_t>((nx + 63) / 64), 0);
+          const auto set = [&](std::int64_t x) {
+            lefts[static_cast<std::size_t>(x / 64)] |= std::uint64_t{1}
+                                                       << (x % 64);
+          };
+          switch (rng.below(3)) {
+            case 0: {
+              const std::int64_t stride = 1 + draw(4);
+              for (std::int64_t x = draw(stride); x < nx; x += stride) set(x);
+              break;
+            }
+            case 1:
+              for (std::int64_t x = 0; x < nx; ++x) {
+                if (rng.below(8) == 0) set(x);
+              }
+              break;
+            default:
+              set(draw(nx));
+          }
+          const std::vector<std::uint64_t> occupied =
+              blocked.column_or(y0, y1);
+          bool want = false;
+          for (std::int64_t x = 0; x + width <= nx && !want; ++x) {
+            if ((lefts[static_cast<std::size_t>(x / 64)] >> (x % 64) & 1) ==
+                0) {
+              continue;
+            }
+            bool free = true;
+            for (std::int64_t c = x; c < x + width && free; ++c) {
+              free = (occupied[static_cast<std::size_t>(c / 64)] >>
+                          (c % 64) &
+                      1) == 0;
+            }
+            want = free;
+          }
+          ASSERT_EQ(map.any_window_free(y0, y1, width, lefts, band), want)
+              << nx << "x" << ny << " fill " << fill << " round " << round
+              << " rows " << y0 << ".." << y1 << " width " << width;
+          ++(want ? kept : dead);
+        }
+      }
+    }
+  }
+  // Both answers are exercised.
+  EXPECT_GT(dead, 3000) << kept;
+  EXPECT_GT(kept, 3000) << dead;
+}
+
+TEST(FreeBinMap, QueriesOutsideItsFoldsArePreconditionErrors) {
+  OccupancyIndex index(70, 9);
+  const OccupancySnapshot snapshot(index);
+  const FreeBinMap map(snapshot, {}, 2, 4);
+  const std::vector<std::uint64_t> lefts(2, 1);
+  std::vector<std::uint64_t> band;
+  EXPECT_TRUE(map.any_window_free(5, 9, 70, lefts, band));
+  EXPECT_FALSE(map.any_window_free(5, 9, 71, lefts, band));
+  EXPECT_THROW((void)map.any_window_free(4, 9, 1, lefts, band),
+               PreconditionError);  // five rows, folded for four
+  EXPECT_THROW((void)map.any_window_free(4, 5, 1, lefts, band),
+               PreconditionError);  // one row, folded from two
+  EXPECT_THROW((void)map.any_window_free(8, 10, 1, lefts, band),
+               PreconditionError);  // past the last row
+  EXPECT_THROW((void)map.any_window_free(0, 2, 0, lefts, band),
+               PreconditionError);  // no columns
+  EXPECT_THROW((void)map.any_window_free(0, 2, 1, {1}, band),
+               PreconditionError);  // too few words of column starts
+  EXPECT_THROW(FreeBinMap(snapshot, {}, 0, 4), PreconditionError);
+  EXPECT_THROW(FreeBinMap(snapshot, {}, 3, 2), PreconditionError);
+  EXPECT_THROW(FreeBinMap(snapshot, {}, 1, 10), PreconditionError);
 }
 
 TEST(OccupancyIndex, MarkingAnOccupiedWindowIsAPreconditionError) {

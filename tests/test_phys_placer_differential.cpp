@@ -14,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,16 @@ Macro random_macro(Rng& g, const std::string& name, double area, bool m3d) {
   }
 }
 
+/// Bin sizes.  50 and 100 um divide every multiple of themselves back to
+/// the integer they came from; 33.3 and 47.1 um do not for a few
+/// multipliers m below 400 (33.3 um: 63, 126, 247 and 252; 47.1 um: 17 of
+/// them), where the bin window of the bin-expanded footprint (m * bin /
+/// bin, floored or ceiled) is one bin wider than the multiplier that
+/// decides the sibling test.
+constexpr double kBins[] = {50.0, 100.0, 33.3, 47.1};
+
+bool inexact_bin(double bin) { return bin != 50.0 && bin != 100.0; }
+
 /// One generated case.  A third are "symmetric": a square die on the scan
 /// grid, integer-sided blocks and anchors at the die centre and mirrored
 /// about its vertical centre line, so that candidates of exactly equal cost
@@ -116,7 +127,7 @@ Macro random_macro(Rng& g, const std::string& name, double area, bool m3d) {
 PlacerCase random_case(Rng& g) {
   const bool symmetric = g.below(3) == 0;
   const bool m3d = g.below(2) == 0;
-  const double bin = g.below(2) == 0 ? 50.0 : 100.0;
+  const double bin = kBins[g.below(std::size(kBins))];
   double w = 0.0;
   double h = 0.0;
   // Small dies and few blocks are drawn more often than large ones: the
@@ -222,6 +233,8 @@ TEST_P(PlacerDifferential, MatchesNaiveOracleBitForBit) {
   int symmetric_constructive = 0;
   int second_chances = 0;
   int multi_anchor_constructive = 0;
+  int inexact_fallbacks = 0;
+  int inexact_second_chances = 0;
   for (int n = 0; n < kCases; ++n) {
     PlacerCase c = random_case(g);
     Floorplan naive_fp = c.fp;
@@ -237,6 +250,10 @@ TEST_P(PlacerDifferential, MatchesNaiveOracleBitForBit) {
     if (trace.shelf_fallback) ++fallbacks;
     if (c.symmetric && !trace.shelf_fallback) ++symmetric_constructive;
     if (trace.second_chance_after_commit) ++second_chances;
+    if (inexact_bin(c.fp.bin_um())) {
+      if (trace.shelf_fallback) ++inexact_fallbacks;
+      if (trace.second_chance_after_commit) ++inexact_second_chances;
+    }
     const bool multi_anchor = std::any_of(
         c.blocks.begin(), c.blocks.end(), [](const SoftBlock& b) {
           return b.affinities.size() >= 2 &&
@@ -248,11 +265,14 @@ TEST_P(PlacerDifferential, MatchesNaiveOracleBitForBit) {
   // The generator reaches the shelf fallback; the constructive search on
   // symmetric cases and on blocks with several anchors, whose rows are
   // scanned; and second-chance scans whose run tables are first built
-  // after siblings were committed.
+  // after siblings were committed, where the free-bin map proves rows
+  // empty.  Inexact bins reach the fallback and the second chance too.
   EXPECT_GT(fallbacks, kCases / 10);
   EXPECT_GT(symmetric_constructive, kCases / 20);
   EXPECT_GT(multi_anchor_constructive, kCases / 3);
   EXPECT_GT(second_chances, kCases / 10);
+  EXPECT_GT(inexact_fallbacks, kCases / 20);
+  EXPECT_GT(inexact_second_chances, kCases / 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, PlacerDifferential, ::testing::Range(0, 6));
