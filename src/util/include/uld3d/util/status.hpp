@@ -10,7 +10,6 @@
 //   Failure      code + message + key/value context
 //   StatusError  an exception that carries a Failure across layers that
 //                still unwind (model boundaries throw it; sweeps catch it)
-//   Result<T>    value-or-Failure, for call sites that want no unwinding
 //   Diagnostics  a collector that accumulates many Failures (e.g. every
 //                range violation in a config) instead of stopping at one
 #pragma once
@@ -19,7 +18,6 @@
 #include <cstddef>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "uld3d/util/check.hpp"
@@ -82,48 +80,6 @@ class StatusError : public Error {
 
  private:
   Failure failure_;
-};
-
-/// Value-or-Failure, for call sites that prefer explicit propagation to
-/// exceptions.  `value()` on a failed Result throws the carried Failure.
-template <typename T>
-class Result {
- public:
-  Result(T value) : state_(std::move(value)) {}           // NOLINT(google-explicit-constructor)
-  Result(Failure failure) : state_(std::move(failure)) {} // NOLINT(google-explicit-constructor)
-
-  [[nodiscard]] bool ok() const { return std::holds_alternative<T>(state_); }
-  explicit operator bool() const { return ok(); }
-
-  [[nodiscard]] ErrorCode code() const {
-    return ok() ? ErrorCode::kOk : failure().code;
-  }
-
-  [[nodiscard]] const T& value() const& {
-    if (!ok()) throw StatusError(std::get<Failure>(state_));
-    return std::get<T>(state_);
-  }
-  [[nodiscard]] T& value() & {
-    if (!ok()) throw StatusError(std::get<Failure>(state_));
-    return std::get<T>(state_);
-  }
-  [[nodiscard]] T&& value() && {
-    if (!ok()) throw StatusError(std::get<Failure>(state_));
-    return std::get<T>(std::move(state_));
-  }
-
-  [[nodiscard]] T value_or(T fallback) const {
-    return ok() ? std::get<T>(state_) : std::move(fallback);
-  }
-
-  /// Only valid when !ok().
-  [[nodiscard]] const Failure& failure() const {
-    ensures(!ok(), "failure() called on an ok Result");
-    return std::get<Failure>(state_);
-  }
-
- private:
-  std::variant<T, Failure> state_;
 };
 
 /// Accumulates failures instead of throwing on the first one; used by

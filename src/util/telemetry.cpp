@@ -231,9 +231,7 @@ void EventSink::sweep_start_impl(const std::string& fingerprint,
      << "\", \"grid_size\": " << grid_size;
   append_string_array(os, "params", param_names);
   append_string_array(os, "metrics", metric_names);
-  // A sweep evaluates the whole grid; schema-1 readers still read
-  // domain_size, the count of points the run evaluates.
-  os << ", \"domain_size\": " << grid_size << ", \"jobs\": " << jobs << "}";
+  os << ", \"jobs\": " << jobs << "}";
   append_line(os.str());
 }
 

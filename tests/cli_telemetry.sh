@@ -18,15 +18,19 @@
 #     and its canonical projection is that of the same stream without it.
 #  7. A stream recorded while sharding existed ("shard" labels on every
 #     line, a shard_info event) loads in every mode, canonicalizes like the
-#     same stream without them, and uld3d-diff compares it cleanly.
+#     same stream without them, and `--diff` compares it cleanly.
+#  8. A stream whose sweep_start still carries "domain_size" (written until
+#     the field went; it always equalled grid_size) loads in every mode,
+#     canonicalizes like the same stream without it, and `--diff` against
+#     that stream is clean.
+#  9. An integer member out of its type's range ("index": -1) is malformed
+#     input: exit 3 in the summary, --canon and --diff modes alike.
 #
 # Usage: cli_telemetry.sh /path/to/uld3d_cli /path/to/uld3d-report
-#        /path/to/uld3d-diff
 set -u
 
 cli="$1"
 report="$2"
-diff_tool="$3"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 failures=0
@@ -170,9 +174,47 @@ grep -q '"ev": "shard_info", "run": "[^"]*", "shard": "2/4"' \
   || fail "stream with shard labels: --canon should exit 0"
 cmp -s "$tmpdir/canonshard.txt" "$tmpdir/canon1.txt" \
   || fail "shard labels changed the canonical projection"
-"$diff_tool" "$tmpdir/ev1.ndjson" "$tmpdir/evshard.ndjson" >/dev/null 2>&1
+"$report" --diff "$tmpdir/ev1.ndjson" "$tmpdir/evshard.ndjson" >/dev/null 2>&1
 code=$?
-[ "$code" -eq 0 ] || fail "uld3d-diff of the shard-labelled copy: expected exit 0, got $code"
+[ "$code" -eq 0 ] || fail "--diff of the shard-labelled copy: expected exit 0, got $code"
+
+# --- 8. streams recorded with domain_size in sweep_start --------------------
+grep -q '"domain_size"' "$tmpdir/ev1.ndjson" \
+  && fail "sweep_start still writes domain_size"
+sed 's/\("ev": "sweep_start".*\)\(, "jobs": [0-9]*}\)$/\1, "domain_size": 20\2/' \
+  "$tmpdir/ev1.ndjson" > "$tmpdir/evdomain.ndjson"
+grep -q '"ev": "sweep_start".*"domain_size": 20, "jobs": 1}$' \
+  "$tmpdir/evdomain.ndjson" \
+  || fail "fixture: could not add domain_size to the sweep_start event"
+"$report" "$tmpdir/evdomain.ndjson" > "$tmpdir/domain.txt" 2>&1 \
+  || fail "stream with domain_size: summary should exit 0"
+grep -q 'domain [0-9]' "$tmpdir/domain.txt" \
+  && fail "stream with domain_size: the summary still reports it"
+"$report" --json "$tmpdir/evdomain.ndjson" > "$tmpdir/domain.json" 2>/dev/null \
+  || fail "stream with domain_size: --json should exit 0"
+grep -q 'domain_size' "$tmpdir/domain.json" \
+  && fail "stream with domain_size: --json still reports the field"
+"$report" --canon "$tmpdir/evdomain.ndjson" > "$tmpdir/canondomain.txt" \
+  || fail "stream with domain_size: --canon should exit 0"
+cmp -s "$tmpdir/canondomain.txt" "$tmpdir/canon1.txt" \
+  || fail "domain_size changed the canonical projection"
+"$report" --diff "$tmpdir/evdomain.ndjson" "$tmpdir/ev1.ndjson" >/dev/null 2>&1
+code=$?
+[ "$code" -eq 0 ] || fail "--diff of the domain_size copy: expected exit 0, got $code"
+
+# --- 9. out-of-range integers are malformed input ---------------------------
+sed 's/"index": 0,/"index": -1,/' "$tmpdir/ev1.ndjson" > "$tmpdir/evneg.ndjson"
+grep -q '"index": -1,' "$tmpdir/evneg.ndjson" \
+  || fail "fixture: could not set a point index to -1"
+"$report" "$tmpdir/evneg.ndjson" >/dev/null 2>&1
+code=$?
+[ "$code" -eq 3 ] || fail "index -1, summary: expected exit 3, got $code"
+"$report" --canon "$tmpdir/evneg.ndjson" >/dev/null 2>&1
+code=$?
+[ "$code" -eq 3 ] || fail "index -1, --canon: expected exit 3, got $code"
+"$report" --diff "$tmpdir/ev1.ndjson" "$tmpdir/evneg.ndjson" >/dev/null 2>&1
+code=$?
+[ "$code" -eq 3 ] || fail "index -1, --diff: expected exit 3, got $code"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures telemetry check(s) failed" >&2

@@ -43,23 +43,6 @@ TEST(StatusError, IsAnUld3dError) {
   EXPECT_THROW(throw StatusError(Failure(ErrorCode::kInternal, "x")), Error);
 }
 
-TEST(ResultT, HoldsValue) {
-  const Result<double> r(3.5);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.code(), ErrorCode::kOk);
-  EXPECT_DOUBLE_EQ(r.value(), 3.5);
-  EXPECT_DOUBLE_EQ(r.value_or(0.0), 3.5);
-}
-
-TEST(ResultT, HoldsFailure) {
-  const Result<double> r(Failure(ErrorCode::kInfeasiblePoint, "no fit"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.code(), ErrorCode::kInfeasiblePoint);
-  EXPECT_DOUBLE_EQ(r.value_or(-1.0), -1.0);
-  EXPECT_THROW(static_cast<void>(r.value()), StatusError);
-  EXPECT_EQ(r.failure().message, "no fit");
-}
-
 TEST(Diagnostics, AccumulatesInsteadOfThrowing) {
   Diagnostics d;
   EXPECT_TRUE(d.ok());

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "tolerance.hpp"
 #include "uld3d/util/bench.hpp"
 #include "uld3d/util/checkpoint.hpp"
 #include "uld3d/util/jsonv.hpp"
@@ -45,6 +46,7 @@
 namespace {
 
 using namespace uld3d;
+using tools::parse_tolerance;
 
 struct CompareOptions {
   std::string baseline_path;
@@ -70,21 +72,6 @@ struct CompareOptions {
       "exit codes: 0 pass, 1 timing regression, 2 fidelity regression,\n"
       "            3 usage/malformed input\n";
   std::exit(exit_code);
-}
-
-double parse_tolerance(const std::string& text) {
-  std::string body = text;
-  double scale = 1.0;
-  if (!body.empty() && body.back() == '%') {
-    body.pop_back();
-    scale = 0.01;
-  }
-  std::size_t used = 0;
-  const double value = std::stod(body, &used);
-  if (used != body.size() || !(value >= 0.0)) {
-    throw std::invalid_argument("bad tolerance: " + text);
-  }
-  return value * scale;
 }
 
 /// A parsed suite document plus where it came from (for messages).

@@ -6,7 +6,10 @@
 # LEG is any of release, e2e, bench, march-v3, asan and tsan (default: all
 # six, in that order).  Each leg prints its name and the script stops at
 # the first failure.  Build trees go under OUT_DIR (default build-ci):
-#   release  Release tree + ctest                  (CI job "release")
+#   release  Release tree + ctest, then the release job's later steps
+#            (the getenv allowlist, the observability, telemetry and diff
+#            smokes and the cross-run reuse check), run from ci.yml's own
+#            scripts in OUT_DIR/release-steps      (CI job "release")
 #   e2e      bench/e2e's own package + its ctest    (CI job "release")
 #   bench    the Release tree, tools/run_benches.sh into OUT_DIR/bench_out
 #            and uld3d-bench-compare against bench/baselines at the CI
@@ -40,6 +43,29 @@ leg() {
   echo "== $1 =="
 }
 
+# The `run: |` script of the ci.yml step named $1 (a prefix of its name).
+ci_step() {
+  awk -v name="- name: $1" '
+    index($0, name) { found = 1; next }
+    found && !inrun && /^ *- name: / { exit }
+    found && /^ *run: \|$/ { match($0, /^ */); key = RLENGTH; inrun = 1; next }
+    inrun {
+      match($0, /^ */)
+      if ($0 != "" && RLENGTH <= key) exit
+      print substr($0, key + 3)
+    }' "$root/.github/workflows/ci.yml"
+}
+
+# Run ci.yml's step $1 as the runner does (bash -e with pipefail), in the
+# current directory, against build tree $2 where it names ./build.
+run_ci_step() {
+  script=$(ci_step "$1")
+  [ -n "$script" ] || { echo "ci.yml has no step '$1'" >&2; return 1; }
+  echo "-- $1"
+  bash --noprofile --norc -eo pipefail \
+    -c "$(printf '%s\n' "$script" | sed "s#\./build/#$2/#g")"
+}
+
 # The bench suite of build tree $1 into $1-bench, compared with the
 # committed baselines as the CI bench job compares it.
 bench_compare() {
@@ -55,6 +81,13 @@ for name in $legs; do
       cmake -B "$out/release" -S . -DCMAKE_BUILD_TYPE=Release
       cmake --build "$out/release" -j"$jobs"
       ctest --test-dir "$out/release" --output-on-failure -j"$jobs"
+      run_ci_step 'No new environment hooks' "$out/release"
+      mkdir -p "$out/release-steps" && cd "$out/release-steps"
+      for step in 'Observability smoke' 'Telemetry smoke' 'Diff smoke' \
+        'Cross-run reuse'; do
+        run_ci_step "$step" "$out/release"
+      done
+      cd "$root"
       ;;
     e2e)
       leg e2e

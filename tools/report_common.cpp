@@ -24,10 +24,6 @@ std::string render_scalar(const JsonValue& v) {
   return number_exact(v.as_number());
 }
 
-std::uint64_t index_of(const JsonValue& event) {
-  return static_cast<std::uint64_t>(event.at("index").as_number());
-}
-
 EventStream read_events(const std::string& path) {
   std::ifstream file(path);
   if (!file) {
@@ -74,6 +70,17 @@ bool StreamSummary::has_run(const std::string& id) const {
                      [&](const RunInfo& run) { return run.id == id; });
 }
 
+std::vector<PointTiming> StreamSummary::slowest(std::size_t n) const {
+  std::vector<PointTiming> sorted = timings;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const PointTiming& a, const PointTiming& b) {
+              if (a.dur_us != b.dur_us) return a.dur_us > b.dur_us;
+              return a.index < b.index;
+            });
+  sorted.resize(std::min(n, sorted.size()));
+  return sorted;
+}
+
 StreamSummary summarize(const EventStream& stream) {
   StreamSummary s;
   std::map<std::string, std::size_t> run_index;  // run_id -> runs[] slot
@@ -96,22 +103,18 @@ StreamSummary summarize(const EventStream& stream) {
     } else if (type == "run_end") {
       run.status = event.string_or("status", "?");
       run.exit_code =
-          std::to_string(static_cast<int>(event.number_or("exit_code", -1)));
+          std::to_string(integer_member<int>(event, "exit_code", -1));
     } else if (type == "sweep_start") {
       s.sweep_fingerprint = event.string_or("fingerprint", "");
-      s.grid_size =
-          static_cast<std::size_t>(event.number_or("grid_size", 0));
-      s.domain_size =
-          static_cast<std::size_t>(event.number_or("domain_size", 0));
-      s.jobs = static_cast<int>(event.number_or("jobs", 0));
+      s.grid_size = integer_member<std::size_t>(event, "grid_size", 0);
+      s.jobs = integer_member<int>(event, "jobs", 0);
       std::ostringstream os;
       os << "fingerprint " << event.string_or("fingerprint", "?") << ", grid "
-         << s.grid_size << " points, domain " << s.domain_size << ", jobs "
-         << s.jobs;
+         << s.grid_size << " points, jobs " << s.jobs;
       s.sweep_line = os.str();
     } else if (type == "point_done") {
       PointTiming timing;
-      timing.index = index_of(event);
+      timing.index = integer_member<std::uint64_t>(event, "index");
       timing.dur_us = event.number_or("dur_us", 0.0);
       timing.ok = event.string_or("status", "") == "ok";
       timing.ok ? ++s.ok : ++s.failed;
@@ -171,7 +174,6 @@ std::string summary_to_json(const StreamSummary& summary,
   } else {
     os << "{\"fingerprint\": \"" << json_escape(summary.sweep_fingerprint)
        << "\", \"grid_size\": " << summary.grid_size
-       << ", \"domain_size\": " << summary.domain_size
        << ", \"jobs\": " << summary.jobs << "}";
   }
   os << ", \"points\": {\"evaluated\": " << summary.ok + summary.failed
@@ -197,14 +199,8 @@ std::string summary_to_json(const StreamSummary& summary,
        << ", \"rss_hwm_kb\": " << number_exact(agg.rss_hwm_kb) << "}";
   }
   os << "], \"stragglers\": [";
-  std::vector<PointTiming> timings = summary.timings;
-  std::sort(timings.begin(), timings.end(),
-            [](const PointTiming& a, const PointTiming& b) {
-              if (a.dur_us != b.dur_us) return a.dur_us > b.dur_us;
-              return a.index < b.index;
-            });
-  const std::size_t n = std::min(stragglers, timings.size());
-  for (std::size_t i = 0; i < n; ++i) {
+  const std::vector<PointTiming> timings = summary.slowest(stragglers);
+  for (std::size_t i = 0; i < timings.size(); ++i) {
     if (i > 0) os << ", ";
     os << "{\"index\": " << timings[i].index << ", \"status\": \""
        << (timings[i].ok ? "ok" : "failed")

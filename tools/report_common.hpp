@@ -1,15 +1,19 @@
-// Shared machinery for the telemetry analyzers (uld3d-report, uld3d-diff):
-// the NDJSON event-stream loader with its crash-tolerance rules, the
-// per-run/per-stage/per-point aggregation both tools build on, and the
-// machine-readable summary emitter (`uld3d-report --json`).
+// Shared machinery of uld3d-report's three modes (summary, --canon,
+// --diff): the NDJSON event-stream loader with its crash-tolerance rules,
+// the checked integer reader every integral event member goes through, the
+// per-run/per-stage/per-point aggregation, and the machine-readable summary
+// emitter (`uld3d-report --json`).
 //
-// This is a tools-local library (compiled into each binary), not part of
-// uld3d::util: it depends on the *reader-side* contract of the event schema,
-// which should stay free to evolve with the tools.
+// This is a tools-local library (compiled into the tool and its mutation
+// test), not part of uld3d::util: it depends on the *reader-side* contract
+// of the event schema, which should stay free to evolve with the tool.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +33,31 @@ struct EventStream {
 /// anywhere else throws JsonParseError.
 EventStream read_events(const std::string& path);
 
+/// Member `key` of `object` as an Int; `fallback` when the member is
+/// absent, and JsonParseError when it is absent without a fallback.  A
+/// present member must be a finite, integral number within Int's range:
+/// anything else is malformed input (JsonParseError), since casting such a
+/// double to an integer type is undefined behaviour.
+template <typename Int>
+Int integer_member(const JsonValue& object, const std::string& key,
+                   std::optional<Int> fallback = std::nullopt) {
+  const JsonValue* member = object.find(key);
+  if (member == nullptr) {
+    if (fallback.has_value()) return *fallback;
+    throw JsonParseError("no \"" + key + "\" member");
+  }
+  // Int's max() + 1 is a power of two, so it converts to double exactly.
+  const double end = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  const double value = member->is_number()
+                           ? member->as_number()
+                           : std::numeric_limits<double>::quiet_NaN();
+  if (!(value >= (std::numeric_limits<Int>::is_signed ? -end : 0.0) &&
+        value < end && std::trunc(value) == value)) {
+    throw JsonParseError("\"" + key + "\" is not an integer in range");
+  }
+  return static_cast<Int>(value);
+}
+
 /// Exact double rendering — MUST match util/telemetry's writer so canon
 /// re-renders reproduce the original bytes (doubles round-trip through the
 /// parser bit-exactly at 17 significant digits).
@@ -37,9 +66,6 @@ std::string number_exact(double value);
 /// Render one element of a params/metrics array: numbers exactly, and the
 /// writer's non-finite string spellings ("nan"/"inf"/"-inf") verbatim.
 std::string render_scalar(const JsonValue& v);
-
-/// The "index" member of a point_done event.
-std::uint64_t index_of(const JsonValue& event);
 
 /// One run's identity row (a stream may hold several: resume appends).
 struct RunInfo {
@@ -67,12 +93,11 @@ struct PointTiming {
   bool ok = false;
 };
 
-/// Everything both analyzers need from one pass over a stream.
+/// Everything the modes need from one pass over a stream.
 struct StreamSummary {
   std::vector<RunInfo> runs;  ///< insertion order
   std::string sweep_fingerprint;
   std::size_t grid_size = 0;
-  std::size_t domain_size = 0;
   int jobs = 0;
   std::string sweep_line;  ///< human-readable sweep identity ("" = none)
   std::map<std::string, std::size_t> failure_counts;  ///< code -> count
@@ -87,6 +112,9 @@ struct StreamSummary {
   /// True when `id` labels a run recorded in this stream (the RunId join
   /// check shared by every artifact join).
   [[nodiscard]] bool has_run(const std::string& id) const;
+
+  /// The `n` slowest point observations, slowest first (ties by index).
+  [[nodiscard]] std::vector<PointTiming> slowest(std::size_t n) const;
 };
 
 /// One aggregation pass over a stream.
@@ -95,10 +123,9 @@ StreamSummary summarize(const EventStream& stream);
 /// Machine-readable rendering of a summary (one JSON object, trailing
 /// newline): runs with exit status, sweep identity, point counts, the
 /// failure taxonomy, per-stage wall/cpu/alloc/rss, and the `stragglers`
-/// slowest points.  Shared by `uld3d-report --json` and `uld3d-diff --json`
-/// (which embeds one per side).  `extra_members`, when non-empty, is
-/// spliced verbatim as additional top-level members (caller renders them,
-/// e.g. the `"reuse"` object from a joined metrics export).
+/// slowest points (`uld3d-report --json`).  `extra_members`, when
+/// non-empty, is spliced verbatim as additional top-level members (caller
+/// renders them, e.g. the `"reuse"` object from a joined metrics export).
 std::string summary_to_json(const StreamSummary& summary,
                             const EventStream& stream,
                             const std::string& source_path,
