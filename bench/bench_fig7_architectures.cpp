@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
               relative_difference(row.model.edp_benefit, row.zz.edp_benefit);
           out[i] = std::move(row);
         },
-        {.jobs = jobs});
+        jobs);
     return out;
   };
   mapper::MapCache& cache = mapper::MapCache::instance();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "uld3d/util/checkpoint.hpp"
@@ -52,16 +53,18 @@ double number_exact_from_json(const JsonValue& value,
   refuse("checkpoint number is neither a JSON number nor nan/inf", path);
 }
 
-/// Non-negative integer member (sizes, indices); refuses fractions.
-std::size_t size_from_json(const JsonValue& value, const char* member,
-                           const std::string& path) {
-  if (!value.is_number() || value.as_number() < 0.0 ||
-      value.as_number() != std::floor(value.as_number())) {
-    refuse(std::string("checkpoint member '") + member +
-               "' is not a non-negative integer",
-           path);
+/// Integral member (the schema version, sizes, indices): refuses anything
+/// `json_integer` refuses — a fraction, inf, or a value outside Int's
+/// range, such as an index of 1e300.
+template <typename Int>
+Int integer_from_json(const JsonValue& value, const char* member,
+                      const std::string& path) {
+  if (const std::optional<Int> integer = json_integer<Int>(value)) {
+    return *integer;
   }
-  return static_cast<std::size_t>(value.as_number());
+  refuse(std::string("checkpoint member '") + member +
+             "' is not an integer in range",
+         path);
 }
 
 std::vector<std::string> string_list_from_json(const JsonValue& value,
@@ -182,7 +185,8 @@ SweepRow row_from_json(const JsonValue& doc, std::size_t metric_count,
                        const std::string& path) {
   if (!doc.is_object()) refuse("checkpoint row is not an object", path);
   SweepRow row;
-  row.grid_index = size_from_json(doc.at("index"), "index", path);
+  row.grid_index =
+      integer_from_json<std::size_t>(doc.at("index"), "index", path);
   const JsonValue& params = doc.at("params");
   if (!params.is_array()) refuse("checkpoint row params is not an array", path);
   row.params.reserve(params.as_array().size());
@@ -293,8 +297,8 @@ SweepCheckpoint load_checkpoint(const std::string& path) {
            path);
   }
   SweepCheckpoint ckpt;
-  ckpt.schema_version = static_cast<int>(
-      size_from_json(root.at("schema_version"), "schema_version", path));
+  ckpt.schema_version =
+      integer_from_json<int>(root.at("schema_version"), "schema_version", path);
   if (ckpt.schema_version != kCheckpointSchemaVersion) {
     refuse("unsupported checkpoint schema_version " +
                std::to_string(ckpt.schema_version) + " (this build reads " +
@@ -304,7 +308,8 @@ SweepCheckpoint load_checkpoint(const std::string& path) {
   ckpt.fingerprint = root.at("fingerprint").as_string();
   // Absent in pre-telemetry checkpoints; informational either way.
   ckpt.run_id = root.string_or("run_id", "");
-  ckpt.grid_size = size_from_json(root.at("grid_size"), "grid_size", path);
+  ckpt.grid_size =
+      integer_from_json<std::size_t>(root.at("grid_size"), "grid_size", path);
   ckpt.param_names =
       string_list_from_json(root.at("param_names"), "param_names", path);
   ckpt.metric_names =

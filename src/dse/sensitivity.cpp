@@ -81,8 +81,7 @@ std::vector<Sensitivity> analyze_sensitivity(
       m_failed.add();
     }
   };
-  parallel::parallel_for_indexed(names.size(), evaluate_parameter,
-                                 {.jobs = jobs});
+  parallel::parallel_for_indexed(names.size(), evaluate_parameter, jobs);
   return results;
 }
 

@@ -400,8 +400,6 @@ SweepResult run_sweep(
 
   EventSink::instance().emit_sweep_start(fingerprint, grid_size, param_names,
                                          metric_names, jobs);
-  std::optional<ProgressReporter> progress;
-  if (progress_enabled()) progress.emplace("sweep", grid_size, resumed);
 
   std::mutex flush_mutex;
   std::atomic<std::size_t> completed{resumed};
@@ -460,13 +458,10 @@ SweepResult run_sweep(
         .add(static_cast<std::uint64_t>(todo.size() - work.size()));
   }
 
-  // Progress counts finished POINTS (a work item also finishes its
-  // representative's aliases), so a complete sweep always ends at 100%.
+  // `completed` counts finished POINTS, not work items (a work item also
+  // finishes its representative's aliases), so checkpoint intervals and an
+  // interrupt's count are in grid points.
   const auto finish_point = [&](std::size_t g) {
-    if (progress.has_value()) {
-      rows[g].ok() ? progress->add_ok() : progress->add_failed();
-      progress->on_chunk_done(1);
-    }
     done[g].store(true, std::memory_order_release);
     const std::size_t now =
         completed.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -495,7 +490,7 @@ SweepResult run_sweep(
   };
 
   try {
-    parallel::parallel_for_indexed(work.size(), body, {.jobs = jobs});
+    parallel::parallel_for_indexed(work.size(), body, jobs);
   } catch (...) {
     // Keep whatever finished: an interrupt, a kFailFast failure, or a
     // library bug all leave a resumable checkpoint behind.  A flush

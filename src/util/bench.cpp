@@ -11,7 +11,6 @@
 #include "uld3d/util/checkpoint.hpp"
 #include "uld3d/util/export.hpp"
 #include "uld3d/util/log.hpp"
-#include "uld3d/util/parallel.hpp"
 #include "uld3d/util/table.hpp"
 
 namespace uld3d::bench {
@@ -282,12 +281,10 @@ int Harness::finish() {
     table.print(std::cout, "Timing-derived values: " + suite_);
   }
   if (!options_.write_json || options_.json_path.empty()) return 0;
-  // Refresh the pressure facts at the end of the run: peak RSS and the
-  // pool's queue high-water were near zero when the harness was constructed
-  // — only now do they describe the benchmarks that just executed.
+  // Refresh peak RSS at the end of the run: it was near zero when the
+  // harness was constructed — only now does it describe the benchmarks
+  // that just executed.
   provenance_.peak_rss_kb = peak_rss_kb();
-  provenance_.pool_queue_high_water =
-      parallel::ThreadPool::instance().queue_high_water();
   if (!write_file_atomic(options_.json_path, to_json())) return 1;
   std::cout << "Wrote " << options_.json_path << "\n";
   return 0;

@@ -13,8 +13,11 @@
 // and re-parsed documents diff cleanly.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,6 +84,24 @@ class JsonValue {
   Array array_;
   Object object_;
 };
+
+/// `value` as an Int when it is a finite, integral number within Int's
+/// range; nullopt for anything else (a string, a fraction, inf, 1e300, -1
+/// for an unsigned Int), since casting such a double to an integer type is
+/// undefined behaviour.  Every reader of an integral member of outside
+/// input goes through this.
+template <typename Int>
+[[nodiscard]] std::optional<Int> json_integer(const JsonValue& value) {
+  if (!value.is_number()) return std::nullopt;
+  // Int's max() + 1 is a power of two, so it converts to double exactly.
+  const double end = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  const double v = value.as_number();
+  if (!(v >= (std::numeric_limits<Int>::is_signed ? -end : 0.0) && v < end &&
+        std::trunc(v) == v)) {
+    return std::nullopt;
+  }
+  return static_cast<Int>(v);
+}
 
 /// Parse `text` as a single JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).  Throws JsonParseError on malformed input.

@@ -35,9 +35,6 @@ struct Provenance {
   /// unavailable).  Lets BENCH_*.json correlate timing noise with memory
   /// pressure; bench refreshes it at finish() so it covers the run.
   std::int64_t peak_rss_kb = 0;
-  /// Deepest the global ThreadPool queue has been in this process — a
-  /// proxy for CPU oversubscription during the run.
-  std::uint64_t pool_queue_high_water = 0;
   /// Named configuration fingerprints: (name, fnv1a hex of the content).
   std::vector<std::pair<std::string, std::string>> config_hashes;
 };

@@ -1,7 +1,7 @@
 // Streaming run telemetry: an NDJSON event bus plus the run identity that
 // labels every artifact a run produces.
 //
-// Three pieces:
+// Two pieces:
 //
 //  * `RunContext` — the run's identity: a RunId (provenance hash + a
 //    process-local counter, no randomness).  Set once near main() via
@@ -12,36 +12,29 @@
 //
 //  * `EventSink` — a process-wide, thread-safe appender of schema-versioned
 //    NDJSON events (`run_start`, `sweep_start`, `point_done`,
-//    `checkpoint_flush`, `progress`, `stage`, `run_end`) to a
-//    file.  Disabled by default with the same single-relaxed-atomic-bool
-//    gate as util/metrics: every emit site pays one predictable branch when
-//    telemetry is off.  Writes are buffered and flushed on checkpoint
-//    boundaries, on `close()`, and whenever the buffer grows large; a
-//    killed process therefore leaves a *parseable prefix* (whole lines
-//    only) behind — the stream is append-only, never rewritten, so crash
-//    semantics are "everything up to the last flush".  `ULD3D_EVENTS=FILE`
-//    mirrors the CLI's `--events FILE`.
-//
-//  * `ProgressReporter` — live sweep progress for humans: EWMA points/sec,
-//    ok/failed counts, ETA, and pool queue depth on stderr.  TTY-aware
-//    (single-line \r redraw on a terminal, plain throttled lines when
-//    piped).  The sweep feeds it once per finished point, after the row is
-//    written, so it never touches result slots — jobs=N determinism is
-//    untouched.  It also mirrors throttled `progress` events into the
-//    EventSink.
+//    `checkpoint_flush`, `stage`, `run_end`) to a file.  Disabled by
+//    default with the same single-relaxed-atomic-bool gate as util/metrics:
+//    every emit site pays one predictable branch when telemetry is off.
+//    Writes are buffered and flushed on checkpoint boundaries, on
+//    `close()`, and whenever the buffer grows large; a killed process
+//    therefore leaves a *parseable prefix* (whole lines only) behind — the
+//    stream is append-only, never rewritten, so crash semantics are
+//    "everything up to the last flush".  `ULD3D_EVENTS=FILE` mirrors the
+//    CLI's `--events FILE`.
 //
 // Event schema (DESIGN.md §14): every line is one JSON object
 //   {"schema": 1, "ev": "<type>", "run": "<run_id>",
 //    "ts_ms": <unix milliseconds>, ...type-specific fields...}
 // Streams written before sharding was retired also carry a "shard": "i/N"
-// label on every line and `shard_info` events; readers ignore both.
+// label on every line and `shard_info` events, and streams written before
+// the live progress display was retired carry `progress` events; readers
+// ignore all three.
 // Doubles are rendered with 17 significant digits so payloads (sweep params
 // and metrics) round-trip bit-exactly — `uld3d-report --canon` relies on
 // this to compare event streams from different jobs counts byte-for-byte.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -167,14 +160,6 @@ class EventSink {
     checkpoint_flush_impl(completed, total, path);
   }
 
-  void emit_progress(std::size_t done, std::size_t total, std::size_t ok,
-                     std::size_t failed, double points_per_sec, double eta_s,
-                     std::size_t queue_depth) {
-    if (!enabled()) return;
-    progress_impl(done, total, ok, failed, points_per_sec, eta_s,
-                  queue_depth);
-  }
-
   /// A named pipeline stage completed (mapper search, phys flow stages,
   /// sensitivity analysis) — the coarse time breakdown uld3d-report shows.
   /// Takes a string_view so a disabled emit never constructs a std::string
@@ -211,9 +196,6 @@ class EventSink {
                        const EventFailure* failure, double dur_us);
   void checkpoint_flush_impl(std::size_t completed, std::size_t total,
                              const std::string& path);
-  void progress_impl(std::size_t done, std::size_t total, std::size_t ok,
-                     std::size_t failed, double points_per_sec, double eta_s,
-                     std::size_t queue_depth);
   void stage_impl(std::string_view name, double dur_us,
                   const ResourceSample* resources);
 
@@ -233,66 +215,5 @@ class EventSink {
 /// A stage-kind TraceSpan (util/trace.hpp) calls it at scope end.
 void record_stage_metrics(std::string_view name, double dur_us,
                           const ResourceSample& resources);
-
-/// Turn the live progress display on (the CLI's `--progress`).  Off by
-/// default so library users and byte-compared CLI runs see no extra stderr.
-void set_progress_enabled(bool enabled);
-[[nodiscard]] bool progress_enabled();
-
-/// Live progress for one fixed-size batch of work (a sweep).
-/// `on_chunk_done` is cheap enough to call per finished point: an atomic
-/// add plus a time check; the redraw itself is throttled and mutex-guarded.
-class ProgressReporter {
- public:
-  /// `label` prefixes every line (e.g. "sweep"); `total` is the number of
-  /// work items expected.  Counts may start nonzero on resume.
-  ProgressReporter(std::string label, std::size_t total,
-                   std::size_t already_done = 0);
-  ProgressReporter(const ProgressReporter&) = delete;
-  ProgressReporter& operator=(const ProgressReporter&) = delete;
-  /// Prints the final 100% line (with a trailing newline on a TTY).
-  ~ProgressReporter();
-
-  /// Record `n` items finished; redraws/emits when the throttle allows.
-  void on_chunk_done(std::size_t n);
-  /// Outcome counts, fed by the evaluation body (the chunk hook only knows
-  /// how many items finished, not whether they passed).
-  void add_ok(std::size_t n = 1) {
-    ok_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_failed(std::size_t n = 1) {
-    failed_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::size_t done() const {
-    return done_.load(std::memory_order_relaxed);
-  }
-
-  /// Smoothed points/sec as of the last redraw (0.0 before the first rate
-  /// window closes).  Counts only points evaluated *this* process: both
-  /// `done_` and the rate window start seeded with `already_done`, so
-  /// resume-skipped points never inflate the rate or deflate the ETA.
-  [[nodiscard]] double ewma_points_per_sec() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return ewma_pps_;
-  }
-
- private:
-  void draw(bool final);
-
-  const std::string label_;
-  const std::size_t total_;
-  const std::size_t resumed_;
-  const bool tty_;
-  std::atomic<std::size_t> done_;
-  std::atomic<std::size_t> ok_{0};
-  std::atomic<std::size_t> failed_{0};
-  std::mutex mutex_;
-  std::chrono::steady_clock::time_point start_;
-  std::chrono::steady_clock::time_point last_draw_;
-  std::chrono::steady_clock::time_point last_rate_sample_;
-  std::size_t last_rate_done_ = 0;
-  double ewma_pps_ = 0.0;  ///< EWMA of points/sec, guarded by mutex_
-};
 
 }  // namespace uld3d

@@ -1,11 +1,18 @@
 #include "uld3d/util/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <exception>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/flightrec.hpp"
@@ -61,141 +68,99 @@ int resolve_jobs(int override_jobs) {
   return jobs();
 }
 
-ThreadPool& ThreadPool::instance() {
-  static ThreadPool pool;
-  return pool;
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    stop_.store(true, std::memory_order_relaxed);
-  }
-  wake_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ThreadPool::ensure_workers(int count) {
-  if (count <= 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (static_cast<int>(threads_.size()) < count) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-    const std::size_t self = threads_.size();
-    threads_.emplace_back([this, self] { worker_main(self); });
-  }
-}
-
-int ThreadPool::worker_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(threads_.size());
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  WorkerQueue* queue = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    expects(!queues_.empty(), "ThreadPool::submit needs at least one worker");
-    const std::size_t slot =
-        next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-    queue = queues_[slot].get();
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue->mutex);
-    queue->tasks.push_back(std::move(task));
-  }
-  // High-water tracking: the +1 below takes pending_ to depth d; remember
-  // the deepest d seen.  Relaxed CAS loop — contention here is one word.
-  const std::size_t depth = pending_.load(std::memory_order_relaxed) + 1;
-  std::size_t seen = queue_high_water_.load(std::memory_order_relaxed);
-  while (depth > seen && !queue_high_water_.compare_exchange_weak(
-                             seen, depth, std::memory_order_relaxed)) {
-  }
-  {
-    // Publishing `pending_` under wake_mutex_ pairs with the wait predicate:
-    // a worker is either before its predicate check (and will see the new
-    // count) or inside wait (and will receive the notify).
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    pending_.fetch_add(1, std::memory_order_relaxed);
-  }
-  wake_.notify_one();
-}
-
-bool ThreadPool::try_take(std::size_t self, std::function<void()>& out) {
-  // Snapshot the stable WorkerQueue pointers; the vector may grow
-  // concurrently but existing pointees never move.
-  std::vector<WorkerQueue*> queues;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queues.reserve(queues_.size());
-    for (const auto& q : queues_) queues.push_back(q.get());
-  }
-  // Own queue first (LIFO for locality), then steal round-robin (FIFO —
-  // thieves take the oldest task, the classic Chase–Lev orientation).
-  for (std::size_t k = 0; k < queues.size(); ++k) {
-    WorkerQueue* queue = queues[(self + k) % queues.size()];
-    std::lock_guard<std::mutex> lock(queue->mutex);
-    if (queue->tasks.empty()) continue;
-    if (k == 0) {
-      out = std::move(queue->tasks.back());
-      queue->tasks.pop_back();
-    } else {
-      out = std::move(queue->tasks.front());
-      queue->tasks.pop_front();
-    }
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_main(std::size_t self) {
-  // Visible in the flight recorder / postmortem dump, Chrome trace
-  // thread_name metadata, and OS tools (top -H, gdb, perf).
-  char name[16];
-  std::snprintf(name, sizeof name, "uld3d-wk%zu", self);
-  flightrec::set_thread_name(name);
-  for (;;) {
-    std::function<void()> task;
-    if (try_take(self, task)) {
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      task();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    wake_.wait(lock, [this] {
-      return stop_.load(std::memory_order_relaxed) ||
-             pending_.load(std::memory_order_relaxed) > 0;
-    });
-    if (stop_.load(std::memory_order_relaxed)) return;
-  }
-}
-
 namespace {
+
+/// The lazy process-wide worker pool: one FIFO queue of tasks under one
+/// mutex.  Every task is a copy of one region's `participate` closure, and
+/// a region balances its indices through its own shared counter, so which
+/// worker runs which copy never matters.  Idle workers sleep on the
+/// condition variable; the pool only ever grows.
+class Pool {
+ public:
+  static Pool& instance() {
+    static Pool pool;
+    return pool;
+  }
+
+  // Workers hold `this`, so a Pool never moves.
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  ~Pool() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    wake_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  /// Queue `copies` copies of `task`, growing the pool to at least
+  /// `copies` workers first.
+  void run(std::size_t copies, const std::function<void()>& task) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      while (threads_.size() < copies) {
+        const std::size_t self = threads_.size();
+        threads_.emplace_back([this, self] { work(self); });
+      }
+      tasks_.insert(tasks_.end(), copies, task);
+    }
+    wake_.notify_all();
+  }
+
+ private:
+  Pool() = default;
+
+  void work(std::size_t self) {
+    // Visible in the flight recorder / postmortem dump, Chrome trace
+    // thread_name metadata, and OS tools (top -H, gdb, perf).
+    char name[16];
+    std::snprintf(name, sizeof name, "uld3d-wk%zu", self);
+    flightrec::set_thread_name(name);
+    for (;;) {
+      std::function<void()> task;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        wake_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+        if (stop_) return;
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
+      }
+      task();
+    }
+  }
+
+  std::mutex mutex_;  ///< guards everything below
+  std::condition_variable wake_;
+  std::deque<std::function<void()>> tasks_;
+  bool stop_ = false;
+  std::vector<std::thread> threads_;
+};
 
 /// Shared state of one parallel_for region.  Heap-allocated (shared_ptr)
 /// so a queued-but-never-started pool task outliving the call is a safe
 /// no-op: it can only touch `body` after claiming an index, and no index
 /// remains once the caller has returned.
 struct Region {
-  Region(std::size_t n_, std::size_t grain_,
-         const std::function<void(std::size_t)>* body_)
-      : n(n_), grain(grain_), body(body_) {}
+  Region(std::size_t n_, const std::function<void(std::size_t)>* body_)
+      : n(n_), body(body_) {}
 
   const std::size_t n;
-  const std::size_t grain;
   const std::function<void(std::size_t)>* body;
 
   std::atomic<std::size_t> next{0};
   /// Indices above this are skipped — set to the lowest failing index so a
   /// fail-fast sweep stops claiming work past the failure, while every
   /// index BELOW the final first-failure still runs (serial equivalence).
+  /// Written only under `mutex`, together with `error`.
   std::atomic<std::size_t> cancel_above{
       std::numeric_limits<std::size_t>::max()};
 
   std::mutex mutex;
   std::condition_variable done;
   std::size_t active = 0;
-  std::size_t error_index = std::numeric_limits<std::size_t>::max();
-  std::exception_ptr error;
+  std::exception_ptr error;  ///< thrown by index `cancel_above`, if any
 
   void participate() {
     {
@@ -203,21 +168,16 @@ struct Region {
       ++active;
     }
     for (;;) {
-      const std::size_t start =
-          next.fetch_add(grain, std::memory_order_relaxed);
-      if (start >= n) break;
-      const std::size_t end = std::min(start + grain, n);
-      for (std::size_t i = start; i < end; ++i) {
-        if (i > cancel_above.load(std::memory_order_relaxed)) continue;
-        try {
-          (*body)(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (i < error_index) {
-            error_index = i;
-            error = std::current_exception();
-            cancel_above.store(i, std::memory_order_relaxed);
-          }
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      if (i > cancel_above.load(std::memory_order_relaxed)) continue;
+      try {
+        (*body)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (i < cancel_above.load(std::memory_order_relaxed)) {
+          error = std::current_exception();
+          cancel_above.store(i, std::memory_order_relaxed);
         }
       }
     }
@@ -243,26 +203,20 @@ struct Region {
 
 void parallel_for_indexed(std::size_t n,
                           const std::function<void(std::size_t)>& body,
-                          ForOptions opts) {
+                          int jobs) {
   if (n == 0) return;
   expects(static_cast<bool>(body), "parallel_for_indexed needs a body");
-  const std::size_t grain = opts.grain == 0 ? 1 : opts.grain;
-  const int effective_jobs = resolve_jobs(opts.jobs);
-  const std::size_t chunks = (n + grain - 1) / grain;
-  if (effective_jobs <= 1 || chunks <= 1) {
+  const int effective_jobs = resolve_jobs(jobs);
+  if (effective_jobs <= 1 || n <= 1) {
     // jobs=1 IS the serial loop: same order, exceptions propagate as-is.
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
   const std::size_t helpers = std::min<std::size_t>(
-      static_cast<std::size_t>(effective_jobs) - 1, chunks - 1);
-  auto region = std::make_shared<Region>(n, grain, &body);
-  ThreadPool& pool = ThreadPool::instance();
-  pool.ensure_workers(static_cast<int>(helpers));
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([region] { region->participate(); });
-  }
+      static_cast<std::size_t>(effective_jobs) - 1, n - 1);
+  auto region = std::make_shared<Region>(n, &body);
+  Pool::instance().run(helpers, [region] { region->participate(); });
   region->participate();  // the calling thread is always a participant
   region->wait_done();
   // Move the exception OUT of the region before rethrowing: a stale queued

@@ -62,7 +62,6 @@ Provenance capture_provenance() {
   p.jobs = parallel::jobs();
   p.hardware_concurrency = parallel::hardware_concurrency();
   p.peak_rss_kb = peak_rss_kb();
-  p.pool_queue_high_water = parallel::ThreadPool::instance().queue_high_water();
 
   const auto now = std::chrono::system_clock::now();
   const std::time_t now_t = std::chrono::system_clock::to_time_t(now);
@@ -122,8 +121,6 @@ std::string provenance_json(const Provenance& p, int indent) {
   os << pad << "  \"hardware_concurrency\": " << p.hardware_concurrency
      << ",\n";
   os << pad << "  \"peak_rss_kb\": " << p.peak_rss_kb << ",\n";
-  os << pad << "  \"pool_queue_high_water\": " << p.pool_queue_high_water
-     << ",\n";
   os << pad << "  \"config_hashes\": {";
   for (std::size_t i = 0; i < p.config_hashes.size(); ++i) {
     if (i > 0) os << ",";

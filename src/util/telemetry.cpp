@@ -1,6 +1,6 @@
 #include "uld3d/util/telemetry.hpp"
 
-#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,7 +11,6 @@
 #include "uld3d/util/export.hpp"
 #include "uld3d/util/log.hpp"
 #include "uld3d/util/metrics.hpp"
-#include "uld3d/util/parallel.hpp"
 #include "uld3d/util/provenance.hpp"
 
 namespace uld3d {
@@ -276,19 +275,6 @@ void EventSink::checkpoint_flush_impl(std::size_t completed,
   flush(true);
 }
 
-void EventSink::progress_impl(std::size_t done, std::size_t total,
-                              std::size_t ok, std::size_t failed,
-                              double points_per_sec, double eta_s,
-                              std::size_t queue_depth) {
-  std::ostringstream os = event_head("progress", current_run_context());
-  os << ", \"done\": " << done << ", \"total\": " << total
-     << ", \"ok\": " << ok << ", \"failed\": " << failed
-     << ", \"points_per_sec\": " << json_number_exact(points_per_sec)
-     << ", \"eta_s\": " << json_number_exact(eta_s)
-     << ", \"queue_depth\": " << queue_depth << "}";
-  append_line(os.str());
-}
-
 void EventSink::stage_impl(std::string_view name, double dur_us,
                            const ResourceSample* resources) {
   std::ostringstream os = event_head("stage", current_run_context());
@@ -316,96 +302,6 @@ void record_stage_metrics(std::string_view name, double dur_us,
   reg.counter(prefix + ".alloc_bytes").add(resources.alloc_bytes);
   reg.gauge(prefix + ".rss_hwm_kb")
       .set(static_cast<double>(resources.rss_hwm_kb));
-}
-
-namespace {
-std::atomic<bool> g_progress_enabled{false};
-}  // namespace
-
-void set_progress_enabled(bool enabled) {
-  g_progress_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool progress_enabled() {
-  return g_progress_enabled.load(std::memory_order_relaxed);
-}
-
-ProgressReporter::ProgressReporter(std::string label, std::size_t total,
-                                   std::size_t already_done)
-    : label_(std::move(label)),
-      total_(total),
-      resumed_(already_done),
-      tty_(::isatty(STDERR_FILENO) != 0),
-      done_(already_done),
-      start_(std::chrono::steady_clock::now()),
-      last_draw_(start_ - std::chrono::hours(1)),
-      last_rate_sample_(start_),
-      last_rate_done_(already_done) {}
-
-ProgressReporter::~ProgressReporter() {
-  draw(true);
-  if (tty_) std::fputc('\n', stderr);
-}
-
-void ProgressReporter::on_chunk_done(std::size_t n) {
-  done_.fetch_add(n, std::memory_order_relaxed);
-  draw(false);
-}
-
-void ProgressReporter::draw(bool final) {
-  using clock = std::chrono::steady_clock;
-  // Redraw throttle: a TTY refreshes smoothly at 10 Hz; a piped consumer
-  // (CI log) gets at most one line per second.
-  const auto min_interval =
-      tty_ ? std::chrono::milliseconds(100) : std::chrono::milliseconds(1000);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto now = clock::now();
-  if (!final && now - last_draw_ < min_interval) return;
-  last_draw_ = now;
-
-  const std::size_t done = done_.load(std::memory_order_relaxed);
-  const std::size_t ok = ok_.load(std::memory_order_relaxed);
-  const std::size_t failed = failed_.load(std::memory_order_relaxed);
-
-  // EWMA of the instantaneous rate over ~2s half-life: responsive to a
-  // stalled pool without the jitter of a per-chunk estimate.
-  const double window_s =
-      std::chrono::duration<double>(now - last_rate_sample_).count();
-  if (window_s > 0.25 || ewma_pps_ == 0.0) {
-    const double inst =
-        window_s > 0.0
-            ? static_cast<double>(done - last_rate_done_) / window_s
-            : 0.0;
-    const double alpha =
-        ewma_pps_ == 0.0 ? 1.0 : 1.0 - std::exp(-window_s / 2.0);
-    ewma_pps_ = ewma_pps_ + alpha * (inst - ewma_pps_);
-    last_rate_sample_ = now;
-    last_rate_done_ = done;
-  }
-  const std::size_t remaining = total_ > done ? total_ - done : 0;
-  const double eta_s =
-      ewma_pps_ > 0.0 ? static_cast<double>(remaining) / ewma_pps_ : 0.0;
-  const std::size_t queue = parallel::ThreadPool::instance().pending();
-
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "%s: %zu/%zu (%.0f%%) ok=%zu failed=%zu %.1f pts/s eta %.0fs "
-                "queue=%zu",
-                label_.c_str(), done, total_,
-                total_ > 0 ? 100.0 * static_cast<double>(done) /
-                                 static_cast<double>(total_)
-                           : 100.0,
-                ok, failed, ewma_pps_, eta_s, queue);
-  if (tty_) {
-    // Single-line redraw; pad to clear a previously longer line.
-    std::fprintf(stderr, "\r%-100s", line);
-  } else {
-    std::fprintf(stderr, "%s\n", line);
-  }
-  std::fflush(stderr);
-
-  EventSink::instance().emit_progress(done, total_, ok, failed, ewma_pps_,
-                                      eta_s, queue);
 }
 
 }  // namespace uld3d

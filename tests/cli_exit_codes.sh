@@ -30,6 +30,7 @@ check 2 "$cli" frobnicate
 check 2 "$cli" compare --bogus-flag
 check 2 "$cli" arch --network alexnet   # arch without --config
 check 2 "$cli" compare --network bogus  # a misspelt network name
+check 2 "$cli" sweep --keep-going --progress  # no live progress display
 
 # 3: config errors
 check 3 "$cli" compare --config "$tmpdir/does_not_exist.ini"

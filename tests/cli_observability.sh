@@ -107,13 +107,6 @@ env ULD3D_EVENTS="$envevents" "$cli" datasheet --network alexnet \
 grep -q '"ev": "run_end"' "$envevents" || fail "env events lack run_end"
 grep -q '"ev": "stage"' "$envevents" || fail "env events lack stage timings"
 
-# --progress: a live line on stderr, nothing extra on stdout.
-"$cli" sweep --keep-going --progress >"$tmpdir/prog.out" 2>"$tmpdir/prog.err" \
-  || fail "sweep --progress failed"
-grep -q 'pts/s' "$tmpdir/prog.err" || fail "--progress wrote no rate line"
-cmp -s "$tmpdir/prog.out" "$tmpdir/sweep.out" \
-  || fail "--progress changed stdout"
-
 # Disabled by default: no trace/metrics files appear, nothing extra on stdout.
 plain_out="$(cd "$tmpdir" && "$cli" sweep --keep-going 2>/dev/null)"
 case "$plain_out" in

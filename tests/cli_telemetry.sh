@@ -98,8 +98,6 @@ cmp -s "$tmpdir/canoni.txt" "$tmpdir/canon1.txt" \
   > "$tmpdir/join.txt" || fail "matching metrics join should exit 0"
 grep -q 'matches' "$tmpdir/join.txt" || fail "metrics join not reported"
 # A metrics export from a DIFFERENT run must be refused (exit 1).
-"$report" "$tmpdir/evm.ndjson" --metrics "$tmpdir/metrics.json" \
-  >/dev/null 2>&1
 "$cli" sweep --keep-going --metrics "$tmpdir/foreign.json" >/dev/null 2>&1 \
   || fail "foreign metrics run failed"
 "$report" "$tmpdir/evm.ndjson" --metrics "$tmpdir/foreign.json" \
@@ -114,6 +112,26 @@ code=$?
 "$report" --bogus-flag x >/dev/null 2>&1
 code=$?
 [ "$code" -eq 2 ] || fail "unknown flag: expected exit 2, got $code"
+
+# Numeric operands are read whole: a sign or trailing text is a usage
+# error, not a different number (--top -1 once listed every point).
+for args in "--top -1" "--top 5abc" "--top 2.5"; do
+  "$report" "$tmpdir/ev1.ndjson" $args >/dev/null 2>&1
+  code=$?
+  [ "$code" -eq 2 ] || fail "summary $args: expected exit 2, got $code"
+done
+for args in "--min-delta-us -5" "--min-delta-us 5abc" \
+  "--min-delta-bytes -1" "--min-delta-bytes inf" "--top -1"; do
+  "$report" --diff "$tmpdir/ev1.ndjson" "$tmpdir/ev1.ndjson" $args \
+    >/dev/null 2>&1
+  code=$?
+  [ "$code" -eq 2 ] || fail "--diff $args: expected exit 2, got $code"
+done
+"$report" "$tmpdir/ev1.ndjson" --top 3 >/dev/null 2>&1 \
+  || fail "--top 3 should be accepted"
+"$report" --diff "$tmpdir/ev1.ndjson" "$tmpdir/ev1.ndjson" --top 3 \
+  --min-delta-us 2.5e4 --min-delta-bytes 0 >/dev/null 2>&1 \
+  || fail "whole --diff operands should be accepted"
 
 # Malformed JSON mid-file (NOT at the end) is corruption, exit 3.
 head -n 3 "$tmpdir/ev1.ndjson" > "$tmpdir/bad.ndjson"

@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "uld3d/dse/sweep.hpp"
@@ -191,29 +193,41 @@ TEST(CheckpointRefusalTest, TamperedFilesAreRefused) {
   const std::string text = buffer.str();
   in.close();
 
-  // Each variant mutates the ORIGINAL valid text independently.
-  const auto write_variant = [&](const std::string& from,
-                                 const std::string& to) {
+  // Each variant applies its (from, to) edits to the ORIGINAL valid text.
+  using Edits = std::vector<std::pair<std::string, std::string>>;
+  const auto write_variant = [&](const Edits& edits) {
     std::string mutated = text;
-    const std::size_t pos = mutated.find(from);
-    ASSERT_NE(pos, std::string::npos) << from;
-    mutated.replace(pos, from.size(), to);
+    for (const auto& [from, to] : edits) {
+      const std::size_t pos = mutated.find(from);
+      ASSERT_NE(pos, std::string::npos) << from;
+      mutated.replace(pos, from.size(), to);
+    }
     std::ofstream out(path);
     out << mutated;
   };
+  const std::string bitmap = "\"completed_bitmap\": ";
 
   // Nibble 0 encodes bits 0..3: bit 2 set renders as "40".
   // Bitmap says point 3, the row says point 2: torn state, refused.
-  write_variant("\"completed_bitmap\": \"40\"", "\"completed_bitmap\": \"80\"");
+  write_variant({{bitmap + "\"40\"", bitmap + "\"80\""}});
   EXPECT_THROW((void)load_checkpoint(path), StatusError);
   // Bitmap popcount != row count.
-  write_variant("\"completed_bitmap\": \"40\"", "\"completed_bitmap\": \"c0\"");
+  write_variant({{bitmap + "\"40\"", bitmap + "\"c0\""}});
   EXPECT_THROW((void)load_checkpoint(path), StatusError);
   // Row index escapes the grid.
-  write_variant("\"index\": 2", "\"index\": 99");
+  write_variant({{"\"index\": 2", "\"index\": 99"}});
+  EXPECT_THROW((void)load_checkpoint(path), StatusError);
+  // An index no integer type holds.  Cast to std::size_t it would read as
+  // point 0 on x86-64, so the bitmap marks point 0: only the range check
+  // can refuse this file.
+  write_variant({{bitmap + "\"40\"", bitmap + "\"10\""},
+                 {"\"index\": 2", "\"index\": 1e300"}});
+  EXPECT_THROW((void)load_checkpoint(path), StatusError);
+  // A grid size that overflows to inf.
+  write_variant({{"\"grid_size\": 8", "\"grid_size\": 1e400"}});
   EXPECT_THROW((void)load_checkpoint(path), StatusError);
   // Wrong kind.
-  write_variant("uld3d-sweep-checkpoint", "uld3d-bench-suite");
+  write_variant({{"uld3d-sweep-checkpoint", "uld3d-bench-suite"}});
   EXPECT_THROW((void)load_checkpoint(path), StatusError);
 }
 
@@ -245,6 +259,12 @@ std::string checkpoint_with_version(const std::string& name,
 TEST(CheckpointRefusalTest, FutureSchemaVersionIsRefused) {
   const std::string path = checkpoint_with_version("ckpt_future.json", "99");
   EXPECT_THROW((void)load_checkpoint(path), StatusError);
+  // 2^32 above the current version: narrowed to an int it would wrap to
+  // the current version and load.
+  const std::string wrapped = checkpoint_with_version(
+      "ckpt_wrapped.json",
+      std::to_string((std::int64_t{1} << 32) + kCheckpointSchemaVersion));
+  EXPECT_THROW((void)load_checkpoint(wrapped), StatusError);
 }
 
 TEST(CheckpointRefusalTest, SchemaOneCheckpointIsRefused) {

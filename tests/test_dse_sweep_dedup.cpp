@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -270,10 +269,10 @@ TEST_F(SweepDedupTest, InterruptAndResumeWithDedupStaysBitIdentical) {
   std::remove(path.c_str());
 }
 
-// Progress counts finished POINTS: a representative's work item also
-// finishes its aliases, so a keyed checkpointed sweep over an
-// evaluator-blind axis must still end at done == total, not at the number
-// of representatives.
+// Progress is reported per finished POINT: a representative's work item
+// also finishes its aliases, and each alias emits its own point_done, so a
+// keyed checkpointed sweep over an evaluator-blind axis must report every
+// grid index once, not just the representatives.
 TEST_F(SweepDedupTest, ProgressReachesTotalOnACheckpointedDedupSweep) {
   const Grid grid = blind_axis_grid();
   const std::string path = temp_path("dedup_progress.json");
@@ -281,7 +280,6 @@ TEST_F(SweepDedupTest, ProgressReachesTotalOnACheckpointedDedupSweep) {
   std::remove(path.c_str());
   std::remove(events.c_str());
   ASSERT_TRUE(EventSink::instance().open(events));
-  set_progress_enabled(true);
   std::atomic<int> calls{0};
   SweepOptions options;
   options.jobs = 1;
@@ -291,21 +289,27 @@ TEST_F(SweepDedupTest, ProgressReachesTotalOnACheckpointedDedupSweep) {
       grid, metrics2(),
       [&](const std::vector<double>& p) { return eval_xy(p, calls); },
       options);
-  set_progress_enabled(false);
   EventSink::instance().close();
 
-  std::optional<JsonValue> last_progress;
+  std::vector<int> reports(grid.size(), 0);
+  std::size_t ok = 0;
+  std::size_t failed = 0;
   std::ifstream in(events);
   for (std::string line; std::getline(in, line);) {
     if (line.empty()) continue;
-    JsonValue event = json_parse(line);
-    if (event.at("ev").as_string() == "progress") last_progress = event;
+    const JsonValue event = json_parse(line);
+    if (event.at("ev").as_string() != "point_done") continue;
+    const double index = event.at("index").as_number();
+    ASSERT_LT(index, static_cast<double>(reports.size()));
+    ++reports[static_cast<std::size_t>(index)];
+    ++(event.at("status").as_string() == "ok" ? ok : failed);
   }
-  ASSERT_TRUE(last_progress.has_value());
-  EXPECT_EQ(last_progress->at("total").as_number(), 24.0);
-  EXPECT_EQ(last_progress->at("done").as_number(), 24.0);
-  EXPECT_EQ(last_progress->at("ok").as_number(), 20.0);
-  EXPECT_EQ(last_progress->at("failed").as_number(), 4.0);
+  ASSERT_EQ(reports.size(), 24u);
+  for (std::size_t g = 0; g < reports.size(); ++g) {
+    EXPECT_EQ(reports[g], 1) << "grid index " << g;
+  }
+  EXPECT_EQ(ok, 20u);
+  EXPECT_EQ(failed, 4u);
   EXPECT_EQ(calls.load(), 12);
   std::remove(path.c_str());
   std::remove(events.c_str());

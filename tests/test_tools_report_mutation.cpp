@@ -24,7 +24,8 @@ namespace {
 
 // Two runs of one sweep (an interrupted run and its resume, which
 // re-evaluates point 2), written the way util/telemetry writes them, plus
-// the shard label, shard_info event and domain_size of older streams.
+// the progress event, shard label, shard_info event and domain_size of
+// older streams.
 const char* const kSeedLines[] = {
     R"({"schema": 1, "ev": "run_start", "run": "r1", "ts_ms": 1792494063280, "command": "uld3d_cli sweep --keep-going", "provenance": {"git_sha": "d2132cd", "compiler": "GNU 12.2.0", "build_type": "Release", "hostname": "vm", "timestamp_utc": "2026-10-20T11:01:03Z", "jobs": 2, "hardware_concurrency": 4}})",
     R"({"schema": 1, "ev": "sweep_start", "run": "r1", "ts_ms": 1792494063280, "fingerprint": "cb19a0598828e42f", "grid_size": 20, "params": ["capacity_mb", "n_cs"], "metrics": ["edp_benefit", "speedup"], "jobs": 2})",

@@ -223,21 +223,19 @@ TEST(FlightRecTest, SpanOpenedBeforeArmingWritesNoUnmatchedEnd) {
 }
 
 TEST(FlightRecTest, PoolWorkersAreNamed) {
-  // A worker names itself (ring + OS) before it runs any chunk, and region
+  // A worker names itself (ring + OS) before it runs any index, and region
   // completion synchronizes with the caller, so once a foreign thread id
   // shows up in the body its name is safely readable here.  The calling
-  // thread participates too, so retry until a pool thread claims a chunk.
+  // thread participates too, so retry until a pool thread claims an index.
   const std::uint32_t self = flightrec::thread_id();
   std::atomic<std::uint32_t> worker{flightrec::kOverflowThreadId};
-  parallel::ForOptions opts;
-  opts.jobs = 4;
   for (int attempt = 0;
        attempt < 10 && worker.load() == flightrec::kOverflowThreadId;
        ++attempt) {
     parallel::parallel_for_indexed(
         64,
         [&](std::size_t) {
-          // Give the pool threads time to wake and claim chunks — with an
+          // Give the pool threads time to wake and claim indices — with an
           // empty body the caller drains the whole region before the
           // condition-variable wakeup lands.
           std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -246,10 +244,10 @@ TEST(FlightRecTest, PoolWorkersAreNamed) {
             worker.store(id, std::memory_order_relaxed);
           }
         },
-        opts);
+        4);
   }
   const std::uint32_t id = worker.load();
-  ASSERT_NE(id, flightrec::kOverflowThreadId) << "no pool thread ran a chunk";
+  ASSERT_NE(id, flightrec::kOverflowThreadId) << "no pool thread ran an index";
   EXPECT_EQ(std::string(flightrec::thread_name(id)).rfind("uld3d-wk", 0), 0u);
 }
 

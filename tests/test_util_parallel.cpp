@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <thread>
 #include <vector>
@@ -37,23 +36,13 @@ TEST_F(ParallelTest, JobsConfigRoundTrip) {
 TEST_F(ParallelTest, CoversEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> counts(kN);
-  parallel_for_indexed(
-      kN, [&](std::size_t i) { counts[i].fetch_add(1); }, {.jobs = 8});
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i].load(), 1);
-}
-
-TEST_F(ParallelTest, GrainedChunksStillCoverEveryIndex) {
-  constexpr std::size_t kN = 101;  // not a multiple of the grain
-  std::vector<std::atomic<int>> counts(kN);
-  parallel_for_indexed(
-      kN, [&](std::size_t i) { counts[i].fetch_add(1); },
-      {.jobs = 8, .grain = 16});
+  parallel_for_indexed(kN, [&](std::size_t i) { counts[i].fetch_add(1); }, 8);
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i].load(), 1);
 }
 
 TEST_F(ParallelTest, EmptyAndSingleIndexRanges) {
   int calls = 0;
-  parallel_for_indexed(0, [&](std::size_t) { ++calls; }, {.jobs = 8});
+  parallel_for_indexed(0, [&](std::size_t) { ++calls; }, 8);
   EXPECT_EQ(calls, 0);
   std::thread::id body_thread;
   parallel_for_indexed(
@@ -62,17 +51,16 @@ TEST_F(ParallelTest, EmptyAndSingleIndexRanges) {
         ++calls;
         body_thread = std::this_thread::get_id();
       },
-      {.jobs = 8});
+      8);
   EXPECT_EQ(calls, 1);
-  // A single chunk runs on the calling thread — no pool involvement.
+  // A single index runs on the calling thread — no pool involvement.
   EXPECT_EQ(body_thread, std::this_thread::get_id());
 }
 
 TEST_F(ParallelTest, SlotsAssembleInIndexOrder) {
   constexpr std::size_t kN = 512;
   std::vector<std::size_t> slots(kN, 0);
-  parallel_for_indexed(
-      kN, [&](std::size_t i) { slots[i] = i * i; }, {.jobs = 8});
+  parallel_for_indexed(kN, [&](std::size_t i) { slots[i] = i * i; }, 8);
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(slots[i], i * i);
 }
 
@@ -88,7 +76,7 @@ TEST_F(ParallelTest, LowestFailingIndexWinsAtAnyJobsCount) {
   };
   for (const int j : {1, 2, 8}) {
     try {
-      parallel_for_indexed(800, body, {.jobs = j});
+      parallel_for_indexed(800, body, j);
       FAIL() << "expected a StatusError at jobs=" << j;
     } catch (const StatusError& error) {
       ASSERT_EQ(error.failure().context.size(), 1u);
@@ -108,7 +96,7 @@ TEST_F(ParallelTest, SerialPathStopsAtFirstThrow) {
                      if (i == 2) throw StatusError(Failure(
                          ErrorCode::kNumericalError, "boom"));
                    },
-                   {.jobs = 1}),
+                   1),
                StatusError);
   EXPECT_EQ(calls, 3u);  // 0, 1, 2 — exactly the serial prefix
 }
@@ -121,34 +109,16 @@ TEST_F(ParallelTest, NestedRegionsDoNotDeadlock) {
       kOuter,
       [&](std::size_t o) {
         std::vector<std::size_t> inner(kInner, 0);
-        parallel_for_indexed(
-            kInner, [&](std::size_t i) { inner[i] = o + i; }, {.jobs = 4});
+        parallel_for_indexed(kInner, [&](std::size_t i) { inner[i] = o + i; },
+                             4);
         std::size_t sum = 0;
         for (const std::size_t v : inner) sum += v;
         sums[o] = sum;
       },
-      {.jobs = 4});
+      4);
   for (std::size_t o = 0; o < kOuter; ++o) {
     EXPECT_EQ(sums[o], o * kInner + kInner * (kInner - 1) / 2);
   }
-}
-
-TEST_F(ParallelTest, ThreadPoolRunsSubmittedTasks) {
-  ThreadPool& pool = ThreadPool::instance();
-  pool.ensure_workers(2);
-  EXPECT_GE(pool.worker_count(), 2);
-  constexpr int kTasks = 16;
-  std::atomic<int> done{0};
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&done] { done.fetch_add(1); });
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (done.load() < kTasks &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(done.load(), kTasks);
 }
 
 }  // namespace

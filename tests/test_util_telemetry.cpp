@@ -2,14 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "uld3d/util/jsonv.hpp"
@@ -64,7 +62,6 @@ TEST_F(TelemetryTest, DisabledByDefaultAndEmitsNothing) {
   EXPECT_FALSE(EventSink::enabled());
   // No sink open: every emit is a cheap no-op, not a crash.
   EventSink::instance().emit_stage("test.stage", 1.0);
-  EventSink::instance().emit_progress(1, 2, 1, 0, 1.0, 1.0, 0);
   EXPECT_FALSE(EventSink::enabled());
 }
 
@@ -86,16 +83,15 @@ TEST_F(TelemetryTest, EveryEventLineIsSchemaStampedJson) {
   sink.emit_sweep_start("fp", 10, {"a", "b"}, {"m"}, 4);
   sink.emit_point_done(3, {1.0, 2.0}, {3.0}, nullptr, 12.5);
   sink.emit_checkpoint_flush(5, 10, "ckpt.json");
-  sink.emit_progress(5, 10, 4, 1, 2.5, 2.0, 7);
   sink.emit_stage("test.stage", 99.0);
   sink.emit_run_end("ok", 0);
   sink.close();
 
   const std::vector<std::string> lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 7u);
+  ASSERT_EQ(lines.size(), 6u);
   const std::vector<std::string> expected = {
-      "run_start", "sweep_start", "point_done", "checkpoint_flush",
-      "progress",  "stage",       "run_end"};
+      "run_start",        "sweep_start", "point_done",
+      "checkpoint_flush", "stage",       "run_end"};
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const JsonValue event = json_parse(lines[i]);  // throws on bad JSON
     EXPECT_EQ(event.number_or("schema", -1.0),
@@ -253,24 +249,6 @@ TEST_F(TelemetryTest, AppendReopenUnionsRuns) {
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(json_parse(lines[0]).at("name").as_string(), "run.one");
   EXPECT_EQ(json_parse(lines[1]).at("name").as_string(), "run.two");
-}
-
-TEST_F(TelemetryTest, ProgressRateIgnoresResumeSkippedPoints) {
-  // Regression guard: a resumed sweep seeds the reporter with thousands of
-  // already-done points.  Both the done count and the rate window start at
-  // `already_done`, so the first rate sample must reflect only the points
-  // evaluated in this process — not (already_done + new) / elapsed, which
-  // would report a wildly inflated pts/s and a near-zero ETA after resume.
-  ProgressReporter progress("test-resume", 1010, 1000);
-  EXPECT_EQ(progress.done(), 1000u);
-  EXPECT_EQ(progress.ewma_points_per_sec(), 0.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  progress.on_chunk_done(5);
-  const double rate = progress.ewma_points_per_sec();
-  EXPECT_GT(rate, 0.0);
-  // 5 points in ~0.3 s is ~17 pts/s; the buggy version would report ~3350.
-  EXPECT_LT(rate, 100.0);
-  EXPECT_EQ(progress.done(), 1005u);
 }
 
 }  // namespace

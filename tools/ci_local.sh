@@ -18,7 +18,9 @@
 #            same compare                            (CI job "march-v3";
 #            the host needs AVX2, FMA, BMI2 and MOVBE)
 #   asan     ASan+UBSan tree with -D_GLIBCXX_ASSERTIONS, the full ctest and
-#            the ULD3D_JOBS=4 label set             (CI job "sanitize")
+#            the ULD3D_JOBS=4 label set, then the sanitize job's later steps
+#            (bench smoke to crash postmortem), run from ci.yml's own scripts
+#            and env blocks in OUT_DIR/asan-steps   (CI job "sanitize")
 #   tsan     googletest built from /usr/src/googletest with
 #            -fsanitize=thread into OUT_DIR/gtest-tsan, a TSan tree against
 #            it, and the label set at ULD3D_JOBS=8  (CI job "tsan")
@@ -43,11 +45,17 @@ leg() {
   echo "== $1 =="
 }
 
-# The `run: |` script of the ci.yml step named $1 (a prefix of its name).
+# The `run: |` script of the ci.yml step named $1 (a prefix of its name),
+# preceded by one export line per entry of the step's `env:` block.
 ci_step() {
   awk -v name="- name: $1" '
     index($0, name) { found = 1; next }
     found && !inrun && /^ *- name: / { exit }
+    found && !inrun && /^ *env:$/ { inenv = 1; next }
+    inenv && /^ *[A-Z][A-Z0-9_]*: / {
+      sub(/^ */, "export "); sub(/: /, "=\047"); print $0 "\047"; next
+    }
+    { inenv = 0 }
     found && /^ *run: \|$/ { match($0, /^ */); key = RLENGTH; inrun = 1; next }
     inrun {
       match($0, /^ */)
@@ -121,6 +129,13 @@ for name in $legs; do
       UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 ULD3D_JOBS=4 \
         ctest --test-dir "$out/asan" --output-on-failure -j"$jobs" \
         -L 'test_dse|test_mapper|test_util_parallel|test_phys'
+      mkdir -p "$out/asan-steps" && cd "$out/asan-steps"
+      for step in 'Bench smoke under sanitizers' \
+        'Corrupt map-cache refusal under ASan' 'Checkpoint soak under ASan' \
+        'Interrupted telemetry under ASan' 'Crash postmortem under ASan'; do
+        run_ci_step "$step" "$out/asan"
+      done
+      cd "$root"
       ;;
     tsan)
       leg tsan

@@ -139,8 +139,6 @@ StreamSummary summarize(const EventStream& stream) {
           std::max(agg.rss_hwm_kb, event.number_or("rss_kb", 0.0));
     } else if (type == "checkpoint_flush") {
       ++s.checkpoints;
-    } else if (type == "progress") {
-      ++s.progress_events;
     }
   }
   return s;

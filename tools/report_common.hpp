@@ -9,9 +9,7 @@
 // of the event schema, which should stay free to evolve with the tool.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -35,9 +33,8 @@ EventStream read_events(const std::string& path);
 
 /// Member `key` of `object` as an Int; `fallback` when the member is
 /// absent, and JsonParseError when it is absent without a fallback.  A
-/// present member must be a finite, integral number within Int's range:
-/// anything else is malformed input (JsonParseError), since casting such a
-/// double to an integer type is undefined behaviour.
+/// present member must pass `json_integer` (a finite, integral number
+/// within Int's range): anything else is malformed input (JsonParseError).
 template <typename Int>
 Int integer_member(const JsonValue& object, const std::string& key,
                    std::optional<Int> fallback = std::nullopt) {
@@ -46,16 +43,10 @@ Int integer_member(const JsonValue& object, const std::string& key,
     if (fallback.has_value()) return *fallback;
     throw JsonParseError("no \"" + key + "\" member");
   }
-  // Int's max() + 1 is a power of two, so it converts to double exactly.
-  const double end = std::ldexp(1.0, std::numeric_limits<Int>::digits);
-  const double value = member->is_number()
-                           ? member->as_number()
-                           : std::numeric_limits<double>::quiet_NaN();
-  if (!(value >= (std::numeric_limits<Int>::is_signed ? -end : 0.0) &&
-        value < end && std::trunc(value) == value)) {
-    throw JsonParseError("\"" + key + "\" is not an integer in range");
+  if (const std::optional<Int> value = json_integer<Int>(*member)) {
+    return *value;
   }
-  return static_cast<Int>(value);
+  throw JsonParseError("\"" + key + "\" is not an integer in range");
 }
 
 /// Exact double rendering — MUST match util/telemetry's writer so canon
@@ -107,7 +98,6 @@ struct StreamSummary {
   std::size_t ok = 0;      ///< point_done events with status ok
   std::size_t failed = 0;  ///< point_done events with any other status
   std::size_t checkpoints = 0;
-  std::size_t progress_events = 0;
 
   /// True when `id` labels a run recorded in this stream (the RunId join
   /// check shared by every artifact join).

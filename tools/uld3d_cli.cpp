@@ -22,10 +22,8 @@
 //               --profile       print span-summary + metrics tables at exit
 //               --events FILE   append NDJSON telemetry events (run_start,
 //                               sweep_start, point_done, checkpoint_flush,
-//                               progress, run_end; DESIGN.md section 14) —
+//                               stage, run_end; DESIGN.md section 14) —
 //                               analyze with uld3d-report
-//               --progress      live sweep progress on stderr (EWMA
-//                               points/sec, ok/failed, ETA, queue depth)
 //               --postmortem[=PATH]  arm the flight-recorder crash dumper:
 //                               on SIGSEGV/SIGABRT/SIGBUS/SIGFPE or
 //                               std::terminate, write PATH (default
@@ -120,8 +118,8 @@ constexpr const char* kUsage =
     "usage: uld3d_cli <compare|table1|datasheet|arch|sweep|dump-config>\n"
     "       [--network N] [--config FILE] [--strict] [--keep-going]\n"
     "       [--jobs N] [--trace FILE] [--metrics FILE] [--profile]\n"
-    "       [--events FILE] [--progress] [--postmortem[=PATH]]\n"
-    "       [--no-postmortem] [--mapper] [--mapcache-file FILE]\n"
+    "       [--events FILE] [--postmortem[=PATH]] [--no-postmortem]\n"
+    "       [--mapper] [--mapcache-file FILE]\n"
     "       [--checkpoint FILE] [--resume] [--checkpoint-interval N]";
 
 struct CliArgs {
@@ -135,7 +133,6 @@ struct CliArgs {
   std::string metrics_path;  // metrics JSON/CSV output ("" = off)
   bool profile = false;      // print span/metrics summary tables at exit
   std::string events_path;   // NDJSON telemetry events output ("" = off)
-  bool progress = false;     // live sweep progress on stderr
   std::optional<bool> postmortem;  // unset = default (on for sweep)
   std::string postmortem_path;     // "" = <run_id>.postmortem.json
   bool mapper_sweep = false;       // price sweep points with the mapper
@@ -178,8 +175,6 @@ CliArgs parse_args(int argc, char** argv) {
       args.profile = true;
     } else if (flag == "--events" && i + 1 < argc) {
       args.events_path = argv[++i];
-    } else if (flag == "--progress") {
-      args.progress = true;
     } else if (flag == "--postmortem") {
       args.postmortem = true;
     } else if (flag.rfind("--postmortem=", 0) == 0) {
@@ -252,7 +247,6 @@ class Observability {
     if (EventSink::enabled()) {
       sink.emit_run_start(capture_provenance(), command_line);
     }
-    set_progress_enabled(args.progress);
     // Flight recorder: the main thread gets a name either way; the crash
     // dumper arms by default for sweeps (long-running, worth forensics)
     // and on request elsewhere.  Must follow set_current_run_context —

@@ -256,8 +256,8 @@ int run_canon(const EventStream& stream) {
         return 1;
       }
     }
-    // run_start/run_end/progress/checkpoint_flush/stage (and the
-    // shard_info of old streams) are per-run chatter: dropped from the
+    // run_start/run_end/checkpoint_flush/stage (and the shard_info and
+    // progress events of old streams) are per-run chatter: dropped from the
     // projection by design.
   }
   std::ostringstream out;
@@ -344,9 +344,6 @@ void print_summary_tables(const Options& opts, const EventStream& stream,
     }
     std::cout << "\n";
     straggler_table.print(std::cout, "Slowest points");
-  }
-  if (s.progress_events > 0) {
-    std::cout << "\nProgress events: " << s.progress_events << "\n";
   }
 }
 
@@ -742,7 +739,8 @@ int main(int argc, char** argv) {
         if (opts.mode == kDiff) opts.metrics.push_back(operand());
       } else if (arg == "--top") {
         only(kSummary | kDiff);
-        opts.top = std::stoul(operand());
+        opts.top = static_cast<std::size_t>(
+            tools::parse_non_negative(operand(), /*integral=*/true));
       } else if (arg == "--trace") {
         only(kSummary);
         opts.trace_path = operand();
@@ -754,13 +752,13 @@ int main(int argc, char** argv) {
         opts.time_tol = tools::parse_tolerance(operand());
       } else if (arg == "--min-delta-us") {
         only(kDiff);
-        opts.min_delta_us = std::stod(operand());
+        opts.min_delta_us = tools::parse_non_negative(operand());
       } else if (arg == "--alloc-tol") {
         only(kDiff);
         opts.alloc_tol = tools::parse_tolerance(operand());
       } else if (arg == "--min-delta-bytes") {
         only(kDiff);
-        opts.min_delta_bytes = std::stod(operand());
+        opts.min_delta_bytes = tools::parse_non_negative(operand());
       } else if (!arg.empty() && arg[0] == '-') {
         std::cerr << "uld3d-report: unknown flag " << arg << "\n";
         usage(2);
@@ -769,7 +767,7 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const std::logic_error& e) {
-    // std::stoul/std::stod and parse_tolerance: a malformed or
+    // parse_non_negative and parse_tolerance: a malformed, negative or
     // out-of-range operand.
     std::cerr << "uld3d-report: bad operand: " << e.what() << "\n";
     usage(2);
